@@ -18,16 +18,17 @@ Repetitions default to 2 (the full 5 takes hours single-core) — override
 with ``REPRO_PAPER_SWEEP_REPS``; worker count with ``REPRO_PAPER_SWEEP_JOBS``.
 The session writes ``BENCH_paper_sweep.json`` to the working directory; the
 committed copy is the baseline CI uploads as an artifact and compares
-checksums against.
+checksums against.  ``pytest benchmarks/bench_paper_sweep.py -k tiny`` runs
+only the seconds-long check of the record's fields.
 """
 
 import hashlib
 import json
 import os
+import statistics
 from pathlib import Path
 from time import perf_counter
 
-from repro.core.kernelreg import kernel_provenance
 from repro.experiments.config import PAPER_CCRS, ExperimentConfig
 from repro.experiments.parallel import (
     collect_telemetry,
@@ -65,47 +66,72 @@ def unit_makespan_checksum(results) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def test_paper_scale_sweep():
-    config = _config()
+def run_sweep(config: ExperimentConfig, jobs: int) -> tuple[dict, list]:
+    """Run the CCR sweep; return the BENCH record and the unit results."""
     x_values, units = plan_sweep(config, "ccr")
-    assert len(units) == len(PAPER_CCRS) * REPS
+    assert len(units) == len(config.ccrs) * config.repetitions
 
     t0 = perf_counter()
-    results = execute_units(config, units, jobs=JOBS)
+    results = execute_units(config, units, jobs=jobs)
     wall = perf_counter() - t0
     assert len(results) == len(units)
 
-    series = merge_unit_results(config, x_values, results)
-    telemetry = collect_telemetry(results)
-    # The paper's qualitative claim must hold at published scale: the
-    # contention-aware schedulers beat BA somewhere on the CCR grid.
-    assert any(v > 0 for v in series["oihsa"]) and any(v > 0 for v in series["bbsa"])
-
+    unit_walls = [r.wall_s or 0.0 for r in results]
     doc = {
         "sweep": {
-            "ccrs": list(PAPER_CCRS),
-            "n_procs": 128,
-            "task_range": [40, 1000],
+            "ccrs": list(config.ccrs),
+            "n_procs": config.proc_counts[0],
+            "task_range": list(config.task_range),
             "topology": config.topology,
-            "repetitions": REPS,
+            "repetitions": config.repetitions,
             "algorithms": list(config.algorithms),
             "seed": config.seed,
         },
         "units": len(results),
-        "jobs": JOBS,
+        "jobs": jobs,
         "wall_s": wall,
+        # Per-unit wall times, not ``wall / units``: with ``jobs > 1`` units
+        # overlap, so the sweep's wall time undercounts each unit's.
         "unit_wall_s": {
-            "mean": wall / len(results),
-            "max": max(r.wall_s or 0.0 for r in results),
+            "mean": statistics.fmean(unit_walls),
+            "max": max(unit_walls),
         },
         "makespan_checksum": unit_makespan_checksum(results),
-        "improvement_series": series,
-        "kernel_provenance": kernel_provenance("auto"),
-        "telemetry": telemetry.summary_dict(),
+        "improvement_series": merge_unit_results(config, x_values, results),
+        "telemetry": collect_telemetry(results).summary_dict(),
     }
+    return doc, results
+
+
+def test_paper_scale_sweep():
+    doc, results = run_sweep(_config(), JOBS)
+    series = doc["improvement_series"]
+    # The paper's qualitative claim must hold at published scale: the
+    # contention-aware schedulers beat BA somewhere on the CCR grid.
+    assert any(v > 0 for v in series["oihsa"]) and any(v > 0 for v in series["bbsa"])
+
     out = Path("BENCH_paper_sweep.json")
     out.write_text(json.dumps(doc, indent=1, sort_keys=True))
     print(
-        f"\n{len(results)} paper-scale units in {wall:.1f}s "
+        f"\n{len(results)} paper-scale units in {doc['wall_s']:.1f}s "
         f"(jobs={JOBS}); wrote {out.resolve()}"
     )
+
+
+def test_tiny_sweep_record():
+    """The record's unit timings and fields on a seconds-long sweep."""
+    config = _config().with_(
+        ccrs=(0.5, 5.0), proc_counts=(8,), task_range=(10, 20), repetitions=2
+    )
+    doc, results = run_sweep(config, jobs=2)
+    walls = [r.wall_s for r in results]
+    assert all(w is not None and w > 0 for w in walls)
+    assert doc["unit_wall_s"] == {
+        "mean": statistics.fmean(walls),
+        "max": max(walls),
+    }
+    # BA, OIHSA and BBSA never call the mapping-scoring kernel, so the
+    # record carries no kernel provenance.
+    assert "kernel_provenance" not in doc
+    assert doc["units"] == 4 and doc["jobs"] == 2
+    assert doc["sweep"]["n_procs"] == 8

@@ -43,10 +43,9 @@ def _dijkstra_fluid(
     with BBSA's fluid step-arrival probe inlined into the relax loop.
 
     Bit-identical routes to the closure-driven generic loop in
-    :meth:`BBSAScheduler._route`: same labels, same tie-breaks, same two
-    lower-bound prunes — only the closure calls, counter hooks, and the
-    provably hit-free within-round memo lookups are removed (see
-    :func:`repro.core.oihsa._dijkstra_indexed` for the argument).
+    :meth:`BBSAScheduler._route`: same labels, same tie-breaks, the same
+    dead-end skip and the same two lower-bound prunes — only the closure
+    calls and counter hooks are removed.
     """
     _check_endpoints(net, src, dst)
     if src == dst:
@@ -62,6 +61,7 @@ def _dijkstra_fluid(
     dist_t[src] = ready_time
     heap: list[tuple[float, int, int]] = [(ready_time, 0, src)]
     out_links = net.sorted_out_links
+    sole = net.sole_out_neighbours()
     profiles_get = profiles.get
     best_dst = inf
     while heap:
@@ -73,14 +73,14 @@ def _dijkstra_fluid(
             break
         nh = hops + 1
         for link, v in out_links(u):
-            if done[v]:
+            if done[v] or (sole[v] == u and v != dst):
                 continue
             cur_t = dist_t[v]
             lb = d + cost / link.speed
             if cur_t != inf or best_dst != inf:
                 if lb > cur_t or (lb == cur_t and nh >= dist_h[v]) or lb > best_dst:
                     continue
-            # Inlined fluid probe (same arithmetic as ``_route``'s closure).
+            # Inlined ``BandwidthLinkState.probe_link`` (same arithmetic).
             if tiny:
                 arrival = d
             else:
@@ -122,25 +122,21 @@ class BBSAScheduler(ContentionScheduler):
         modified_routing: bool = True,
         edge_priority: bool = True,
         local_comm_exempt: bool = True,
-        probe_cache: bool = True,
         comm: CommModel = CUT_THROUGH,
     ) -> None:
         self.task_insertion = task_insertion
         self.modified_routing = modified_routing
         self.edge_priority = edge_priority
         self.local_comm_exempt = local_comm_exempt
-        self.probe_cache = probe_cache
         self.comm = comm
         self._bstate = BandwidthLinkState()
         self._arrivals: dict[EdgeKey, float] = {}
         self._mls = 1.0
-        self._probe_memo: dict[tuple, float] = {}
 
     def _begin(self, graph: TaskGraph, net: NetworkTopology) -> None:
         self._bstate = BandwidthLinkState()
         self._arrivals = {}
         self._mls = net.mean_link_speed() if net.num_links else 1.0
-        self._probe_memo = {}
 
     def _route(
         self, net: NetworkTopology, src: int, dst: int, cost: float, ready: float
@@ -149,60 +145,27 @@ class BBSAScheduler(ContentionScheduler):
             with span("routing"):
                 return bfs_route(net, src, dst)
 
-        bstate = self._bstate
-        if not self.probe_cache:
-            def probe(link: Link, t: float) -> float:
-                if OBS.on:
-                    OBS.metrics.counter("bandwidth.probes").inc()
-                return bstate.probe_link(link, cost, t)
-
-            with span("routing"):
-                return dijkstra_route(net, src, dst, ready, probe)
-
         if cost < 0:
             raise SchedulingError(f"negative volume {cost}")
-        memo = self._probe_memo
-        # Hot path: skip per-probe method dispatch into the bandwidth state.
-        versions = bstate._versions
-        profiles = bstate._profiles
-        tiny = cost <= _FEPS
-
-        if OBS.on:
-            # Ticks once per relaxation — exactly where the uncached probe
-            # incremented it — so ``bandwidth.probes`` is unchanged by
-            # caching.
-            probes_c = OBS.metrics.counter("bandwidth.probes")
-            misses_c = OBS.metrics.counter("routing.probe_cache_misses")
-            hits_c = OBS.metrics.counter("routing.probe_cache_hits")
-
-            def lower_bound(link: Link, t: float) -> float:
-                probes_c.inc()
-                return t + cost / link.speed
-
-            def probe(link: Link, t: float) -> float:
-                key = (link.lid, versions.get(link.lid, 0), t, cost)
-                finish = memo.get(key)
-                if finish is None:
-                    if tiny:
-                        finish = t
-                    else:
-                        prof = profiles.get(link.lid)
-                        finish = probe_step_finish(
-                            prof.segments if prof is not None else (),
-                            t, cost, link.speed,
-                        )
-                    memo[key] = finish
-                    misses_c.inc()
-                else:
-                    hits_c.inc()
-                return finish
-        else:
-            # Obs-off fast path: the fully inlined loop (memo lookup skipped
-            # — provably a no-op, each link is relaxed exactly once per
-            # ``dijkstra_route`` round so a within-round memo can never hit;
-            # see the OIHSA probe for the full argument).
+        bstate = self._bstate
+        if not OBS.on:
+            # Obs-off fast path: the fully inlined loop, reading the
+            # profiles without per-probe method dispatch.
             with span("routing"):
-                return _dijkstra_fluid(net, src, dst, ready, cost, profiles, tiny)
+                return _dijkstra_fluid(
+                    net, src, dst, ready, cost, bstate._profiles, cost <= _FEPS
+                )
+
+        # Ticks once per relaxation, where the bound is consulted.
+        probes_c = OBS.metrics.counter("bandwidth.probes")
+        probe_link = bstate.probe_link
+
+        def lower_bound(link: Link, t: float) -> float:
+            probes_c.inc()
+            return t + cost / link.speed
+
+        def probe(link: Link, t: float) -> float:
+            return probe_link(link, cost, t)
 
         with span("routing"):
             return dijkstra_route(net, src, dst, ready, probe, lower_bound)

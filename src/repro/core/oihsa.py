@@ -25,7 +25,7 @@ from repro.core.base import ContentionScheduler
 from repro.core.schedule import Schedule
 from repro.exceptions import RoutingError, SchedulingError
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
-from repro.linksched.insertion import probe_basic, schedule_edge_basic
+from repro.linksched.insertion import schedule_edge_basic
 from repro.linksched.optimal_insertion import schedule_edge_optimal
 from repro.linksched.state import LinkScheduleState, _LinkQueue  # repro-lint: disable=TXN001 (type-only use below)
 from repro.network.routing import _check_endpoints, bfs_route, dijkstra_route
@@ -48,11 +48,11 @@ def _dijkstra_indexed(
     with OIHSA's indexed-queue gap probe inlined into the relax loop.
 
     Produces bit-identical routes to the generic loop driven by the closure
-    probes in :meth:`OIHSAScheduler._route`: same labels (the probe arithmetic
-    is copied verbatim), same ``(arrival, hops, vid)`` tie-breaks, and the
-    same two lower-bound prunes (target-label and destination-label) — only
-    the per-relaxation closure calls, the per-relaxation counter hooks, and
-    the provably hit-free within-round memo lookups are gone.
+    probes in :meth:`OIHSAScheduler._route`: same labels (the probe is
+    ``find_gap_indexed``'s arithmetic verbatim), same ``(arrival, hops,
+    vid)`` tie-breaks, the same dead-end skip and the same two lower-bound
+    prunes (target-label and destination-label) — only the per-relaxation
+    closure calls and counter hooks are gone.
     """
     _check_endpoints(net, src, dst)
     if src == dst:
@@ -68,6 +68,7 @@ def _dijkstra_indexed(
     dist_t[src] = ready_time
     heap: list[tuple[float, int, int]] = [(ready_time, 0, src)]
     out_links = net.sorted_out_links
+    sole = net.sole_out_neighbours()
     queues_get = queues.get
     best_dst = inf
     while heap:
@@ -79,7 +80,7 @@ def _dijkstra_indexed(
             break
         nh = hops + 1
         for link, v in out_links(u):
-            if done[v]:
+            if done[v] or (sole[v] == u and v != dst):
                 continue
             cur_t = dist_t[v]
             duration = cost / link.speed
@@ -87,7 +88,9 @@ def _dijkstra_indexed(
             if cur_t != inf or best_dst != inf:
                 if lb > cur_t or (lb == cur_t and nh >= dist_h[v]) or lb > best_dst:
                     continue
-            # Inlined gap probe (same arithmetic as ``_route``'s closure).
+            # Inlined ``find_gap_indexed`` with ``min_finish=0``: the start
+            # floor ``max(d, -duration)`` collapses to ``d`` (both operands
+            # non-negative here), and only the finish is needed.
             q = queues_get(link.lid)
             if q is None:
                 arrival = lb
@@ -138,7 +141,6 @@ class OIHSAScheduler(ContentionScheduler):
         optimal_insertion: bool = True,
         edge_priority: bool = True,
         local_comm_exempt: bool = True,
-        probe_cache: bool = True,
         comm: CommModel = CUT_THROUGH,
     ) -> None:
         """The boolean knobs exist for the paper's ablations; the defaults
@@ -148,18 +150,15 @@ class OIHSAScheduler(ContentionScheduler):
         self.optimal_insertion = optimal_insertion
         self.edge_priority = edge_priority
         self.local_comm_exempt = local_comm_exempt
-        self.probe_cache = probe_cache
         self.comm = comm
         self._lstate = LinkScheduleState()
         self._arrivals: dict[EdgeKey, float] = {}
         self._mls = 1.0
-        self._probe_memo: dict[tuple, float] = {}
 
     def _begin(self, graph: TaskGraph, net: NetworkTopology) -> None:
         self._lstate = LinkScheduleState()
         self._arrivals = {}
         self._mls = net.mean_link_speed() if net.num_links else 1.0
-        self._probe_memo = {}
 
     # -- routing + booking --------------------------------------------------
 
@@ -175,75 +174,26 @@ class OIHSAScheduler(ContentionScheduler):
             with span("routing"):
                 return bfs_route(net, src, dst)
 
-        lstate = self._lstate
-        if not self.probe_cache:
-            def probe(link: Link, t: float) -> float:
-                _, _, finish = probe_basic(lstate, link, cost, t)
-                return finish
-
-            with span("routing"):
-                return dijkstra_route(net, src, dst, ready, probe)
-
         if cost < 0:
             raise SchedulingError(f"negative communication cost {cost}")
-        memo = self._probe_memo
-        queues = lstate._queues  # hot path: skip per-probe method dispatch
-
-        if OBS.on:
-            # The contention-free bound is consulted on *every* relaxation,
-            # so the probe-attempt counter lives here (one tick per
-            # relaxation, exactly as when every relaxation called
-            # ``probe_basic``).
-            probes_c = OBS.metrics.counter("insertion.probes")
-            misses_c = OBS.metrics.counter("routing.probe_cache_misses")
-            hits_c = OBS.metrics.counter("routing.probe_cache_hits")
-
-            def lower_bound(link: Link, t: float) -> float:
-                probes_c.inc()
-                return t + cost / link.speed
-
-            def probe(link: Link, t: float) -> float:
-                # Miss path inlines ``find_gap_indexed`` with ``min_finish=0``:
-                # the start floor ``max(est, -duration)`` collapses to ``est``
-                # (both operands non-negative here), and only the finish is
-                # needed.
-                lid = link.lid
-                q = queues.get(lid)
-                key = (lid, q.version if q is not None else 0, t, cost)
-                finish = memo.get(key)
-                if finish is not None:
-                    hits_c.inc()
-                    return finish
-                duration = cost / link.speed
-                if q is None:
-                    finish = t + duration
-                else:
-                    starts = q.starts
-                    finishes = q.finishes
-                    n = len(starts)
-                    i = bisect_left(starts, t + duration)
-                    prev_finish = finishes[i - 1] if i > 0 else 0.0
-                    while True:
-                        start = prev_finish if prev_finish > t else t
-                        finish = start + duration
-                        if i >= n or finish <= starts[i]:
-                            break
-                        prev_finish = finishes[i]
-                        i += 1
-                memo[key] = finish
-                misses_c.inc()
-                return finish
-        else:
-            # Obs-off fast path: the fully inlined loop.  Skipping the memo
-            # lookup there is *provably* a no-op, not a behavior change:
-            # within one ``dijkstra_route`` round each link is relaxed
-            # exactly once (from its settled tail vertex), so a within-round
-            # memo can never hit; and a cross-round hit, were one possible,
-            # would return the bit-identical value the probe recomputes
-            # (entries are keyed by the queue version, so stale hits cannot
-            # occur).
+        lstate = self._lstate
+        if not OBS.on:
+            # Obs-off fast path: the fully inlined loop.
+            queues = lstate._queues  # hot path: skip per-probe method dispatch
             with span("routing"):
                 return _dijkstra_indexed(net, src, dst, ready, cost, queues)
+
+        # The contention-free bound is consulted on *every* relaxation, so
+        # the probe-attempt counter lives here (one tick per relaxation).
+        probes_c = OBS.metrics.counter("insertion.probes")
+        find_gap = lstate.find_gap
+
+        def lower_bound(link: Link, t: float) -> float:
+            probes_c.inc()
+            return t + cost / link.speed
+
+        def probe(link: Link, t: float) -> float:
+            return find_gap(link.lid, cost / link.speed, t)[2]
 
         with span("routing"):
             return dijkstra_route(net, src, dst, ready, probe, lower_bound)

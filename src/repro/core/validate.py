@@ -158,9 +158,14 @@ def _validate_bandwidth(schedule: Schedule, eps: float) -> None:
     assert state is not None
     graph = schedule.graph
 
-    # Capacity: the committed profile of every link stays <= 1.
+    # Capacity: the committed profile of every link stays <= 1.  Each used
+    # link is checked once, at its first booking in edge order.
+    checked: set[int] = set()
     for e in graph.edges():
         for booking in state.bookings_of(e.key):
+            if booking.lid in checked:
+                continue
+            checked.add(booking.lid)
             prof = state.profile(booking.lid)
             if prof.max_used() > 1.0 + 1e-6:
                 raise ValidationError(

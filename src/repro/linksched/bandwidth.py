@@ -24,7 +24,9 @@ the slot-splitting bookkeeping of the paper's presentation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.exceptions import SchedulingError
@@ -36,6 +38,10 @@ if TYPE_CHECKING:
 
 #: Numerical slack for backlog/volume comparisons inside the fluid sweep.
 _FEPS = 1e-9
+
+#: bisect key: a point's time / a profile segment's end
+_TIME = itemgetter(0)
+_END = itemgetter(1)
 
 
 class Cumulative:
@@ -100,15 +106,12 @@ class Cumulative:
             return pts[0][1] if pts[0][0] == t else 0.0  # repro-lint: disable=FLT001
         if t >= pts[-1][0]:
             return pts[-1][1]
-        # Linear scan is fine: validation-only path.
-        for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
-            if t0 <= t <= t1:
-                if t == t1:  # repro-lint: disable=FLT001 (exact breakpoint lookup)
-                    continue  # prefer the right-most pair at jumps
-                if t1 == t0:
-                    continue
-                return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-        return pts[-1][1]
+        # The one pair with ``t0 <= t < t1`` (so ``t1 > t0``); at a jump the
+        # right-most pair wins.
+        i = bisect_right(pts, t, key=_TIME)
+        t0, v0 = pts[i - 1]
+        t1, v1 = pts[i]
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,8 +126,9 @@ class UsageSegment:
 class BandwidthProfile:
     """Piecewise-constant used-bandwidth fraction of one link over time.
 
-    ``segments`` is a sorted list of ``(t0, t1, used)`` with ``0 < used``;
-    uncovered time is fully free.  ``used`` may not exceed 1.
+    ``segments`` is a sorted list of non-overlapping ``(t0, t1, used)`` with
+    ``t0 < t1`` and ``0 < used``; uncovered time is fully free.  ``used`` may
+    not exceed 1.
     """
 
     __slots__ = ("segments",)
@@ -134,13 +138,6 @@ class BandwidthProfile:
 
     def copy(self) -> "BandwidthProfile":
         return BandwidthProfile(list(self.segments))
-
-    def breakpoints(self) -> list[float]:
-        out = []
-        for t0, t1, _ in self.segments:
-            out.append(t0)
-            out.append(t1)
-        return out
 
     def used_at(self, t: float) -> float:
         for t0, t1, used in self.segments:
@@ -224,9 +221,15 @@ def forward_through_link(
         elif vb > va:
             rate_pieces.append((ta, tb, (vb - va) / (tb - ta)))
 
+    # Segments ending at or before ``t0`` contribute no breakpoint after it
+    # and are never in use again, so the sweep starts at the first segment
+    # ending after ``t0``.
+    segments = profile.segments
+    n_seg = len(segments)
+    si = bisect_right(segments, t0, key=_END)
     event_times = sorted(
         {t0, *jumps, *(t for p in rate_pieces for t in (p[0], p[1])),
-         *(t for t in profile.breakpoints() if t > t0)}
+         *(t for a, b, _ in segments[si:] for t in (a, b) if t > t0)}
     )
 
     def arrival_rate(t: float) -> float:
@@ -244,7 +247,7 @@ def forward_through_link(
     # Consume any jump exactly at t0.
     arrived += jumps.pop(t0, 0.0)
     guard = 0
-    max_iters = 8 * (len(event_times) + len(profile.segments) + 4) + 64
+    max_iters = 8 * (len(event_times) + n_seg + 4) + 64
     while forwarded < volume - _FEPS:
         guard += 1
         if guard > max_iters:
@@ -257,7 +260,11 @@ def forward_through_link(
             ei += 1
         horizon = event_times[ei] if ei < len(event_times) else math.inf
         a = arrival_rate(t)
-        cap = max(0.0, 1.0 - profile.used_at(t)) * speed
+        # ``profile.used_at(t)`` by a forward pointer: ``t`` never decreases.
+        while si < n_seg and segments[si][1] <= t:
+            si += 1
+        used = segments[si][2] if si < n_seg and segments[si][0] <= t else 0.0
+        cap = max(0.0, 1.0 - used) * speed
         backlog = arrived - forwarded
         if backlog > _FEPS:
             rate = cap
@@ -322,11 +329,12 @@ def probe_step_finish(
     ending after ``t``, the next event is that segment's start (when ``t``
     is in the gap before it) or its end (when ``t`` is inside it) — the
     segments are sorted and non-overlapping, so nothing else can intervene.
+    The walk starts by bisecting to the first segment ending after ``t0``.
     """
     n_seg = len(segments)
     forwarded = 0.0
     t = t0
-    si = 0
+    si = bisect_right(segments, t0, key=_END)
     guard = 0
     max_iters = 8 * (2 * n_seg + 5) + 64
     while forwarded < volume - _FEPS:
@@ -381,8 +389,6 @@ class BandwidthLinkState:
     _profiles: dict[LinkId, BandwidthProfile] = field(default_factory=dict)
     _bookings: dict[EdgeKey, list[TransferBooking]] = field(default_factory=dict)
     _routes: dict[EdgeKey, tuple[LinkId, ...]] = field(default_factory=dict)
-    #: monotone per-link mutation counters (probe-memo invalidation keys)
-    _versions: dict[LinkId, int] = field(default_factory=dict)
     _txn_profiles: dict[LinkId, BandwidthProfile] | None = None
     _txn_edges: list[EdgeKey] | None = None
 
@@ -405,7 +411,6 @@ class BandwidthLinkState:
             raise SchedulingError("no open bandwidth transaction")
         for lid, original in self._txn_profiles.items():
             self._profiles[lid] = original
-            self._versions[lid] = self._versions.get(lid, 0) + 1
         for edge in self._txn_edges:
             self._bookings.pop(edge, None)
             self._routes.pop(edge, None)
@@ -417,12 +422,7 @@ class BandwidthLinkState:
         prof = self._profiles.get(lid)
         return prof if prof is not None else BandwidthProfile()
 
-    def version(self, lid: LinkId) -> int:
-        """Monotone mutation counter of the link's profile (0 if untouched)."""
-        return self._versions.get(lid, 0)
-
     def _writable_profile(self, lid: LinkId) -> BandwidthProfile:
-        self._versions[lid] = self._versions.get(lid, 0) + 1
         prof = self._profiles.get(lid)
         if prof is None:
             prof = BandwidthProfile()

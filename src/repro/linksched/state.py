@@ -9,12 +9,7 @@ reverse, so its cost is O(writes made in the transaction) — independent of
 how many slots sit on the touched links — and commit simply drops the log.
 
 Each :class:`_LinkQueue` also keeps parallel ``starts``/``finishes`` arrays
-(for the bisecting gap search in :func:`repro.linksched.slots.find_gap_indexed`)
-and a monotone **version counter**, bumped on every mutation including undo
-replay.  ``(lid, version)`` therefore uniquely identifies queue content for
-the lifetime of the state, which is what makes the routing probe memo in
-:mod:`repro.core.oihsa` / :mod:`repro.core.bbsa` safe: a memo entry keyed by
-``(lid, version, t, cost)`` can never serve a stale answer.
+for the bisecting gap search in :func:`repro.linksched.slots.find_gap_indexed`.
 
 Besides the single-shot transactions, a state can run in **journal mode**
 (:meth:`LinkScheduleState.enable_journal`): the undo log is kept open for the
@@ -45,15 +40,12 @@ class _LinkQueue:
 
     ``starts``/``finishes`` mirror ``slots`` (``starts[i] is slots[i].start``)
     so gap searches bisect plain float arrays instead of walking objects.
-    ``version`` increments on every mutation — including rollback replay —
-    and never repeats, so ``(lid, version)`` keys probe memos safely.
     """
 
     slots: list[TimeSlot] = field(default_factory=list)
     by_edge: dict[EdgeKey, TimeSlot] = field(default_factory=dict)
     starts: list[float] = field(default_factory=list)
     finishes: list[float] = field(default_factory=list)
-    version: int = 0
 
     def copy(self) -> "_LinkQueue":
         return _LinkQueue(
@@ -61,7 +53,6 @@ class _LinkQueue:
             dict(self.by_edge),
             list(self.starts),
             list(self.finishes),
-            self.version,
         )
 
 
@@ -166,7 +157,6 @@ class LinkScheduleState:
                 del queue.starts[index]
                 del queue.finishes[index]
                 del queue.by_edge[slot.edge]
-                queue.version += 1
             else:
                 self._replay_inverse(entry)
 
@@ -180,7 +170,6 @@ class LinkScheduleState:
             del queue.starts[index]
             del queue.finishes[index]
             del queue.by_edge[slot.edge]
-            queue.version += 1
         elif tag == _OP_SUFFIX:
             _, lid, index, old_suffix = entry
             queue = self._queues[lid]
@@ -191,7 +180,6 @@ class LinkScheduleState:
             queue.slots[index:] = old_suffix
             queue.starts[index:] = [s.start for s in old_suffix]
             queue.finishes[index:] = [s.finish for s in old_suffix]
-            queue.version += 1
         else:  # _OP_ROUTE
             _, edge, route = entry
             del self._routes[edge]
@@ -223,11 +211,6 @@ class LinkScheduleState:
         if queue is None:
             return _EMPTY_ARRAYS
         return queue.slots, queue.starts, queue.finishes
-
-    def version(self, lid: LinkId) -> int:
-        """Monotone mutation counter of the link's queue (0 if never booked)."""
-        queue = self._queues.get(lid)
-        return queue.version if queue is not None else 0
 
     def find_gap(
         self, lid: LinkId, duration: float, est: float, min_finish: float = 0.0
@@ -309,7 +292,6 @@ class LinkScheduleState:
         queue.starts.insert(index, slot.start)
         queue.finishes.insert(index, slot.finish)
         queue.by_edge[slot.edge] = slot
-        queue.version += 1
         if self._undo is not None:
             self._undo.append((_OP_INSERT, lid, index))
 
@@ -329,7 +311,6 @@ class LinkScheduleState:
             queue.slots.append(s)
             queue.starts.append(s.start)
             queue.finishes.append(s.finish)
-            queue.version += 1
             if self._undo is not None:
                 self._undo.append((_OP_SUFFIX, lid, index, []))
             return
@@ -347,7 +328,6 @@ class LinkScheduleState:
         queue.slots[index:] = new_suffix
         queue.starts[index:] = [s.start for s in new_suffix]
         queue.finishes[index:] = [s.finish for s in new_suffix]
-        queue.version += 1
         if self._undo is not None:
             self._undo.append((_OP_SUFFIX, lid, index, old_suffix))
 
@@ -436,7 +416,6 @@ class LinkScheduleState:
             starts.insert(i, start)
             finishes.insert(i, finish)
             by_edge[edge] = slot
-            queue.version += 1
             if undo is not None:
                 undo.append((_OP_INSERT, lid, i))
             if cut_through:

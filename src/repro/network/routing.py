@@ -175,6 +175,15 @@ def dijkstra_route(
     route does, and preferring the short route avoids squandering link
     capacity that later edges will need (the paper's "route paths with
     relatively low network workload").
+
+    **Dead ends** are never probed.  A vertex ``v != dst`` whose every
+    out-link leads back to the vertex ``u`` it is relaxed from
+    (:meth:`~repro.network.topology.NetworkTopology.sole_out_neighbours`) —
+    on the paper's random WAN, every processor but the two endpoints — cannot
+    lie on any route: its label would only ever be read by a relaxation back
+    into ``u``, which is already settled.  Skipping it leaves every other
+    label, the destination bound, the pop order of the remaining vertices
+    and the returned route unchanged.
     """
     _check_endpoints(net, src, dst)
     if src == dst:
@@ -197,7 +206,9 @@ def dijkstra_route(
     heap: list[tuple[float, int, VertexId]] = [(ready_time, 0, src)]
     relaxations = 0
     cutoffs = 0
+    dead_ends = 0
     out_links = net.sorted_out_links
+    sole = net.sole_out_neighbours()
     obs_on = OBS.on
     has_bound = lower_bound is not None
     best_dst = inf
@@ -211,6 +222,9 @@ def dijkstra_route(
         nh = hops + 1
         for link, v in out_links(u):
             if done[v]:
+                continue
+            if sole[v] == u and v != dst:
+                dead_ends += 1
                 continue
             relaxations += 1
             cur_t = dist_t[v]
@@ -251,6 +265,8 @@ def dijkstra_route(
         OBS.metrics.counter("routing.relaxations").inc(relaxations)
         if cutoffs:
             OBS.metrics.counter("routing.probe_cutoffs").inc(cutoffs)
+        if dead_ends:
+            OBS.metrics.counter("routing.dead_end_skips").inc(dead_ends)
         OBS.metrics.histogram("routing.route_length").observe(float(len(route)))
         OBS.emit(
             "route_probed",

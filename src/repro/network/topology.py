@@ -107,6 +107,10 @@ class NetworkTopology:
     _sorted_adj: dict[VertexId, list[tuple[Link, VertexId]]] | None = field(
         default=None, repr=False
     )
+    #: lazily built per-vertex sole out-neighbour (``-1`` when a vertex has
+    #: no out-links or more than one distinct neighbour); same lifetime as
+    #: ``_sorted_adj``
+    _sole_nbr: list[VertexId] | None = field(default=None, repr=False)
     #: ``(src, dst) -> Route`` memo filled by :func:`repro.network.routing
     #: .bfs_route`; purely topological, so it shares one entry per processor
     #: pair across every engine and is invalidated by any topology mutation
@@ -127,11 +131,13 @@ class NetworkTopology:
         """Drop every route-derived cache after a topology mutation.
 
         This is the single seam all mutators go through: the sorted
-        adjacency, the flat ``(src, dst)`` route table, *and* any attached
-        hierarchical router (whose sharded, lazily materialized tables would
-        otherwise keep serving routes for the pre-mutation structure).
+        adjacency, the sole-neighbour table, the flat ``(src, dst)`` route
+        table, *and* any attached hierarchical router (whose sharded, lazily
+        materialized tables would otherwise keep serving routes for the
+        pre-mutation structure).
         """
         self._sorted_adj = None
+        self._sole_nbr = None
         self._route_table = None
         self._router = None
 
@@ -273,6 +279,25 @@ class NetworkTopology:
             return cache[vid]
         except KeyError:
             raise TopologyError(f"unknown vertex id {vid}") from None
+
+    def sole_out_neighbours(self) -> list[VertexId]:
+        """Per-vertex table: the one vertex every out-link leads to, or ``-1``.
+
+        Indexed by vertex id.  A vertex whose only neighbour is ``u`` — a
+        processor hanging off one switch, a 2-member bus, a degree-1 switch —
+        is a dead end for a route search relaxing it from ``u``: no route can
+        pass through it.  Built once on first use and invalidated by any
+        mutation, like :meth:`sorted_out_links`.
+        """
+        table = self._sole_nbr
+        if table is None:
+            table = [-1] * self._next_vid
+            for vid, choices in self._adj.items():
+                nbrs = {v for _, v in choices}
+                if len(nbrs) == 1:
+                    table[vid] = nbrs.pop()
+            self._sole_nbr = table
+        return table
 
     def route_table(self) -> dict[tuple[VertexId, VertexId], Route]:
         """The shared ``(src, dst) -> Route`` memo for minimal routing.

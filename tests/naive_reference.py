@@ -16,10 +16,8 @@ clarity over speed — and must not be "optimized": it *is* the oracle.
 ``NaiveLinkScheduleState`` mirrors :class:`repro.linksched.state
 .LinkScheduleState`'s full surface (including the ``_queues`` internals the
 hot paths read), so it can be monkeypatched into any scheduler as a drop-in
-replacement.  Its queues still expose ``starts``/``finishes``/``version``,
-but maintained naively: the arrays are rebuilt from scratch on every write
-and versions come from a state-wide clock (monotone even across rollback,
-which restores pre-transaction queue objects).
+replacement.  Its queues still expose ``starts``/``finishes``, but
+maintained naively: the arrays are rebuilt from scratch on every write.
 """
 
 from __future__ import annotations
@@ -94,9 +92,11 @@ def naive_dijkstra_route(
 ) -> Route:
     """The seed's Dijkstra: every relaxation calls ``probe``, no cutoffs.
 
-    ``lower_bound`` is accepted for signature compatibility but ignored —
-    the reference never prunes, which is exactly what makes it an oracle
-    for the pruned search.
+    The reference never prunes — no lower-bound cutoffs, no dead-end skips —
+    which is exactly what makes it an oracle for the pruned search.
+    ``lower_bound``'s value is never used; while observability is on it is
+    still called once per relaxation, as ``dijkstra_route`` promises its
+    callers, because schedulers hang their probe counters on it.
     """
     _check_endpoints(net, src, dst)
     if src == dst:
@@ -119,6 +119,8 @@ def naive_dijkstra_route(
             if v in done:
                 continue
             relaxations += 1
+            if lower_bound is not None and OBS.on:
+                lower_bound(link, d)
             arrival = probe(link, d)
             if arrival < d:
                 raise RoutingError(
@@ -156,26 +158,24 @@ def naive_dijkstra_route(
 class _NaiveQueue:
     """One link's bookings with the derived arrays rebuilt on every write."""
 
-    __slots__ = ("slots", "by_edge", "starts", "finishes", "version")
+    __slots__ = ("slots", "by_edge", "starts", "finishes")
 
     def __init__(
         self,
         slots: list[TimeSlot] | None = None,
         by_edge: dict[EdgeKey, TimeSlot] | None = None,
-        version: int = 0,
     ) -> None:
         self.slots = slots if slots is not None else []
         self.by_edge = by_edge if by_edge is not None else {}
         self.starts: list[float] = [s.start for s in self.slots]
         self.finishes: list[float] = [s.finish for s in self.slots]
-        self.version = version
 
     def rebuild(self) -> None:
         self.starts = [s.start for s in self.slots]
         self.finishes = [s.finish for s in self.slots]
 
     def copy(self) -> "_NaiveQueue":
-        return _NaiveQueue(list(self.slots), dict(self.by_edge), self.version)
+        return _NaiveQueue(list(self.slots), dict(self.by_edge))
 
 
 _EMPTY_ARRAYS: tuple[list[TimeSlot], list[float], list[float]] = ([], [], [])
@@ -186,8 +186,6 @@ class NaiveLinkScheduleState:
 
     Rollback restores the stashed originals — O(links touched) with a full
     queue copy per touched link, which is what the undo log replaced.
-    Versions are drawn from a state-wide clock so ``(lid, version)`` never
-    repeats even though rollback swaps queue objects back in.
     """
 
     def __init__(self) -> None:
@@ -199,7 +197,6 @@ class NaiveLinkScheduleState:
         self._next_link: dict[tuple[EdgeKey, LinkId], LinkId | None] = {}
         self._txn_queues: dict[LinkId, _NaiveQueue] | None = None
         self._txn_routes: list[EdgeKey] | None = None
-        self._vclock = 0
 
     # -- transactions --------------------------------------------------------
 
@@ -223,8 +220,6 @@ class NaiveLinkScheduleState:
         if self._txn_queues is None or self._txn_routes is None:
             raise SchedulingError("no open link-schedule transaction")
         for lid, original in self._txn_queues.items():
-            self._vclock += 1
-            original.version = self._vclock
             self._queues[lid] = original
         for edge in self._txn_routes:
             del self._routes[edge]
@@ -259,10 +254,6 @@ class NaiveLinkScheduleState:
         if queue is None:
             return _EMPTY_ARRAYS
         return queue.slots, queue.starts, queue.finishes
-
-    def version(self, lid: LinkId) -> int:
-        queue = self._queues.get(lid)
-        return queue.version if queue is not None else 0
 
     def find_gap(
         self, lid: LinkId, duration: float, est: float, min_finish: float = 0.0
@@ -322,8 +313,6 @@ class NaiveLinkScheduleState:
         insert_slot(queue.slots, index, slot)
         queue.by_edge[slot.edge] = slot
         queue.rebuild()
-        self._vclock += 1
-        queue.version = self._vclock
 
     def replace_suffix(
         self, lid: LinkId, index: int, new_suffix: list[TimeSlot]
@@ -338,5 +327,3 @@ class NaiveLinkScheduleState:
             queue.by_edge[s.edge] = s
         queue.slots[index:] = new_suffix
         queue.rebuild()
-        self._vclock += 1
-        queue.version = self._vclock

@@ -122,6 +122,41 @@ class TestBandwidthChecks:
     def test_valid_bbsa_passes(self, fork8, wan16):
         validate_schedule(BBSAScheduler().schedule(fork8, wan16))
 
+    @staticmethod
+    def _used_links_in_edge_order(graph, state):
+        order: list[int] = []
+        for e in graph.edges():
+            for b in state.bookings_of(e.key):
+                if b.lid not in order:
+                    order.append(b.lid)
+        return order
+
+    @staticmethod
+    def _overcommit(state, lid):
+        prof = state.profile(lid)
+        end = prof.segments[-1][1]
+        prof.segments = [*prof.segments, (end + 1.0, end + 2.0, 1.5)]
+
+    def test_overcommit_detected_on_every_used_link(self, fork8, wan16):
+        order = self._used_links_in_edge_order(
+            fork8, BBSAScheduler().schedule(fork8, wan16).bandwidth_state
+        )
+        assert len(order) > 2
+        for lid in order:
+            s = BBSAScheduler().schedule(fork8, wan16)
+            self._overcommit(s.bandwidth_state, lid)
+            with pytest.raises(ValidationError, match=rf"^link {lid} over-committed"):
+                validate_schedule(s)
+
+    def test_overcommit_reports_first_link_in_edge_order(self, fork8, wan16):
+        s = BBSAScheduler().schedule(fork8, wan16)
+        state = s.bandwidth_state
+        order = self._used_links_in_edge_order(fork8, state)
+        self._overcommit(state, order[-1])
+        self._overcommit(state, order[1])
+        with pytest.raises(ValidationError, match=rf"^link {order[1]} over-committed"):
+            validate_schedule(s)
+
     def test_volume_loss_detected(self, fork8, wan16):
         s = BBSAScheduler().schedule(fork8, wan16)
         state = s.bandwidth_state

@@ -1,0 +1,243 @@
+"""Dead-end skipping in the contention-aware route search.
+
+OIHSA's and BBSA's modified routing never relax a vertex whose every
+out-link leads back to the settled vertex it is reached from (a leaf
+processor, a 2-member bus, a degree-1 switch).  The claim is that this
+changes nothing but the work done, so this module checks, exactly:
+
+1. the sole-neighbour table the skip reads, and its invalidation;
+2. for every ordered processor pair, against live link state captured in
+   the middle of a real OIHSA / BBSA run, the route of both the obs-off
+   fused search and the obs-on generic search equals the route of the
+   unpruned :func:`tests.naive_reference.naive_dijkstra_route` driven by
+   the linear gap scan (OIHSA) or the general fluid sweep (BBSA);
+3. every skipped dead end is a relaxation the reference performs:
+   ``routing.relaxations + routing.dead_end_skips`` equals the reference's
+   relaxation count.
+"""
+
+from __future__ import annotations
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+import repro.core.bbsa as bbsa_mod
+import repro.core.oihsa as oihsa_mod
+from repro import obs
+from repro.core.bbsa import BBSAScheduler
+from repro.core.oihsa import OIHSAScheduler
+from repro.linksched.bandwidth import (
+    BandwidthLinkState,
+    Cumulative,
+    forward_through_link,
+)
+from repro.linksched.slots import find_gap
+from repro.linksched.state import LinkScheduleState
+from repro.network.builders import (
+    linear_array,
+    random_wan,
+    shared_bus,
+    switched_cluster,
+)
+from repro.network.topology import NetworkTopology
+from repro.taskgraph.generators import random_layered_dag
+from tests.naive_reference import naive_dijkstra_route
+
+ROUTES = settings(
+    max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def stub_network(rng: int) -> NetworkTopology:
+    """A star with every kind of dead end hanging off it.
+
+    Processor ``Pb`` joins the central switch through a 2-member bus, a
+    degree-1 switch hangs off the central switch, and another hangs off
+    processor ``P0`` (so ``P0`` itself has two neighbours and is *not* a
+    dead end).
+    """
+    net = switched_cluster(3, rng=rng, link_speed=(1, 4))
+    hub = net.switches()[0].vid
+    p0 = net.processors()[0].vid
+    pb = net.add_processor(speed=2.0)
+    net.add_bus([pb.vid, hub], speed=3.0)
+    net.connect(net.add_switch(), hub, speed=2.0)
+    net.connect(net.add_switch(), p0, speed=1.0)
+    return net
+
+
+topologies = st.one_of(
+    st.builds(
+        lambda n, s: random_wan(
+            n, rng=s, procs_per_switch=(1, 4), link_speed=(1, 10)
+        ),
+        st.integers(2, 10),
+        st.integers(0, 999),
+    ),
+    st.builds(
+        lambda n, s: switched_cluster(n, rng=s, link_speed=(1, 10)),
+        st.integers(2, 6),
+        st.integers(0, 999),
+    ),
+    st.builds(
+        lambda n, s: linear_array(n, rng=s, link_speed=(1, 10)),
+        st.integers(2, 6),
+        st.integers(0, 999),
+    ),
+    st.builds(lambda s: shared_bus(2, rng=s), st.integers(0, 999)),
+    st.builds(stub_network, st.integers(0, 999)),
+)
+
+graphs = st.builds(
+    lambda n, seed: random_layered_dag(n, rng=seed, density=0.4),
+    n=st.integers(4, 16),
+    seed=st.integers(0, 10_000),
+)
+
+
+class TestSoleNeighbourTable:
+    def test_values_on_every_kind_of_dead_end(self):
+        net = stub_network(0)
+        sole = net.sole_out_neighbours()
+        hub = net.switches()[0].vid
+        p0, p1, p2, pb = (p.vid for p in net.processors())
+        stub_hub, stub_p0 = (s.vid for s in net.switches()[1:])
+        assert sole[p1] == sole[p2] == hub  # leaf processors
+        assert sole[pb] == hub  # 2-member bus
+        assert sole[stub_hub] == hub and sole[stub_p0] == p0  # degree-1 switches
+        assert sole[p0] == -1 and sole[hub] == -1
+
+    def test_linear_array_ends_and_interior(self):
+        net = linear_array(4)
+        ids = [p.vid for p in net.processors()]
+        assert net.sole_out_neighbours() == [ids[1], -1, -1, ids[2]]
+
+    def test_isolated_vertex_has_no_sole_neighbour(self):
+        net = NetworkTopology()
+        net.add_processor()
+        assert net.sole_out_neighbours() == [-1]
+
+    def test_mutation_invalidates(self):
+        net = linear_array(3)
+        ids = [p.vid for p in net.processors()]
+        assert net.sole_out_neighbours()[ids[0]] == ids[1]
+        net.connect(ids[0], ids[2])
+        assert net.sole_out_neighbours()[ids[0]] == -1
+        extra = net.add_processor()
+        assert len(net.sole_out_neighbours()) == net.num_vertices
+        assert net.sole_out_neighbours()[extra.vid] == -1
+
+
+# ---------------------------------------------------------------------------
+# Pruned vs unpruned search against live mid-schedule link state.
+# ---------------------------------------------------------------------------
+
+
+def _capture(module, fused: str, run, call_index: int):
+    """Run ``run()`` with ``module.<fused>`` spied on; return a copy of the
+    link state and the ``(ready, cost)`` of route search number
+    ``call_index`` (the last one if there were fewer), or ``None`` if the
+    run never routed."""
+    real = getattr(module, fused)
+    calls = 0
+    snapshot = None
+
+    def spy(net, src, dst, ready, cost, state, *rest):
+        nonlocal calls, snapshot
+        if calls <= call_index:
+            copied = {lid: item.copy() for lid, item in state.items()}
+            snapshot = (copied, ready, cost)
+        calls += 1
+        return real(net, src, dst, ready, cost, state, *rest)
+
+    setattr(module, fused, spy)
+    try:
+        run()
+    finally:
+        setattr(module, fused, real)
+    return snapshot
+
+
+def _counted(fn) -> tuple[object, dict]:
+    """``fn()`` with observability on; its result and counters."""
+    obs.enable(obs.NullSink())
+    obs.reset()
+    try:
+        result = fn()
+        counters = dict(obs.METRICS.snapshot()["counters"])
+    finally:
+        obs.disable()
+    return result, counters
+
+
+def _assert_all_pairs_match(net, sched, oracle_probe, ready, cost):
+    procs = [p.vid for p in net.processors()]
+    for src in procs:
+        for dst in procs:
+            if src == dst:
+                continue
+            expected, ref = _counted(
+                lambda: naive_dijkstra_route(net, src, dst, ready, oracle_probe)
+            )
+            assert sched._route(net, src, dst, cost, ready) == expected
+            route, got = _counted(lambda: sched._route(net, src, dst, cost, ready))
+            assert route == expected, (src, dst)
+            assert got.get("routing.relaxations", 0) + got.get(
+                "routing.dead_end_skips", 0
+            ) == ref.get("routing.relaxations", 0), (src, dst)
+
+
+class TestPrunedMatchesNaive:
+    @ROUTES
+    @given(net=topologies, graph=graphs, call_index=st.integers(0, 40))
+    def test_indexed_probe(self, net, graph, call_index):
+        captured = _capture(
+            oihsa_mod, "_dijkstra_indexed",
+            lambda: OIHSAScheduler().schedule(graph, net), call_index,
+        )
+        queues, ready, cost = captured if captured else ({}, 0.0, 10.0)
+        lstate = LinkScheduleState()
+        lstate._queues = queues
+        sched = OIHSAScheduler()
+        sched._lstate = lstate
+
+        def oracle_probe(link, t):
+            return find_gap(lstate.slots(link.lid), cost / link.speed, t)[2]
+
+        _assert_all_pairs_match(net, sched, oracle_probe, ready, cost)
+
+    @ROUTES
+    @given(net=topologies, graph=graphs, call_index=st.integers(0, 40))
+    def test_fluid_probe(self, net, graph, call_index):
+        captured = _capture(
+            bbsa_mod, "_dijkstra_fluid",
+            lambda: BBSAScheduler().schedule(graph, net), call_index,
+        )
+        profiles, ready, cost = captured if captured else ({}, 0.0, 10.0)
+        bstate = BandwidthLinkState(_profiles=profiles)
+        sched = BBSAScheduler()
+        sched._bstate = bstate
+
+        def oracle_probe(link, t):
+            departure, _ = forward_through_link(
+                bstate.profile(link.lid), Cumulative.step(t, cost), link.speed
+            )
+            return departure.finish_time()
+
+        _assert_all_pairs_match(net, sched, oracle_probe, ready, cost)
+
+
+@pytest.mark.parametrize("src_end", [True, False])
+def test_leaf_end_is_routed_to_and_from(src_end):
+    """A linear array's end processors are dead ends for every search that
+    does not start or stop there — and must still be reachable."""
+    net = linear_array(4)
+    ids = [p.vid for p in net.processors()]
+    src, dst = (ids[0], ids[3]) if src_end else (ids[3], ids[0])
+    sched = OIHSAScheduler()
+    route, counters = _counted(lambda: sched._route(net, src, dst, 5.0, 0.0))
+    assert len(route) == 3
+    assert "routing.dead_end_skips" not in counters  # nothing to skip end to end
+    _, counters = _counted(lambda: sched._route(net, ids[1], ids[2], 5.0, 0.0))
+    assert counters["routing.dead_end_skips"] == 1  # ids[0] from ids[1]

@@ -169,15 +169,6 @@ class TestJournalMode:
         state.rollback_to(marks[0])
         assert [s.edge for s in state.slots(0)] == [(0, 1)]
 
-    def test_rollback_bumps_version(self):
-        state = self.make_journaled()
-        mark = state.journal_mark()
-        before = state.version(0)
-        state.insert(0, 1, TimeSlot((2, 3), 4.0, 5.0))
-        state.rollback_to(mark)
-        # Undo replay is a mutation too: (lid, version) must never repeat.
-        assert state.version(0) == before + 2
-
     def test_transactions_unavailable_in_journal_mode(self):
         state = self.make_journaled()
         with pytest.raises(SchedulingError):

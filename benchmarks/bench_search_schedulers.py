@@ -1,19 +1,18 @@
-"""Search-scheduler cost: array-batched vs object-incremental vs full.
+"""Search-scheduler cost: array-batched scoring vs full re-simulation.
 
 ``bench_scheduler_cost`` times every algorithm once; this module zooms in on
 the two mapping-search schedulers (simulated annealing, genetic search),
-whose candidate streams are exactly what the prefix-reusing evaluators
-accelerate.  Each scheduler is timed three times on a fixed workload:
+whose candidate streams are exactly what the prefix-reusing scorer
+accelerates.  Each scheduler is timed twice on a fixed workload:
 
-- ``array`` (the headline, scheduler default): the batched array-native
-  kernel of :mod:`repro.core.batch` on flat columns,
-- ``object``: the :mod:`repro.core.incremental` evaluator on the object
-  substrate (the PR 5 hot path, kept as a secondary series),
-- ``full``: one complete ``simulate_mapping`` per candidate (the naive
-  reference).
+- ``array`` (the headline, the only production path): the batched
+  array-native scorer of :mod:`repro.core.batch` on flat columns,
+- ``full``: one complete ``simulate_mapping`` per candidate — the oracle,
+  :class:`tests.naive_reference.FullResimulationEvaluator`, patched in for
+  the scorer.
 
-All three runs must produce **bit-identical makespans**: the speedup is
-never allowed to buy a different schedule.
+Both runs must produce **bit-identical makespans**: the speedup is never
+allowed to buy a different schedule.
 
 As in ``bench_scheduler_cost``, the timed benchmark runs with observability
 disabled, and a separate instrumented pass collects the decision counters —
@@ -23,7 +22,9 @@ disabled, and a separate instrumented pass collects the decision counters —
 derived.  The session writes ``BENCH_search_schedulers.json`` to the working
 directory; CI compares it against the committed baseline with
 ``benchmarks/compare_scheduler_cost.py`` (the report shares its layout), so
-any makespan drift fails the build.
+any makespan drift fails the build.  Run it from the repository root
+(``python -m pytest benchmarks/bench_search_schedulers.py``) so ``tests``
+is importable.
 """
 
 import hashlib
@@ -37,19 +38,19 @@ from repro import obs
 from repro.core import SCHEDULERS
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.workloads import paper_workload
+from tests.naive_reference import FullResimulationEvaluator
 
 ALGOS = ("annealing", "genetic")
 
-#: evaluation mode -> scheduler kwargs.  The array mode pins the pure-Python
-#: reference kernel so the committed baseline's timings and makespan
-#: checksum reproduce on toolchain-free runners regardless of whether the
-#: AOT extension happens to be built (makespans are bit-identical either
-#: way; wall time is not).
-MODES = {
-    "array": {"incremental": True, "backend": "array", "kernel": "python"},
-    "object": {"incremental": True, "backend": "object"},
-    "full": {"incremental": False},
-}
+#: ``array`` scores through the scheduler's own scorer, ``full`` through
+#: the full re-simulation oracle.
+MODES = ("array", "full")
+
+#: The scorer's kernel is pinned to the pure-Python reference so the
+#: committed baseline's timings and makespan checksum reproduce on
+#: toolchain-free runners regardless of whether the AOT extension happens
+#: to be built (makespans are bit-identical either way; wall time is not).
+KWARGS = {"kernel": "python"}
 
 _report: dict[str, dict] = {}
 
@@ -57,19 +58,19 @@ _report: dict[str, dict] = {}
 @pytest.fixture(scope="module")
 def workload():
     # Smaller than bench_scheduler_cost's 16-processor instance: the full
-    # (non-incremental) runs are timed too, and CI runs this module in the
+    # re-simulation runs are timed too, and CI runs this module in the
     # perf-smoke job.
     config = ExperimentConfig.default()
     return paper_workload(config, ccr=2.0, n_procs=8, rng=777)
 
 
-def _instrumented_run(algo: str, graph, net, mode: str) -> dict:
+def _instrumented_run(algo: str, graph, net) -> dict:
     """One instrumented schedule() call: wall time + decision counters."""
     obs.enable(obs.NullSink())
     obs.reset()
     try:
         t0 = perf_counter()
-        schedule = SCHEDULERS[algo](**MODES[mode]).schedule(graph, net)
+        schedule = SCHEDULERS[algo](**KWARGS).schedule(graph, net)
         wall = perf_counter() - t0
         assert schedule.makespan > 0
         counters = obs.METRICS.snapshot()["counters"]
@@ -103,15 +104,19 @@ def _hit_rates(counters: dict) -> dict:
 
 
 @pytest.mark.parametrize("algo", ALGOS)
-@pytest.mark.parametrize("mode", list(MODES), ids=list(MODES))
-def test_search_scheduler_runtime(benchmark, workload, algo, mode):
+@pytest.mark.parametrize("mode", MODES)
+def test_search_scheduler_runtime(benchmark, monkeypatch, workload, algo, mode):
     scheduler_cls = SCHEDULERS[algo]
-    kwargs = MODES[mode]
+    if mode == "full":
+        monkeypatch.setattr(
+            f"{scheduler_cls.__module__}.BatchMappingEvaluator",
+            FullResimulationEvaluator,
+        )
     result = benchmark(
-        lambda: scheduler_cls(**kwargs).schedule(workload.graph, workload.net)
+        lambda: scheduler_cls(**KWARGS).schedule(workload.graph, workload.net)
     )
     assert result.makespan > 0
-    run = _instrumented_run(algo, workload.graph, workload.net, mode)
+    run = _instrumented_run(algo, workload.graph, workload.net)
     entry = _report.setdefault(algo, {})
     if mode == "array":
         # The headline series: after the first candidate, evaluations reuse
@@ -120,9 +125,7 @@ def test_search_scheduler_runtime(benchmark, workload, algo, mode):
         assert run["counters"].get("mapping.prefix_hits", 0) > 0
         if algo == "genetic":
             assert run["counters"].get("mapping.batch_evaluations", 0) > 0
-        entry.update(
-            {**run, "backend": "array", "kernel": "python", **_hit_rates(run["counters"])}
-        )
+        entry.update({**run, "kernel": KWARGS["kernel"], **_hit_rates(run["counters"])})
     else:
         entry[mode] = {"wall_s": run["wall_s"], "makespan": run["makespan"]}
 
@@ -138,23 +141,18 @@ def makespan_checksum(report: dict[str, dict]) -> str:
 
 def _finalize(report: dict[str, dict]) -> dict:
     for algo, entry in report.items():
-        for mode in ("object", "full"):
-            other = entry.get(mode)
-            if other is None:
-                continue
-            # Bit-identity across the three evaluation paths is the bench's
-            # core claim: fail loudly, don't just record drift.
-            assert other["makespan"] == entry["makespan"], (
-                f"{algo}: array makespan {entry['makespan']!r} != "
-                f"{mode} {other['makespan']!r}"
-            )
-            entry[f"speedup_vs_{mode}"] = (
-                other["wall_s"] / entry["wall_s"] if entry["wall_s"] else 0.0
-            )
-        # Kept under its historical name: the full-path cost of the default
-        # evaluator, whatever backend that default is.
-        if "speedup_vs_full" in entry:
-            entry["incremental_speedup"] = entry["speedup_vs_full"]
+        full = entry.get("full")
+        if full is None:
+            continue
+        # Bit-identity with full re-simulation is the bench's core claim:
+        # fail loudly, don't just record drift.
+        assert full["makespan"] == entry["makespan"], (
+            f"{algo}: array makespan {entry['makespan']!r} != "
+            f"full {full['makespan']!r}"
+        )
+        entry["speedup_vs_full"] = (
+            full["wall_s"] / entry["wall_s"] if entry["wall_s"] else 0.0
+        )
     return {
         "algorithms": report,
         "makespan_checksum": makespan_checksum(report),

@@ -140,6 +140,20 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     from repro.core.validate import validate_schedule
     from repro.viz.report import schedule_report
 
+    kwargs = {}
+    # What actually scores the mapping searches' candidates, for --stats /
+    # the run ledger.
+    kernel_used = None
+    if args.algorithm in ("annealing", "genetic"):
+        from repro.core.kernelreg import active_kernel
+
+        kernel_used = active_kernel(args.eval_kernel or "auto")
+        if args.eval_kernel is not None:
+            kwargs["kernel"] = args.eval_kernel
+    elif args.eval_kernel is not None:
+        print("--eval-kernel only applies to the mapping-search "
+              "schedulers (annealing, genetic)")
+        return 2
     graph, net = _workload_from_args(args)
     want_stats = args.stats or args.trace_out is not None
     # The ledger wants the run's counters even when the user didn't ask for
@@ -148,45 +162,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     if observing:
         sink = obs.JsonlSink(args.trace_out) if args.trace_out else obs.ListSink()
         obs.enable(sink)
-    kwargs = {}
-    is_search = args.algorithm in ("annealing", "genetic")
-    if args.no_incremental:
-        if not is_search:
-            print("--no-incremental only applies to the mapping-search "
-                  "schedulers (annealing, genetic)")
-            return 2
-        kwargs["incremental"] = False
-    if args.backend is not None:
-        if not is_search:
-            print("--backend only applies to the mapping-search "
-                  "schedulers (annealing, genetic)")
-            return 2
-        if args.no_incremental:
-            print("--no-incremental runs the full re-simulation path; "
-                  "--backend does not apply")
-            return 2
-        kwargs["backend"] = args.backend
-    if args.eval_kernel is not None:
-        if not is_search:
-            print("--eval-kernel only applies to the mapping-search "
-                  "schedulers (annealing, genetic)")
-            return 2
-        if args.no_incremental or args.backend == "object":
-            print("--eval-kernel selects the array backend's hot loop; "
-                  "it does not apply to the object/full evaluation paths")
-            return 2
-        kwargs["kernel"] = args.eval_kernel
-    # What actually scores candidates, for --stats / the run ledger.
-    backend_used = None
-    kernel_used = None
-    if is_search:
-        backend_used = (
-            "full" if args.no_incremental else (args.backend or "array")
-        )
-        if backend_used == "array":
-            from repro.core.kernelreg import active_kernel
-
-            kernel_used = active_kernel(args.eval_kernel or "auto")
     t0 = perf_counter()
     try:
         schedule = SCHEDULERS[args.algorithm](**kwargs).schedule(graph, net)
@@ -200,10 +175,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         # Ledger-only instrumentation: keep stdout identical to a plain run.
         schedule.stats = None
     print(schedule_report(schedule, gantt=not args.no_gantt))
-    if want_stats and backend_used is not None:
-        line = f"evaluation backend: {backend_used}"
-        if kernel_used is not None:
-            line += f", kernel: {kernel_used}"
+    if want_stats and kernel_used is not None:
+        line = f"kernel: {kernel_used}"
         if stats is not None:
             batches = stats.counter("mapping.batch_evaluations")
             if batches:
@@ -219,8 +192,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             "schedule",
             fingerprint_doc={
                 **_workload_fingerprint_doc(args, "schedule"),
-                "incremental": not args.no_incremental,
-                "backend": backend_used,
                 "eval_kernel": kernel_used,
             },
             argv=getattr(args, "_argv", []),
@@ -628,17 +599,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     phases = ("routing", "insertion", "processor_selection", "task_placement")
     rows = []
     for name in args.algorithms:
-        scheduler = SCHEDULERS[name]()
-        # The mapping searches score candidates through a pluggable
-        # evaluation backend; report it (and the active array-kernel
-        # implementation) so profile rows are attributable.
-        backend = getattr(scheduler, "backend", None) or "-"
+        # The mapping searches score candidates through a pluggable kernel;
+        # report the active one so profile rows are attributable.
+        kernel = "-"
         kwargs = {}
-        if backend == "array":
+        if name in ("annealing", "genetic"):
             from repro.core.kernelreg import active_kernel
 
             kwargs["kernel"] = args.eval_kernel
-            backend += f"/{active_kernel(args.eval_kernel)}"
+            kernel = active_kernel(args.eval_kernel)
         obs.enable(obs.NullSink())
         obs.reset()
         t0 = perf_counter()
@@ -654,9 +623,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         batches = stats.counter("mapping.batch_evaluations")
         if batches:
             mean = stats.counter("mapping.batch_candidates") / batches
-            backend += f" (batch {mean:.0f})"
+            kernel += f" (batch {mean:.0f})"
         rows.append(
-            [name, backend, f"{wall / args.repeat * 1e3:.2f}"]
+            [name, kernel, f"{wall / args.repeat * 1e3:.2f}"]
             + [f"{timed[p] * 1e3:.2f}" for p in phases]
             + [f"{max(0.0, other) * 1e3:.2f}"]
         )
@@ -668,7 +637,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print()
     print(
         format_table(
-            ["algorithm", "backend", "wall ms", "routing", "insertion",
+            ["algorithm", "kernel", "wall ms", "routing", "insertion",
              "proc-select", "task-place", "other"],
             rows,
         )
@@ -800,21 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream the decision-event log as JSONL (implies --stats)",
     )
     p.add_argument(
-        "--no-incremental", action="store_true",
-        help="evaluate every mapping-search candidate with a full "
-        "re-simulation instead of the incremental prefix-reusing evaluator "
-        "(annealing/genetic only; results are bit-identical either way)",
-    )
-    p.add_argument(
-        "--backend", choices=("object", "array"), default=None,
-        help="candidate-evaluation backend for the mapping-search "
-        "schedulers: 'array' (default) scores on flat columns and batches, "
-        "'object' uses the per-slot object substrate (annealing/genetic "
-        "only; results are bit-identical either way)",
-    )
-    p.add_argument(
         "--eval-kernel", choices=("auto", "python", "compiled"), default=None,
-        help="implementation of the array backend's scoring hot loop: "
+        help="implementation of the mapping searches' scoring hot loop: "
         "'auto' (default) uses the AOT-compiled extension when built, "
         "'python' forces the reference loop, 'compiled' requires the "
         "extension (annealing/genetic only; kernels are bit-identical — "
@@ -964,8 +920,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=1, help="runs to average over")
     p.add_argument(
         "--eval-kernel", choices=("auto", "python", "compiled"), default="auto",
-        help="array-backend scoring kernel for the mapping-search rows "
-        "(bit-identical; the active kernel shows in the backend column)",
+        help="scoring kernel for the mapping-search rows "
+        "(bit-identical; the active kernel shows in the kernel column)",
     )
     p.set_defaults(fn=_cmd_profile)
 

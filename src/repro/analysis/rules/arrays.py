@@ -23,11 +23,9 @@ import ast
 from repro.analysis.engine import LintContext, Rule, register
 
 #: The files holding the array-native hot paths.  ``_kernel.py`` is the
-#: extracted hot loop (the module the optional AOT build compiles);
-#: ``arraystate.py`` stays listed as its re-export shim and ``batch.py``
-#: as the driving evaluator.
+#: extracted hot loop (the module the optional AOT build compiles) and
+#: ``batch.py`` the driving evaluator.
 ARRAY_KERNEL_FILES = (
-    "repro/linksched/arraystate.py",
     "repro/core/_kernel.py",
     "repro/core/batch.py",
 )

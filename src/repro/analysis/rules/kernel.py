@@ -1,9 +1,9 @@
 """KER00x: compilable-subset enforcement for the batch-evaluation hot loops.
 
-ROADMAP item 4 keeps open the option of lowering the array backend's inner
-loops (``BatchMappingEvaluator._resimulate`` and the arraystate journal
-paths) through a tracing compiler — Numba/Cython-style, operating on plain
-ints, floats and homogeneous lists.  Whether or not that lands, the hot
+ROADMAP item 4 keeps open the option of lowering the batch scorer's inner
+loops (``PyKernel._resimulate`` and the column-journal paths) through a
+tracing compiler — Numba/Cython-style, operating on plain ints, floats and
+homogeneous lists.  Whether or not that lands, the hot
 loops must stay inside the subset such a compiler can take: every dynamic
 feature that creeps in now is a rewrite later, and most of them are also
 plain interpreter overhead on exactly the lines profiled as hot.
@@ -13,8 +13,8 @@ The *hot set* is computed, not annotated: conventional roots
 they transitively call module-locally, via
 :mod:`repro.analysis.callgraph`.  Scope is pinned to the kernel files
 (``repro/core/_kernel.py`` — the module the optional AOT build compiles —
-plus its driver and re-export shim) — these rules are deliberately too
-strict for ordinary code.
+and ``repro/core/batch.py``, which calls it) — these rules are
+deliberately too strict for ordinary code.
 
 - **KER001** — static signatures and call shapes only: no ``*args`` /
   ``**kwargs`` parameters, no ``*``/``**`` splats at call sites.

@@ -23,7 +23,7 @@ Recognized guard spellings (the test expression, not the shape around it):
 - a local alias — ``observing = OBS.on`` / ``obs_on = OBS.on`` — tested
   later (``if observing: ...``),
 - a private helper whose every call site *within the module* is guarded
-  (e.g. ``_attach_stats`` in ``core/base.py``) is treated as guarded.
+  is treated as guarded.
 
 Cheap control calls (``OBS.bus.quiet()/mark()/since()``, snapshots) are
 exempt; ``span()`` is exempt because the profiler checks its own flag.
@@ -283,7 +283,7 @@ class ObsGuardRule(Rule):
             )
 
         # Module-local escape: a function whose every call site in this file
-        # is guarded inherits the guard (e.g. a private _attach_stats helper).
+        # is guarded inherits the guard (a private emitting helper).
         call_sites: dict[str, list[bool]] = {}
         for scan in scans.values():
             for callee, guarded in scan.calls:

@@ -36,7 +36,6 @@ from repro.core.eventsim import resimulate, SimReport
 from repro.core.genetic import GeneticScheduler
 from repro.core.cpop import CPOPScheduler
 from repro.core.heft import HEFTScheduler
-from repro.core.incremental import IncrementalMappingEvaluator
 from repro.core.mapping import simulate_mapping
 from repro.core.packetba import PacketBAScheduler
 from repro.core.io import schedule_to_json, schedule_from_json
@@ -76,7 +75,6 @@ __all__ = [
     "AnnealingScheduler",
     "GeneticScheduler",
     "PacketBAScheduler",
-    "IncrementalMappingEvaluator",
     "BatchMappingEvaluator",
     "simulate_mapping",
     "resimulate",

@@ -2,9 +2,10 @@
 
 The paper's introduction cites simulated annealing [6] among the scheduling
 families its heuristics compete with.  This scheduler closes that loop: it
-searches over task->processor mappings, evaluating every candidate with the
-*real* contention model (:func:`repro.core.mapping.simulate_mapping`, the
-same BFS + basic-insertion engine as BA), so its result is directly
+searches over task->processor mappings, scoring every candidate with the
+*real* contention model (BFS routing + basic insertion, as in BA) through
+:class:`~repro.core.batch.BatchMappingEvaluator`, which is bit-identical to
+:func:`repro.core.mapping.simulate_mapping`, so its result is directly
 comparable with BA/OIHSA/BBSA makespans.
 
 It is orders of magnitude slower than the list schedulers — that is the
@@ -15,21 +16,18 @@ table.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
 from repro.core.ba import BAScheduler
 from repro.core.batch import BatchMappingEvaluator
-from repro.core.incremental import IncrementalMappingEvaluator
 from repro.core.kernelreg import KERNEL_CHOICES
-from repro.core.mapping import simulate_mapping
 from repro.core.schedule import Schedule
 from repro.exceptions import SchedulingError
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.network.topology import NetworkTopology
 from repro.network.validate import validate_topology
-from repro.obs import OBS, ScheduleStats, diff_snapshots, diff_timings
+from repro.obs import capture_stats
 from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.validate import validate_graph
 from repro.utils.rng import as_rng
@@ -41,33 +39,19 @@ class AnnealingScheduler:
     Parameters
     ----------
     iterations:
-        Number of neighbour evaluations (each one full contention
-        simulation).
+        Number of neighbour evaluations (each one contention-model score).
     start_temp_factor:
         Initial temperature as a fraction of the seed makespan.
     cooling:
         Geometric cooling factor per iteration.
     seed_with_ba:
         Start from BA's mapping (default) instead of a random one.
-    incremental:
-        Evaluate candidates with a prefix-reusing evaluator (default)
-        instead of a full ``simulate_mapping`` per candidate.  Results are
-        bit-identical either way; ``False`` keeps the naive evaluator
-        reachable as the differential reference (and ignores ``backend``).
-    backend:
-        Which prefix-reusing evaluator scores candidates: ``"array"``
-        (default) for the flat-column
-        :class:`~repro.core.batch.BatchMappingEvaluator`, ``"object"`` for
-        the :class:`~repro.core.incremental.IncrementalMappingEvaluator` on
-        the object substrate.  Makespans and schedules are bit-identical
-        across backends (``tests/test_batch_equivalence.py``).
     kernel:
-        Which implementation runs the array backend's hot loop:
-        ``"auto"`` (default: the AOT-compiled extension when built, pure
-        Python otherwise), ``"python"``, or ``"compiled"`` (raise when the
-        extension is absent).  Ignored by the object backend.  Kernels are
-        bit-identical (see :mod:`repro.core.kernelreg`), so this only
-        changes wall time.
+        Which implementation runs the scoring hot loop: ``"auto"``
+        (default: the AOT-compiled extension when built, pure Python
+        otherwise), ``"python"``, or ``"compiled"`` (raise when the
+        extension is absent).  Kernels are bit-identical (see
+        :mod:`repro.core.kernelreg`), so this only changes wall time.
     """
 
     name = "annealing"
@@ -81,18 +65,12 @@ class AnnealingScheduler:
         seed_with_ba: bool = True,
         comm: CommModel = CUT_THROUGH,
         rng: int | np.random.Generator | None = 0,
-        incremental: bool = True,
-        backend: str = "array",
         kernel: str = "auto",
     ) -> None:
         if iterations < 1:
             raise SchedulingError(f"need at least one iteration, got {iterations}")
         if not 0 < cooling <= 1:
             raise SchedulingError(f"cooling must be in (0, 1], got {cooling}")
-        if backend not in ("object", "array"):
-            raise SchedulingError(
-                f"unknown evaluation backend {backend!r}; choose 'object' or 'array'"
-            )
         if kernel not in KERNEL_CHOICES:
             raise SchedulingError(
                 f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
@@ -103,18 +81,12 @@ class AnnealingScheduler:
         self.seed_with_ba = seed_with_ba
         self.comm = comm
         self.rng = rng
-        self.incremental = incremental
-        self.backend = backend
         self.kernel = kernel
 
     def schedule(self, graph: TaskGraph, net: NetworkTopology) -> Schedule:
         validate_graph(graph)
         validate_topology(net)
-        observing = OBS.on
-        if observing:
-            metrics_before = OBS.metrics.snapshot()
-            timings_before = OBS.profiler.snapshot()
-            event_mark = OBS.bus.mark()
+        capture = capture_stats()
         gen = as_rng(self.rng)
         procs = [p.vid for p in net.processors()]
         tasks = [t.tid for t in graph.tasks()]
@@ -127,30 +99,11 @@ class AnnealingScheduler:
         else:
             mapping = {tid: int(gen.choice(procs)) for tid in tasks}
 
-        evaluator: IncrementalMappingEvaluator | BatchMappingEvaluator | None = None
-        evaluate: Callable[[dict[int, int]], float]
-        if self.incremental:
-            if self.backend == "array":
-                evaluator = BatchMappingEvaluator(
-                    graph, net, comm=self.comm, algorithm=self.name,
-                    kernel=self.kernel,
-                )
-            else:
-                evaluator = IncrementalMappingEvaluator(
-                    graph, net, comm=self.comm, algorithm=self.name
-                )
-            evaluate = evaluator.evaluate
-        else:
-
-            def _full_eval(m: dict[int, int]) -> float:
-                return simulate_mapping(
-                    graph, net, m, comm=self.comm, algorithm=self.name
-                ).makespan
-
-            evaluate = _full_eval
-
+        evaluator = BatchMappingEvaluator(
+            graph, net, comm=self.comm, algorithm=self.name, kernel=self.kernel
+        )
         best_mapping = dict(mapping)
-        best_cost = current_cost = evaluate(mapping)
+        best_cost = current_cost = evaluator.evaluate(mapping)
         temp = max(best_cost * self.start_temp_factor, 1e-9)
 
         for _ in range(self.iterations):
@@ -160,7 +113,7 @@ class AnnealingScheduler:
             if not choices:
                 break
             mapping[tid] = int(gen.choice(choices))
-            cand_cost = evaluate(mapping)
+            cand_cost = evaluator.evaluate(mapping)
             delta = cand_cost - current_cost
             if delta <= 0 or gen.random() < math.exp(-delta / temp):
                 current_cost = cand_cost
@@ -171,18 +124,8 @@ class AnnealingScheduler:
                 mapping[tid] = old_proc
             temp *= self.cooling
 
-        if evaluator is not None:
-            result = evaluator.schedule(best_mapping)
-        else:
-            result = simulate_mapping(
-                graph, net, best_mapping, comm=self.comm, algorithm=self.name
-            )
-        if observing:
-            # Same capture ContentionScheduler attaches: what this whole
-            # search did, including every candidate evaluation.
-            result.stats = ScheduleStats(
-                metrics=diff_snapshots(metrics_before, OBS.metrics.snapshot()),
-                timings=diff_timings(timings_before, OBS.profiler.snapshot()),
-                events=OBS.bus.since(event_mark),
-            )
+        result = evaluator.schedule(best_mapping)
+        if capture is not None:
+            # What this whole search did, including every candidate evaluation.
+            result.stats = capture.finish()
         return result

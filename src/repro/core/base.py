@@ -19,7 +19,7 @@ from repro.core.schedule import Schedule
 from repro.exceptions import SchedulingError
 from repro.network.topology import NetworkTopology, Vertex
 from repro.network.validate import validate_topology
-from repro.obs import OBS, ScheduleStats, Snapshot, Timings, diff_snapshots, diff_timings, span
+from repro.obs import capture_stats, span
 from repro.procsched.state import ProcessorState
 from repro.taskgraph.graph import CommEdge, TaskGraph
 from repro.taskgraph.priorities import priority_list
@@ -45,46 +45,29 @@ class ContentionScheduler(ABC):
         """
         validate_graph(graph)
         validate_topology(net)
-        observing = OBS.on
-        if observing:
-            metrics_before = OBS.metrics.snapshot()
-            timings_before = OBS.profiler.snapshot()
-            event_mark = OBS.bus.mark()
+        capture = capture_stats()
         self._begin(graph, net)
         procs = sorted(net.processors(), key=lambda p: p.vid)
         pstate = ProcessorState()
         for tid in priority_list(graph):
             self._place_task(graph, net, tid, procs, pstate)
         result = self._finish(graph, net, pstate)
-        if observing:
-            self._attach_stats(
-                result, metrics_before, timings_before, event_mark
-            )
+        if capture is not None:
+            result.stats = capture.finish(self._result_gauges(result))
         return result
 
-    def _attach_stats(
-        self,
-        result: Schedule,
-        metrics_before: Snapshot,
-        timings_before: Timings,
-        event_mark: int,
-    ) -> None:
-        """Summarize what this run did and hang it off the schedule."""
+    def _result_gauges(self, result: Schedule) -> dict[str, float]:
+        """The run's summary gauges, recorded into its stats."""
         from repro.core.metrics import link_utilization
 
         util = link_utilization(result)
-        gauges = OBS.metrics
-        gauges.gauge(f"schedule.{self.name}.makespan").set(result.makespan)
-        gauges.gauge(f"schedule.{self.name}.links_used").set(float(len(util)))
+        gauges = {
+            f"schedule.{self.name}.makespan": result.makespan,
+            f"schedule.{self.name}.links_used": float(len(util)),
+        }
         if util:
-            gauges.gauge(f"schedule.{self.name}.max_link_utilization").set(
-                max(util.values())
-            )
-        result.stats = ScheduleStats(
-            metrics=diff_snapshots(metrics_before, OBS.metrics.snapshot()),
-            timings=diff_timings(timings_before, OBS.profiler.snapshot()),
-            events=OBS.bus.since(event_mark),
-        )
+            gauges[f"schedule.{self.name}.max_link_utilization"] = max(util.values())
+        return gauges
 
     # -- hooks ----------------------------------------------------------------
 

@@ -4,7 +4,9 @@ The second metaheuristic family the paper's introduction cites [5].  A
 population of task->processor mappings evolves by tournament selection,
 uniform crossover and point mutation; fitness is the *contention-model*
 makespan from :func:`repro.core.mapping.simulate_mapping`, so results are
-directly comparable with BA/OIHSA/BBSA.
+directly comparable with BA/OIHSA/BBSA.  Each generation is scored as one
+batch by :class:`~repro.core.batch.BatchMappingEvaluator`, bit-identical to
+``simulate_mapping`` per candidate.
 """
 
 from __future__ import annotations
@@ -13,22 +15,26 @@ import numpy as np
 
 from repro.core.ba import BAScheduler
 from repro.core.batch import BatchMappingEvaluator
-from repro.core.incremental import IncrementalMappingEvaluator
 from repro.core.kernelreg import KERNEL_CHOICES
-from repro.core.mapping import simulate_mapping
 from repro.core.schedule import Schedule
 from repro.exceptions import SchedulingError
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.network.topology import NetworkTopology
 from repro.network.validate import validate_topology
-from repro.obs import OBS, ScheduleStats, diff_snapshots, diff_timings
+from repro.obs import capture_stats
 from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.validate import validate_graph
 from repro.utils.rng import as_rng
 
 
 class GeneticScheduler:
-    """Evolve task placements; fitness = contention-model makespan."""
+    """Evolve task placements; fitness = contention-model makespan.
+
+    ``kernel`` picks the scoring hot loop's implementation (``"auto"``,
+    ``"python"`` or ``"compiled"``, as for
+    :class:`~repro.core.annealing.AnnealingScheduler`); kernels are
+    bit-identical, so it only changes wall time.
+    """
 
     name = "genetic"
 
@@ -42,8 +48,6 @@ class GeneticScheduler:
         seed_with_ba: bool = True,
         comm: CommModel = CUT_THROUGH,
         rng: int | np.random.Generator | None = 0,
-        incremental: bool = True,
-        backend: str = "array",
         kernel: str = "auto",
     ) -> None:
         if population < 2:
@@ -54,10 +58,6 @@ class GeneticScheduler:
             raise SchedulingError(f"mutation rate must be in [0, 1], got {mutation_rate}")
         if not 0 <= elite < population:
             raise SchedulingError(f"elite must be in [0, population), got {elite}")
-        if backend not in ("object", "array"):
-            raise SchedulingError(
-                f"unknown evaluation backend {backend!r}; choose 'object' or 'array'"
-            )
         if kernel not in KERNEL_CHOICES:
             raise SchedulingError(
                 f"unknown kernel {kernel!r}; expected one of {KERNEL_CHOICES}"
@@ -69,28 +69,12 @@ class GeneticScheduler:
         self.seed_with_ba = seed_with_ba
         self.comm = comm
         self.rng = rng
-        #: evaluate candidates incrementally (prefix-state reuse); ``False``
-        #: keeps the full-resimulation reference path reachable (and ignores
-        #: ``backend``)
-        self.incremental = incremental
-        #: prefix-reusing evaluator flavour: ``"array"`` (default) scores
-        #: each generation as one batch on flat columns
-        #: (:class:`~repro.core.batch.BatchMappingEvaluator`), ``"object"``
-        #: scores candidates one-by-one on the object substrate.  Scores
-        #: and schedules are bit-identical across backends.
-        self.backend = backend
-        #: array-backend hot-loop implementation (``auto``/``python``/
-        #: ``compiled``); bit-identical by contract, wall-time only
         self.kernel = kernel
 
     def schedule(self, graph: TaskGraph, net: NetworkTopology) -> Schedule:
         validate_graph(graph)
         validate_topology(net)
-        observing = OBS.on
-        if observing:
-            metrics_before = OBS.metrics.snapshot()
-            timings_before = OBS.profiler.snapshot()
-            event_mark = OBS.bus.mark()
+        capture = capture_stats()
         gen = as_rng(self.rng)
         procs = np.array([p.vid for p in net.processors()])
         tasks = [t.tid for t in graph.tasks()]
@@ -102,35 +86,14 @@ class GeneticScheduler:
         def to_mapping(genome: np.ndarray) -> dict[int, int]:
             return {tid: int(genome[i]) for i, tid in enumerate(tasks)}
 
-        evaluator: IncrementalMappingEvaluator | BatchMappingEvaluator | None = None
-        if self.incremental:
-            if self.backend == "array":
-                evaluator = BatchMappingEvaluator(
-                    graph, net, comm=self.comm, algorithm=self.name,
-                    kernel=self.kernel,
-                )
-            else:
-                evaluator = IncrementalMappingEvaluator(
-                    graph, net, comm=self.comm, algorithm=self.name
-                )
-
-        def fitness(genome: np.ndarray) -> float:
-            if evaluator is not None:
-                return evaluator.evaluate(to_mapping(genome))
-            return simulate_mapping(
-                graph, net, to_mapping(genome), comm=self.comm, algorithm=self.name
-            ).makespan
+        evaluator = BatchMappingEvaluator(
+            graph, net, comm=self.comm, algorithm=self.name, kernel=self.kernel
+        )
 
         def score_pool(pool: list[np.ndarray]) -> np.ndarray:
-            # The array backend scores each generation as one batch forking
-            # from the shared prefix checkpoint; scores are pure functions
-            # of the mappings, so the result array is bit-identical to the
-            # one-by-one path (same floats, same order).
-            if isinstance(evaluator, BatchMappingEvaluator):
-                return np.array(
-                    evaluator.evaluate_batch([to_mapping(g) for g in pool])
-                )
-            return np.array([fitness(g) for g in pool])
+            # One batch per generation, forking from the shared prefix
+            # checkpoint; scores come back in pool order.
+            return np.array(evaluator.evaluate_batch([to_mapping(g) for g in pool]))
 
         pool = [random_genome() for _ in range(self.population)]
         if self.seed_with_ba:
@@ -160,18 +123,8 @@ class GeneticScheduler:
             scores = score_pool(pool)
 
         best = pool[int(np.argmin(scores))]
-        if evaluator is not None:
-            result = evaluator.schedule(to_mapping(best))
-        else:
-            result = simulate_mapping(
-                graph, net, to_mapping(best), comm=self.comm, algorithm=self.name
-            )
-        if observing:
-            # Same capture ContentionScheduler attaches: what this whole
-            # search did, including every candidate evaluation.
-            result.stats = ScheduleStats(
-                metrics=diff_snapshots(metrics_before, OBS.metrics.snapshot()),
-                timings=diff_timings(timings_before, OBS.profiler.snapshot()),
-                events=OBS.bus.since(event_mark),
-            )
+        result = evaluator.schedule(to_mapping(best))
+        if capture is not None:
+            # What this whole search did, including every candidate evaluation.
+            result.stats = capture.finish()
         return result

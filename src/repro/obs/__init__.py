@@ -60,7 +60,8 @@ from repro.obs.profile import PROFILER, PhaseProfiler, Timings, diff_timings, sp
 class ScheduleStats:
     """Observability capture for one ``schedule()`` call.
 
-    Attached as ``Schedule.stats`` by :class:`repro.core.base.ContentionScheduler`
+    Attached as ``Schedule.stats`` by every scheduler built on
+    :func:`capture_stats` (the list schedulers and the mapping searches)
     whenever observability is enabled; ``None`` otherwise.  ``metrics`` is a
     snapshot *diff* (only what this run did), ``timings`` likewise, and
     ``events`` holds the run's decision log when the bus sink keeps events
@@ -138,6 +139,37 @@ class _Obs:
 OBS = _Obs()
 
 
+class StatsCapture:
+    """The metrics, timings and event marks taken when a run starts.
+
+    :meth:`finish` turns them into the run's :class:`ScheduleStats`.  Take
+    one through :func:`capture_stats`, which skips the snapshots entirely
+    with observability off.
+    """
+
+    __slots__ = ("_metrics", "_timings", "_event_mark")
+
+    def __init__(self) -> None:
+        self._metrics = OBS.metrics.snapshot()
+        self._timings = OBS.profiler.snapshot()
+        self._event_mark = OBS.bus.mark()
+
+    def finish(self, gauges: dict[str, float] | None = None) -> ScheduleStats:
+        """What the run did since the marks; ``gauges`` are set first."""
+        for name, value in (gauges or {}).items():
+            OBS.metrics.gauge(name).set(value)
+        return ScheduleStats(
+            metrics=diff_snapshots(self._metrics, OBS.metrics.snapshot()),
+            timings=diff_timings(self._timings, OBS.profiler.snapshot()),
+            events=OBS.bus.since(self._event_mark),
+        )
+
+
+def capture_stats() -> StatsCapture | None:
+    """Start a ``schedule()`` call's capture; None with observability off."""
+    return StatsCapture() if OBS.on else None
+
+
 def enable(sink: NullSink | ListSink | JsonlSink | None = None) -> None:
     """Turn observability on, sending events to ``sink`` (default ListSink)."""
     BUS.sink = sink if sink is not None else ListSink()
@@ -191,6 +223,8 @@ __all__ = [
     "diff_timings",
     "span",
     "ScheduleStats",
+    "StatsCapture",
+    "capture_stats",
     "enable",
     "disable",
     "is_enabled",

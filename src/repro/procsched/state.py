@@ -3,14 +3,6 @@
 Mirrors :class:`repro.linksched.state.LinkScheduleState` so a scheduler can
 open one transaction spanning both link and processor bookings while probing
 a candidate processor.
-
-Like the link state, a :class:`ProcessorState` can instead run in **journal
-mode** (:meth:`ProcessorState.enable_journal`): every placement records its
-inverse in a lifetime undo log, and :meth:`journal_mark` /
-:meth:`rollback_to` rewind to earlier checkpoints in O(placements undone).
-The incremental mapping evaluator uses this for its per-position prefix
-checkpoints.  Journal mode and copy-on-write transactions are mutually
-exclusive.
 """
 
 from __future__ import annotations
@@ -41,14 +33,10 @@ class ProcessorState:
     _placements: dict[TaskId, TaskPlacement] = field(default_factory=dict)
     _txn_timelines: dict[VertexId, list[TaskSlot]] | None = None
     _txn_tasks: list[TaskId] | None = None
-    #: lifetime undo log of ``(task, vid, index)`` placements (journal mode)
-    _journal: list[tuple[TaskId, VertexId, int]] | None = None
 
     # -- transactions --------------------------------------------------------
 
     def begin(self) -> None:
-        if self._journal is not None:
-            raise SchedulingError("state is in journal mode; transactions unavailable")
         if self._txn_timelines is not None:
             raise SchedulingError("processor transaction already open")
         self._txn_timelines = {}
@@ -69,45 +57,6 @@ class ProcessorState:
             del self._placements[task]
         self._txn_timelines = None
         self._txn_tasks = None
-
-    # -- journal mode ---------------------------------------------------------
-
-    @property
-    def journaling(self) -> bool:
-        return self._journal is not None
-
-    def enable_journal(self) -> None:
-        """Log an inverse for every placement for the state's lifetime.
-
-        Once enabled, :meth:`journal_mark` captures restorable checkpoints
-        and :meth:`rollback_to` rewinds placements made after a mark.
-        Copy-on-write transactions (:meth:`begin`) become unavailable.
-        """
-        if self._txn_timelines is not None:
-            raise SchedulingError("cannot enable journal: processor transaction open")
-        if self._journal is not None:
-            raise SchedulingError("processor journal already enabled")
-        self._journal = []
-
-    def journal_mark(self) -> int:
-        """The current journal position; pass to :meth:`rollback_to`."""
-        if self._journal is None:
-            raise SchedulingError("processor journal mode is not enabled")
-        return len(self._journal)
-
-    def rollback_to(self, mark: int) -> None:
-        """Rewind to an earlier :meth:`journal_mark` (O(placements undone))."""
-        journal = self._journal
-        if journal is None:
-            raise SchedulingError("processor journal mode is not enabled")
-        if not 0 <= mark <= len(journal):
-            raise SchedulingError(
-                f"processor journal mark {mark} out of range [0, {len(journal)}]"
-            )
-        while len(journal) > mark:
-            task, vid, index = journal.pop()
-            del self._timelines[vid][index]
-            del self._placements[task]
 
     def _writable(self, vid: VertexId) -> list[TaskSlot]:
         slots = self._timelines.get(vid)
@@ -175,48 +124,6 @@ class ProcessorState:
         self._placements[task] = placement
         if self._txn_tasks is not None:
             self._txn_tasks.append(task)
-        if self._journal is not None:
-            self._journal.append((task, vid, index))
-        if OBS.on:
-            OBS.metrics.counter("procsched.tasks_placed").inc()
-            if not OBS.bus.quieted:
-                OBS.emit(
-                    "task_placed",
-                    t=start,
-                    task=task,
-                    proc=vid,
-                    start=start,
-                    finish=finish,
-                )
-        return placement
-
-    def place_append(
-        self, task: TaskId, vid: VertexId, duration: float, est: float
-    ) -> TaskPlacement:
-        """Fused append-mode booking: :meth:`place` with ``insertion=False``.
-
-        Bit-identical placements and counters; the timeline-gap search and
-        overlap assertions are skipped because an append at
-        ``max(last finish, est)`` provably cannot overlap, and the negative
-        duration/est validations are the caller's contract (task weights and
-        arrival times are non-negative by construction).  Built for the
-        incremental mapping evaluator's hot loop.
-        """
-        if task in self._placements:
-            raise SchedulingError(f"task {task} already placed")
-        slots = self._writable(vid)
-        start = slots[-1].finish if slots else 0.0
-        if start < est:
-            start = est
-        finish = start + duration
-        index = len(slots)
-        slots.append(TaskSlot(task, start, finish))
-        placement = TaskPlacement(task, vid, start, finish)
-        self._placements[task] = placement
-        if self._txn_tasks is not None:
-            self._txn_tasks.append(task)
-        if self._journal is not None:
-            self._journal.append((task, vid, index))
         if OBS.on:
             OBS.metrics.counter("procsched.tasks_placed").inc()
             if not OBS.bus.quieted:

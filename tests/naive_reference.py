@@ -18,22 +18,32 @@ clarity over speed — and must not be "optimized": it *is* the oracle.
 hot paths read), so it can be monkeypatched into any scheduler as a drop-in
 replacement.  Its queues still expose ``starts``/``finishes``, but
 maintained naively: the arrays are rebuilt from scratch on every write.
+
+``FullResimulationEvaluator`` does the same for the mapping searches'
+scorer, :class:`repro.core.batch.BatchMappingEvaluator`: every score is one
+complete :func:`repro.core.mapping.simulate_mapping` run.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from typing import Mapping, Sequence
 
+from repro.core.mapping import simulate_mapping
+from repro.core.schedule import Schedule
 from repro.exceptions import RoutingError, SchedulingError
+from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.linksched.slots import TimeSlot, insert_slot
 from repro.linksched.slots import find_gap as linear_find_gap
 from repro.network.routing import LinkProbe, _check_endpoints
 from repro.network.topology import Link, NetworkTopology, Route
 from repro.obs import OBS
-from repro.types import EdgeKey, LinkId, VertexId
+from repro.taskgraph.graph import TaskGraph
+from repro.types import EdgeKey, LinkId, TaskId, VertexId
 
 __all__ = [
+    "FullResimulationEvaluator",
     "NaiveLinkScheduleState",
     "linear_find_gap",
     "naive_bfs_route",
@@ -327,3 +337,36 @@ class NaiveLinkScheduleState:
             queue.by_edge[s.edge] = s
         queue.slots[index:] = new_suffix
         queue.rebuild()
+
+
+# ---------------------------------------------------------------------------
+# Mapping scoring: one full simulation per candidate.
+# ---------------------------------------------------------------------------
+
+
+class FullResimulationEvaluator:
+    """``BatchMappingEvaluator``'s surface, one ``simulate_mapping`` per call."""
+
+    def __init__(
+        self,
+        graph: TaskGraph,
+        net: NetworkTopology,
+        *,
+        order: Sequence[TaskId] | None = None,
+        comm: CommModel = CUT_THROUGH,
+        algorithm: str = "mapping",
+        kernel: str = "auto",  # accepted for signature parity; unused
+    ) -> None:
+        self._args = (graph, net)
+        self._kwargs = {"order": order, "comm": comm, "algorithm": algorithm}
+
+    def schedule(self, mapping: Mapping[TaskId, VertexId]) -> Schedule:
+        return simulate_mapping(*self._args, mapping, **self._kwargs)
+
+    def evaluate(self, mapping: Mapping[TaskId, VertexId]) -> float:
+        return self.schedule(mapping).makespan
+
+    def evaluate_batch(
+        self, mappings: Sequence[Mapping[TaskId, VertexId]]
+    ) -> list[float]:
+        return [self.evaluate(m) for m in mappings]

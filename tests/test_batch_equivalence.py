@@ -1,25 +1,25 @@
-"""Differential suite: batched array-native evaluation vs object vs naive.
+"""Differential suite: batched array-native scoring vs full re-simulation.
 
-:class:`repro.core.batch.BatchMappingEvaluator` claims **bit-identical**
-results to both :class:`repro.core.incremental.IncrementalMappingEvaluator`
-(the object substrate) and :func:`repro.core.mapping.simulate_mapping` (the
-naive reference) while scoring candidates on flat column arrays and whole
-batches through one shared-prefix checkpoint.  This module proves the claim
-the same way ``test_incremental_equivalence`` does for PR 5 — exact (``==``,
-never approximate) three-way comparison on Hypothesis-generated inputs:
+:class:`repro.core.batch.BatchMappingEvaluator`, the mapping searches' only
+scorer, claims **bit-identical** results to
+:func:`repro.core.mapping.simulate_mapping` (the oracle) while scoring
+candidates on flat column arrays and whole batches through one
+shared-prefix checkpoint.  This module proves the claim with exact (``==``,
+never approximate) comparisons on Hypothesis-generated inputs:
 
 1. random candidate *streams* (walks of single-task moves, full remaps, and
-   repeats) scored through a live array evaluator vs a live object evaluator
-   vs a fresh full simulation per candidate, both comm models;
+   repeats) scored through one live evaluator (divergence rewind) vs a
+   fresh full simulation per candidate, both comm models;
 2. :meth:`BatchMappingEvaluator.evaluate_batch` vs per-candidate naive
    scores — results in caller order regardless of the internal prefix sort;
-3. the flat columns themselves: after a stream, the array link state's
+3. the flat columns themselves: after a stream, the link columns'
    ``(starts, finishes)`` per link and the processor finish column equal the
-   object schedule's booking queues slot by slot;
+   ``simulate_mapping`` schedule's booking queues slot by slot;
 4. the worst case — consecutive candidates diverging at order position 0;
-5. the search schedulers: ``AnnealingScheduler`` / ``GeneticScheduler`` with
-   ``backend="array"`` vs ``backend="object"`` produce equal schedules
-   (same RNG draws, same trajectory);
+5. the search schedulers: ``AnnealingScheduler`` / ``GeneticScheduler``
+   produce the same schedule, slot by slot, as with
+   :class:`tests.naive_reference.FullResimulationEvaluator` patched in for
+   the scorer (same RNG draws, same trajectory);
 6. validation parity on broken mappings, and the batch / identical-skip
    counters.
 
@@ -40,7 +40,6 @@ from repro import obs
 from repro.core.annealing import AnnealingScheduler
 from repro.core.batch import BatchMappingEvaluator
 from repro.core.genetic import GeneticScheduler
-from repro.core.incremental import IncrementalMappingEvaluator
 from repro.core.mapping import simulate_mapping
 from repro.core.kernelreg import compiled_available
 from repro.exceptions import SchedulingError
@@ -54,6 +53,7 @@ from repro.network.builders import (
 from repro.obs import OBS
 from repro.taskgraph.generators import random_layered_dag
 from repro.taskgraph.priorities import priority_list
+from tests.naive_reference import FullResimulationEvaluator
 
 DIFF = settings(
     max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -100,9 +100,8 @@ KERNELS = [
     ),
 ]
 
-#: a candidate stream: the initial assignment plus a walk of edits (same
-#: generator as ``test_incremental_equivalence`` — single-task moves, full
-#: remaps, repeats).
+#: a candidate stream: the initial assignment plus a walk of edits
+#: (single-task moves, full remaps, repeats).
 walks = st.lists(
     st.tuples(
         st.booleans(),  # full remap instead of a single move
@@ -171,13 +170,13 @@ class TestEvaluateDifferential:
         init_sel=st.integers(0, 10**6),
         walk=walks,
     )
-    def test_candidate_stream_three_way(self, kernel, graph, net, comm, init_sel, walk):
-        array_ev = BatchMappingEvaluator(graph, net, comm=comm, kernel=kernel)
-        object_ev = IncrementalMappingEvaluator(graph, net, comm=comm)
+    def test_candidate_stream_matches_naive(
+        self, kernel, graph, net, comm, init_sel, walk
+    ):
+        evaluator = BatchMappingEvaluator(graph, net, comm=comm, kernel=kernel)
         for mapping in _mappings_for(graph, net, init_sel, walk):
             expected = simulate_mapping(graph, net, mapping, comm=comm).makespan
-            assert array_ev.evaluate(mapping) == expected
-            assert object_ev.evaluate(mapping) == expected
+            assert evaluator.evaluate(mapping) == expected
 
     @WORST
     @given(
@@ -260,34 +259,36 @@ class TestEvaluateDifferential:
         )
 
 
+def _full_resimulation_schedule(scheduler_cls, graph, net, **kwargs):
+    """``scheduler_cls``'s result with every candidate fully re-simulated."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            f"{scheduler_cls.__module__}.BatchMappingEvaluator",
+            FullResimulationEvaluator,
+        )
+        return scheduler_cls(**kwargs).schedule(graph, net)
+
+
 class TestSchedulerBackendParity:
+    """Each kernel's search matches full re-simulation, slot by slot."""
+
     @pytest.mark.parametrize("kernel", KERNELS)
     @SCHED
     @given(graph=graphs, net=topologies, seed=st.integers(0, 500))
-    def test_annealing_array_matches_object(self, kernel, graph, net, seed):
+    def test_annealing_matches_full_resimulation(self, kernel, graph, net, seed):
         kwargs = dict(iterations=40, rng=seed)
-        arr = AnnealingScheduler(backend="array", kernel=kernel, **kwargs).schedule(
-            graph, net
-        )
-        obj = AnnealingScheduler(backend="object", **kwargs).schedule(graph, net)
-        _assert_schedules_equal(arr, obj)
+        got = AnnealingScheduler(kernel=kernel, **kwargs).schedule(graph, net)
+        ref = _full_resimulation_schedule(AnnealingScheduler, graph, net, **kwargs)
+        _assert_schedules_equal(got, ref)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @SCHED
     @given(graph=graphs, net=topologies, seed=st.integers(0, 500))
-    def test_genetic_array_matches_object(self, kernel, graph, net, seed):
+    def test_genetic_matches_full_resimulation(self, kernel, graph, net, seed):
         kwargs = dict(population=6, generations=3, rng=seed)
-        arr = GeneticScheduler(backend="array", kernel=kernel, **kwargs).schedule(
-            graph, net
-        )
-        obj = GeneticScheduler(backend="object", **kwargs).schedule(graph, net)
-        _assert_schedules_equal(arr, obj)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SchedulingError, match="backend"):
-            AnnealingScheduler(backend="columnar")
-        with pytest.raises(SchedulingError, match="backend"):
-            GeneticScheduler(backend="columnar")
+        got = GeneticScheduler(kernel=kernel, **kwargs).schedule(graph, net)
+        ref = _full_resimulation_schedule(GeneticScheduler, graph, net, **kwargs)
+        _assert_schedules_equal(got, ref)
 
 
 class TestValidationAndCounters:
@@ -344,22 +345,21 @@ class TestValidationAndCounters:
         finally:
             obs.disable()
 
-    def test_identical_skips_both_backends(self):
+    def test_identical_skips(self):
         graph, net = self._workload()
         procs = sorted(p.vid for p in net.processors())
         mapping = {t.tid: procs[0] for t in graph.tasks()}
-        for factory in (BatchMappingEvaluator, IncrementalMappingEvaluator):
-            obs.enable()
-            obs.reset()
-            try:
-                evaluator = factory(graph, net)
-                first = evaluator.evaluate(mapping)
-                second = evaluator.evaluate(dict(mapping))
-                assert first == second
-                assert OBS.metrics.counter("mapping.identical_skips").value == 1
-                assert OBS.metrics.counter("mapping.evaluations").value == 2
-            finally:
-                obs.disable()
+        obs.enable()
+        obs.reset()
+        try:
+            evaluator = BatchMappingEvaluator(graph, net)
+            first = evaluator.evaluate(mapping)
+            second = evaluator.evaluate(dict(mapping))
+            assert first == second
+            assert OBS.metrics.counter("mapping.identical_skips").value == 1
+            assert OBS.metrics.counter("mapping.evaluations").value == 2
+        finally:
+            obs.disable()
 
     def test_evaluate_emits_no_events(self):
         graph, net = self._workload()

@@ -108,7 +108,7 @@ class TestEvalKernel:
             )
             == 0
         )
-        assert "evaluation backend: array, kernel: python" in capsys.readouterr().out
+        assert "kernel: python" in capsys.readouterr().out
 
     def test_auto_resolution_shown_in_stats(self, capsys):
         from repro.core.kernelreg import active_kernel
@@ -137,20 +137,7 @@ class TestEvalKernel:
         )
         assert "mapping-search" in capsys.readouterr().out
 
-    def test_rejected_for_object_backend(self, capsys):
-        assert (
-            main(
-                [
-                    "schedule", "--algorithm", "annealing", "--tasks", "8",
-                    "--backend", "object", "--eval-kernel", "python",
-                    "--no-gantt",
-                ]
-            )
-            == 2
-        )
-        assert "array backend" in capsys.readouterr().out
-
-    def test_profile_shows_kernel_in_backend_column(self, capsys):
+    def test_profile_shows_kernel_column(self, capsys):
         assert (
             main(
                 [
@@ -160,7 +147,9 @@ class TestEvalKernel:
             )
             == 0
         )
-        assert "array/python" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "kernel" in out.splitlines()[2]
+        assert "python (batch 1)" in out
 
 
 class TestProfile:

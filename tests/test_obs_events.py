@@ -4,7 +4,9 @@ disabled-by-default behavior, and BA-vs-OIHSA decision divergence."""
 import pytest
 
 from repro import obs
+from repro.core.annealing import AnnealingScheduler
 from repro.core.ba import BAScheduler
+from repro.core.genetic import GeneticScheduler
 from repro.core.oihsa import OIHSAScheduler
 from repro.network.builders import switched_cluster
 from repro.obs import EVENT_KINDS, Event, JsonlSink, ListSink, read_jsonl
@@ -159,6 +161,39 @@ class TestBackToBackStats:
         assert [e.kind for e in stacked.stats.events] == [
             e.kind for e in alone.stats.events
         ]
+
+
+#: list schedulers and mapping searches (kept small) that attach stats
+STATS_SCHEDULERS = {
+    "ba": BAScheduler,
+    "oihsa": OIHSAScheduler,
+    "annealing": lambda: AnnealingScheduler(iterations=20),
+    "genetic": lambda: GeneticScheduler(population=4, generations=2),
+}
+
+
+class TestStatsCapture:
+    @pytest.mark.parametrize("name", sorted(STATS_SCHEDULERS))
+    def test_stats_attached_when_observing(self, name, contended):
+        graph, net = contended
+        obs.enable()
+        schedule = STATS_SCHEDULERS[name]().schedule(graph, net)
+        obs.disable()
+        stats = schedule.stats
+        assert stats is not None
+        assert stats.counter("procsched.tasks_placed") > 0
+        if name in ("annealing", "genetic"):
+            assert stats.counter("mapping.evaluations") > 0
+
+    @pytest.mark.parametrize("name", sorted(STATS_SCHEDULERS))
+    def test_no_snapshot_when_off(self, name, contended, monkeypatch):
+        def refuse(self):
+            raise AssertionError("snapshot taken with observability off")
+
+        monkeypatch.setattr(type(obs.METRICS), "snapshot", refuse)
+        monkeypatch.setattr(type(obs.PROFILER), "snapshot", refuse)
+        graph, net = contended
+        assert STATS_SCHEDULERS[name]().schedule(graph, net).stats is None
 
 
 class TestBAvsOIHSA:

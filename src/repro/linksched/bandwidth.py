@@ -27,14 +27,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 from repro.exceptions import SchedulingError
+from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.network.topology import Link, Route
 from repro.types import EdgeKey, LinkId
-
-if TYPE_CHECKING:
-    from repro.linksched.commmodel import CommModel
 
 #: Numerical slack for backlog/volume comparisons inside the fluid sweep.
 _FEPS = 1e-9
@@ -49,7 +46,7 @@ class Cumulative:
 
     Stored as breakpoints ``(t, v)``; a vertical jump (instantaneous
     availability) is two points with equal ``t``.  Before the first point the
-    value is the first ``v`` (normally 0); after the last it is constant.
+    value is 0.0; after the last it is constant.
     """
 
     __slots__ = ("points",)
@@ -102,8 +99,7 @@ class Cumulative:
         """Right-continuous value at ``t``."""
         pts = self.points
         if t < pts[0][0]:
-            # Exact breakpoint lookup, not arithmetic.
-            return pts[0][1] if pts[0][0] == t else 0.0  # repro-lint: disable=FLT001
+            return 0.0
         if t >= pts[-1][0]:
             return pts[-1][1]
         # The one pair with ``t0 <= t < t1`` (so ``t1 > t0``); at a jump the
@@ -203,6 +199,15 @@ def forward_through_link(
     backlog exists, otherwise ``min(arrival rate, free(t) * speed)`` — so the
     departure never exceeds the arrival (cut-through causality) and all spare
     bandwidth is exploited.
+
+    The sweep visits every event time (``t0``, the arrival's breakpoints and
+    the profile boundaries after ``t0``) in order, and reads the arrival rate
+    and the used bandwidth through forward pointers, because ``t`` never
+    decreases.  The usage is kept in parallel lists and turned into
+    :class:`UsageSegment` objects once at the end.  Each ``min``/``max`` is
+    spelled as a comparison that must pick the same operand as the builtin
+    on ties (the first), so every floating-point operation matches the
+    plain formula above.
     """
     if speed <= 0:
         raise SchedulingError(f"non-positive link speed {speed}")
@@ -211,7 +216,9 @@ def forward_through_link(
     if volume <= _FEPS:
         return Cumulative([(t0, 0.0)]), []
 
-    # Decompose the arrival into jumps and constant-rate pieces.
+    # Decompose the arrival into jumps and constant-rate pieces.  The event
+    # set is filled in the order t0, jumps, pieces, profile boundaries: of
+    # two equal times (0.0 and -0.0) the first one added stays.
     jumps: dict[float, float] = {}
     rate_pieces: list[tuple[float, float, float]] = []  # (t0, t1, rate)
     for (ta, va), (tb, vb) in zip(arrival.points, arrival.points[1:]):
@@ -220,6 +227,11 @@ def forward_through_link(
                 jumps[ta] = jumps.get(ta, 0.0) + (vb - va)
         elif vb > va:
             rate_pieces.append((ta, tb, (vb - va) / (tb - ta)))
+    events = {t0}
+    events.update(jumps)
+    for pa, pb, _ in rate_pieces:
+        events.add(pa)
+        events.add(pb)
 
     # Segments ending at or before ``t0`` contribute no breakpoint after it
     # and are never in use again, so the sweep starts at the first segment
@@ -227,23 +239,25 @@ def forward_through_link(
     segments = profile.segments
     n_seg = len(segments)
     si = bisect_right(segments, t0, key=_END)
-    event_times = sorted(
-        {t0, *jumps, *(t for p in rate_pieces for t in (p[0], p[1])),
-         *(t for a, b, _ in segments[si:] for t in (a, b) if t > t0)}
-    )
-
-    def arrival_rate(t: float) -> float:
-        for a, b, r in rate_pieces:
-            if a <= t < b:
-                return r
-        return 0.0
+    for k in range(si, n_seg):
+        sa, sb, _ = segments[k]
+        if sa > t0:
+            events.add(sa)
+        if sb > t0:
+            events.add(sb)
+    event_times = sorted(events)
+    n_ev = len(event_times)
+    n_pieces = len(rate_pieces)
 
     forwarded = 0.0
     arrived = 0.0
     t = t0
     dep_points: list[tuple[float, float]] = [(t0, 0.0)]
-    usage: list[UsageSegment] = []
+    u_starts: list[float] = []
+    u_finishes: list[float] = []
+    u_fracs: list[float] = []
     ei = 0
+    ri = 0
     # Consume any jump exactly at t0.
     arrived += jumps.pop(t0, 0.0)
     guard = 0
@@ -256,24 +270,33 @@ def forward_through_link(
                 f"forwarded {forwarded} of {volume}"
             )
         # Next fixed event after t.
-        while ei < len(event_times) and event_times[ei] <= t:
+        while ei < n_ev and event_times[ei] <= t:
             ei += 1
-        horizon = event_times[ei] if ei < len(event_times) else math.inf
-        a = arrival_rate(t)
+        horizon = event_times[ei] if ei < n_ev else math.inf
+        # The arrival rate at ``t``: the pieces are sorted and disjoint, so
+        # the one piece with ``start <= t < end`` is the first ending after t.
+        while ri < n_pieces and rate_pieces[ri][1] <= t:
+            ri += 1
+        a = rate_pieces[ri][2] if ri < n_pieces and rate_pieces[ri][0] <= t else 0.0
         # ``profile.used_at(t)`` by a forward pointer: ``t`` never decreases.
         while si < n_seg and segments[si][1] <= t:
             si += 1
         used = segments[si][2] if si < n_seg and segments[si][0] <= t else 0.0
-        cap = max(0.0, 1.0 - used) * speed
+        free = 1.0 - used
+        cap = (free if free > 0.0 else 0.0) * speed
         backlog = arrived - forwarded
         if backlog > _FEPS:
             rate = cap
             t_zero = t + backlog / (cap - a) if cap > a else math.inf
         else:
-            rate = min(a, cap)
+            rate = cap if cap < a else a
             t_zero = math.inf
         t_done = t + (volume - forwarded) / rate if rate > 0 else math.inf
-        t_next = min(horizon, t_zero, t_done)
+        t_next = horizon
+        if t_zero < t_next:
+            t_next = t_zero
+        if t_done < t_next:
+            t_next = t_done
         if math.isinf(t_next):
             raise SchedulingError(
                 "transfer cannot complete: no arrival and no backlog "
@@ -281,27 +304,34 @@ def forward_through_link(
             )
         if t_next > t:
             dt = t_next - t
-            forwarded = min(volume, forwarded + rate * dt)
-            arrived = min(volume, arrived + a * dt)
+            sent = forwarded + rate * dt
+            forwarded = sent if sent < volume else volume
+            got = arrived + a * dt
+            arrived = got if got < volume else volume
             if rate > 0:
                 frac = rate / speed
                 # Segments abut exactly: t is copied from the previous finish.
-                if usage and usage[-1].finish == t and abs(usage[-1].fraction - frac) <= _FEPS:  # repro-lint: disable=FLT001
-                    usage[-1] = UsageSegment(usage[-1].start, t_next, usage[-1].fraction)
+                if u_finishes and u_finishes[-1] == t and abs(u_fracs[-1] - frac) <= _FEPS:
+                    u_finishes[-1] = t_next
                 else:
-                    usage.append(UsageSegment(t, t_next, frac))
+                    u_starts.append(t)
+                    u_finishes.append(t_next)
+                    u_fracs.append(frac)
             # Always record the breakpoint: a zero-rate span must appear in
             # the departure curve or interpolation would invent volume there.
-            if dep_points[-1] != (t_next, forwarded):
-                dep_points.append((t_next, forwarded))
+            point = (t_next, forwarded)
+            if dep_points[-1] != point:
+                dep_points.append(point)
             t = t_next
         # Apply any jump landing exactly at the new time.
         if t in jumps:
-            arrived = min(volume, arrived + jumps.pop(t))
+            got = arrived + jumps.pop(t)
+            arrived = got if got < volume else volume
 
     if dep_points[-1][1] < volume:
         dep_points.append((t, volume))
     departure = Cumulative(dep_points)
+    usage = [UsageSegment(*seg) for seg in zip(u_starts, u_finishes, u_fracs)]
     if reserve:
         profile.add_usage(usage)
     return departure, usage
@@ -473,7 +503,7 @@ class BandwidthLinkState:
         route: Route,
         cost: float,
         ready_time: float,
-        comm: "CommModel | None" = None,
+        comm: CommModel | None = None,
     ) -> float:
         """Book ``edge`` along ``route`` with fluid forwarding; return arrival time.
 
@@ -483,8 +513,6 @@ class BandwidthLinkState:
         store-and-forward it sees the whole volume as a step once the
         previous link finishes.
         """
-        from repro.linksched.commmodel import CUT_THROUGH
-
         if comm is None:
             comm = CUT_THROUGH
         if ready_time < 0:

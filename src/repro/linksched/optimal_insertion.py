@@ -242,6 +242,26 @@ def _schedule_edge_optimal_fast(
     function calls, the :class:`OptimalPlacement` allocations (whose
     ``overflow`` field the commit never reads), and the observability hooks
     are dropped.
+
+    The scan also stops at the first slot that proves every gap in front of
+    it infeasible, where :func:`probe_optimal` walks on to the head (it
+    reports each rejected gap).  Write ``S_i = starts[i] + accum_i``.  Since
+    ``accum_i <= accum_{i+1} + starts[i+1] - finishes[i]``, exactly
+    ``S_i <= S_{i+1} - (finishes[i] - starts[i]) <= S_{i+1}``: ``S`` never
+    grows toward the head.  Every gap in front of slot ``j`` finishes at
+    ``max(finishes[j-1], lo) + duration >= lo + duration`` (so does its
+    rounded value), so once ``S_i + EPS`` falls below ``lo + duration`` no
+    gap at or before ``i`` can be feasible and the head-most feasible gap is
+    already known.  Rounding can let the computed ``S`` creep up toward the
+    head by two roundings per slot (``starts[i+1] - finishes[i]`` and the
+    ``room`` sum).  Neighbouring slots overlap by at most ``EPS`` (the
+    commit leaves such a slot in place), so ``accum`` is never below
+    ``-n * EPS``, and every value the scan rounds up to the stop has
+    magnitude below ``2 * top`` with
+    ``top = max(finishes[-1], lo + duration, n * EPS)``: each rounding is
+    off by at most ``ulp(top)``.  The stop therefore compares against
+    ``lo + duration`` less ``4 * (n + 1) * ulp(top)``, which covers those
+    ``2n`` roundings and the few in the comparison itself.
     """
     if cost < 0:
         raise SchedulingError(f"negative communication cost {cost}")
@@ -270,7 +290,10 @@ def _schedule_edge_optimal_fast(
         best_index = n
         best_start = start
         best_finish = start + duration
-        # -- probe scan (see probe_optimal) --
+        # -- probe scan (see probe_optimal), stopped at the first dead gap --
+        least_finish = lo + duration
+        top = max(tail_prev, least_finish, n * EPS)
+        cut = least_finish - 4 * (n + 1) * math.ulp(top)
         accum = 0.0
         for i in range(n - 1, -1, -1):
             slot_start = starts[i]
@@ -300,10 +323,13 @@ def _schedule_edge_optimal_fast(
                         dt = nxt.start - hop - s.finish
                     dt = max(0.0, dt)
                 accum = dt if dt < room else room
+            available = slot_start + accum + EPS
+            if available < cut:
+                break
             prev_finish = finishes[i - 1] if i > 0 else 0.0
             start = prev_finish if prev_finish > lo else lo
             fin = start + duration
-            if fin <= slot_start + accum + EPS:
+            if fin <= available:
                 best_index = i
                 best_start = start
                 best_finish = fin

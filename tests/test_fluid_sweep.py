@@ -1,15 +1,17 @@
-"""The t0-anchored fluid sweeps vs the from-zero scans they replaced.
+"""The fluid sweeps vs the from-zero scans they replaced.
 
 :func:`repro.linksched.bandwidth.probe_step_finish` bisects to the first
 profile segment ending after the transfer's start ``t0``, and
 :func:`~repro.linksched.bandwidth.forward_through_link` takes breakpoints
-from that segment on and tracks the used bandwidth with a forward pointer.
-Both claim the same floating-point operations in the same order as the
-versions that walked every segment from time 0, so results must be equal
-with ``==`` — departure points, usage segments and finish times — for a
-``t0`` before, inside, between and after the segments, and exactly on
-segment boundaries.  The reference scans below are copies of those
-from-zero versions.
+from that segment on and reads the used bandwidth and the arrival rate
+through forward pointers.  Both claim the same floating-point operations in
+the same order as the versions that walked every segment from time 0 and
+rescanned the arrival's rate pieces, so results must be equal with ``==``
+— departure points, usage segments, finish times and reserved profiles —
+for a ``t0`` before, inside, between and after the segments, exactly on
+segment boundaries, with segment boundaries exactly on the arrival's
+breakpoints, and along multi-hop routes under every switching mode.  The
+reference scans below are copies of those from-zero versions.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.linksched.bandwidth import (
     forward_through_link,
     probe_step_finish,
 )
+from repro.linksched.commmodel import CUT_THROUGH, STORE_AND_FORWARD, CommModel
 
 SWEEPS = settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -171,8 +174,23 @@ def start_times(draw, segments) -> float:
     return draw(st.sampled_from(candidates) | st.floats(0.0, 250.0))
 
 
+@st.composite
+def profiles_on(draw, times) -> list[tuple[float, float, float]]:
+    """Segments whose every boundary is one of ``times``."""
+    distinct = sorted(set(times))
+    if len(distinct) < 2:
+        return []
+    bounds = sorted(draw(st.lists(st.sampled_from(distinct), unique=True)))
+    return [
+        (a, b, draw(st.floats(0.05, 1.0)))
+        for a, b in zip(bounds, bounds[1:])
+        if draw(st.booleans())
+    ]
+
+
 volumes = st.floats(0.0, 60.0)
 speeds = st.floats(0.5, 10.0)
+comm_models = st.sampled_from([CUT_THROUGH, CommModel(hop_delay=0.75), STORE_AND_FORWARD])
 
 
 class TestStepProbe:
@@ -209,6 +227,63 @@ class TestForwardThroughLink:
         )
         self._assert_same(BandwidthProfile(segments), arrival, speeds[1])
 
+    @SWEEPS
+    @given(data=st.data(), upstream=profiles(), volume=volumes, speeds=st.tuples(speeds, speeds))
+    def test_boundaries_on_arrival_breakpoints(self, data, upstream, volume, speeds):
+        t0 = data.draw(start_times(upstream))
+        arrival, _ = forward_through_link(
+            BandwidthProfile(upstream), Cumulative.step(t0, volume), speeds[0]
+        )
+        segments = data.draw(profiles_on([t for t, _ in arrival.points]))
+        self._assert_same(BandwidthProfile(segments), arrival, speeds[1])
+
+    @SWEEPS
+    @given(
+        data=st.data(),
+        hops=st.lists(st.tuples(profiles(), speeds), min_size=3, max_size=5),
+        volume=volumes,
+        comm=comm_models,
+    )
+    def test_route_chain(self, data, hops, volume, comm):
+        # Each hop's arrival is built from the previous hop's departure the
+        # way BandwidthLinkState.schedule_edge builds it.
+        arrival = Cumulative.step(data.draw(start_times(hops[0][0])), volume)
+        for segments, speed in hops:
+            departure = self._assert_same(BandwidthProfile(segments), arrival, speed)
+            if comm.mode == "cut-through":
+                arrival = departure.shifted(comm.hop_delay)
+            else:
+                arrival = Cumulative.step(departure.finish_time() + comm.hop_delay, volume)
+
+    @SWEEPS
+    @given(
+        data=st.data(),
+        upstream=profiles(),
+        segments=profiles(),
+        volumes=st.tuples(volumes, volumes),
+        speeds=st.tuples(speeds, speeds),
+    )
+    def test_reserve(self, data, upstream, segments, volumes, speeds):
+        # Two ramped transfers reserved one after the other on one link: the
+        # second sees the first one's usage overlaid by add_usage.
+        profile = BandwidthProfile(list(segments))
+        reference = BandwidthProfile(list(segments))
+        for volume in volumes:
+            arrival, _ = forward_through_link(
+                BandwidthProfile(upstream),
+                Cumulative.step(data.draw(start_times(segments)), volume),
+                speeds[0],
+            )
+            departure, usage = forward_through_link(
+                profile, arrival, speeds[1], reserve=True
+            )
+            ref_departure, ref_usage = reference_forward(reference, arrival, speeds[1])
+            if arrival.final_volume > _FEPS:  # an empty transfer reserves nothing
+                reference.add_usage(ref_usage)
+            assert departure.points == ref_departure.points
+            assert usage == ref_usage
+            assert profile.segments == reference.segments
+
     @staticmethod
     def _assert_same(profile, arrival, speed):
         departure, usage = forward_through_link(profile, arrival, speed)
@@ -216,6 +291,7 @@ class TestForwardThroughLink:
         assert departure.points == ref_departure.points
         assert usage == ref_usage
         assert departure.finish_time() == ref_departure.finish_time()
+        return departure
 
 
 class TestCumulativeValue:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from repro.core.schedule import Schedule
 from repro.exceptions import ValidationError
+from repro.linksched.bandwidth import Cumulative
 from repro.linksched.causality import (
     CAUSALITY_EPS,
     check_route_causality,
@@ -172,6 +173,8 @@ def _validate_bandwidth(schedule: Schedule, eps: float) -> None:
                     f"link {booking.lid} over-committed: used {prof.max_used()}"
                 )
 
+    cut_through = schedule.comm.mode == "cut-through"
+    hop_delay = schedule.comm.hop_delay
     for e in graph.edges():
         if not state.has_route(e.key):
             continue
@@ -185,46 +188,54 @@ def _validate_bandwidth(schedule: Schedule, eps: float) -> None:
                 f"route {route}"
             )
         src_finish = schedule.placements[e.src].finish
+        tol = max(eps, 1e-6 * e.cost)
         prev_dep = None
         for booking in bookings:
+            departure = booking.departure
             # Volume conservation on every hop.
-            if abs(booking.departure.final_volume - e.cost) > max(eps, 1e-6 * e.cost):
+            if abs(departure.final_volume - e.cost) > tol:
                 raise ValidationError(
                     f"edge {e.key} on link {booking.lid}: forwarded "
-                    f"{booking.departure.final_volume} of {e.cost}"
+                    f"{departure.final_volume} of {e.cost}"
                 )
             # Causality: departures never outrun arrivals, checked at every
             # departure breakpoint.
-            for t, v in booking.departure.points:
-                if v > booking.arrival.value(t) + max(eps, 1e-6 * e.cost):
-                    raise ValidationError(
-                        f"edge {e.key} on link {booking.lid}: forwarded {v} by "
-                        f"t={t} but only {booking.arrival.value(t)} had arrived"
-                    )
+            excess = _first_excess(departure.points, booking.arrival, 0.0, tol)
+            if excess is not None:
+                t, v, arrived = excess
+                raise ValidationError(
+                    f"edge {e.key} on link {booking.lid}: forwarded {v} by "
+                    f"t={t} but only {arrived} had arrived"
+                )
             if prev_dep is not None:
-                tol = max(eps, 1e-6 * e.cost)
-                if schedule.comm.mode == "cut-through":
+                if cut_through:
                     # Data on this hop may not outrun the previous hop's
-                    # departure (shifted by the hop delay).
-                    for t, v in booking.departure.points:
-                        if v > prev_dep.value(t - schedule.comm.hop_delay) + tol:
+                    # departure (shifted by the hop delay).  When the arrival
+                    # *is* that departure, unshifted, the pass above already
+                    # made exactly these comparisons.
+                    if booking.arrival is not prev_dep or hop_delay:
+                        excess = _first_excess(
+                            departure.points, prev_dep, hop_delay, tol
+                        )
+                        if excess is not None:
+                            t, v, _ = excess
                             raise ValidationError(
                                 f"edge {e.key} on link {booking.lid}: forwarded "
                                 f"{v} by t={t}, outrunning the previous hop"
                             )
                 else:
-                    lower = prev_dep.finish_time() + schedule.comm.hop_delay
-                    if booking.departure.start_time < lower - eps:
+                    lower = prev_dep.finish_time() + hop_delay
+                    if departure.start_time < lower - eps:
                         raise ValidationError(
                             f"edge {e.key} on link {booking.lid}: store-and-forward "
-                            f"hop starts at {booking.departure.start_time}, before "
+                            f"hop starts at {departure.start_time}, before "
                             f"the previous hop completes at {lower}"
                         )
-            prev_dep = booking.departure
-            if booking.departure.start_time < src_finish - eps:
+            prev_dep = departure
+            if departure.start_time < src_finish - eps:
                 raise ValidationError(
                     f"edge {e.key} on link {booking.lid}: transfer begins at "
-                    f"{booking.departure.start_time}, before the source finishes "
+                    f"{departure.start_time}, before the source finishes "
                     f"at {src_finish}"
                 )
         arrival = schedule.edge_arrivals[e.key]
@@ -233,6 +244,41 @@ def _validate_bandwidth(schedule: Schedule, eps: float) -> None:
                 f"edge {e.key}: recorded arrival {arrival} != final hop finish "
                 f"{bookings[-1].departure.finish_time()}"
             )
+
+
+def _first_excess(
+    points: list[tuple[float, float]],
+    bound: Cumulative,
+    delay: float,
+    tol: float,
+) -> tuple[float, float, float] | None:
+    """First breakpoint ``(t, v)`` with ``v > bound.value(t - delay) + tol``.
+
+    Returns ``(t, v, bound.value(t - delay))``, or ``None`` if there is none.
+    ``points`` are a :class:`Cumulative`'s breakpoints, so their times never
+    decrease; one forward pointer then replaces a bisect per point.  ``i``
+    always equals ``bisect_right`` of ``t - delay`` over ``bound``'s times,
+    and the value is computed by the same expression as
+    :meth:`Cumulative.value`.
+    """
+    bpts = bound.points
+    n = len(bpts)
+    i = 0
+    for t, v in points:
+        x = t - delay
+        while i < n and bpts[i][0] <= x:
+            i += 1
+        if i == 0:
+            value = 0.0
+        elif i == n:
+            value = bpts[-1][1]
+        else:
+            t0, v0 = bpts[i - 1]
+            t1, v1 = bpts[i]
+            value = v0 + (v1 - v0) * (x - t0) / (t1 - t0)
+        if v > value + tol:
+            return t, v, value
+    return None
 
 
 def _validate_packets(schedule: Schedule, eps: float) -> None:

@@ -26,7 +26,7 @@ can absorb.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from repro.exceptions import SchedulingError
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
@@ -62,6 +62,53 @@ def deferrable_time(
         dt = nxt.start - comm.hop_delay - slot.finish
     # Causality guarantees the slack is >= 0; clamp against float fuzz.
     return max(0.0, dt)
+
+
+def _cascade_fits(
+    state: LinkScheduleState,
+    lid: int,
+    slots: Sequence[TimeSlot],
+    index: int,
+    finish: float,
+    comm: CommModel,
+) -> bool:
+    """Whether the deferral cascade of a new slot ending at ``finish`` at
+    ``index`` stays within every pushed slot's Lemma-2 slack.
+
+    A dry run of :func:`commit_optimal`'s cascade, same arithmetic and same
+    test: it returns False exactly when committing that placement would raise.
+    """
+    prev_finish = finish
+    for j in range(index, len(slots)):
+        s = slots[j]
+        if s.start + EPS >= prev_finish:
+            return True
+        delta = prev_finish - s.start
+        if delta > deferrable_time(state, lid, s, comm) + EPS:
+            return False
+        prev_finish = s.finish + delta  # the shifted slot's finish
+    return True
+
+
+def _rounding_slop(n: int, tail_finish: float, least_finish: float) -> float:
+    """Rounding guard of one optimal-insertion scan over ``n`` queued slots.
+
+    In exact arithmetic a gap the scan admits with margin ``m`` leaves every
+    slot its cascade pushes at least ``m`` inside its slack, and the scan's
+    stop is exact (see :func:`_schedule_edge_optimal_fast`).  The computed
+    tests differ from the exact ones by at most ``4 * (n + 1)`` roundings:
+    two per slot in the ``accum`` chain, two per pushed slot, and a few in
+    the comparisons (the slacks are the same expression in scan and
+    cascade).  With ``top = max(tail_finish, least_finish, n * EPS)``, the
+    values near a tight test lie below ``8 * top`` (queued times below
+    ``2 * top``, since neighbouring slots overlap by at most ``EPS``; a
+    candidate finish below ``3 * top``; a deferral or a pushed finish below
+    ``8 * top``), so each rounding is off by at most
+    ``ulp(8 * top) / 2 = 4 * ulp(top)``.  A larger guard only costs time:
+    the scan stops later, and more admitted gaps get a cascade dry run.
+    """
+    top = max(tail_finish, least_finish, n * EPS)
+    return 16 * (n + 1) * math.ulp(top)
 
 
 class OptimalPlacement(NamedTuple):
@@ -112,6 +159,7 @@ def probe_optimal(
     best_start = start
     best_finish = start + duration
     best_overflow = 0.0
+    slop = _rounding_slop(n, tail_prev, lo + duration)
 
     # The scan calls the Lemma-2 slack once per queued slot; inline
     # :func:`deferrable_time` (same arithmetic) with the state's internals
@@ -156,7 +204,15 @@ def probe_optimal(
         prev_finish = finishes[i - 1] if i > 0 else 0.0
         start = prev_finish if prev_finish > lo else lo
         finish = start + duration
-        if finish <= slot_start + accum + EPS:
+        available = slot_start + accum + EPS
+        # Within rounding distance of the bound, the computed test may admit
+        # a gap whose cascade then overruns a slack by an ulp: admit it only
+        # if the cascade's own test passes (a gap admitted with more margin
+        # always passes it).
+        if finish <= available and (
+            available - finish >= slop
+            or _cascade_fits(state, lid, slots, i, finish, comm)
+        ):
             overflow = finish - slot_start
             if overflow < 0.0:
                 overflow = 0.0
@@ -254,14 +310,10 @@ def _schedule_edge_optimal_fast(
     gap at or before ``i`` can be feasible and the head-most feasible gap is
     already known.  Rounding can let the computed ``S`` creep up toward the
     head by two roundings per slot (``starts[i+1] - finishes[i]`` and the
-    ``room`` sum).  Neighbouring slots overlap by at most ``EPS`` (the
-    commit leaves such a slot in place), so ``accum`` is never below
-    ``-n * EPS``, and every value the scan rounds up to the stop has
-    magnitude below ``2 * top`` with
-    ``top = max(finishes[-1], lo + duration, n * EPS)``: each rounding is
-    off by at most ``ulp(top)``.  The stop therefore compares against
-    ``lo + duration`` less ``4 * (n + 1) * ulp(top)``, which covers those
-    ``2n`` roundings and the few in the comparison itself.
+    ``room`` sum), so the stop compares against ``lo + duration`` less
+    :func:`_rounding_slop`, which covers those ``2n`` roundings and the few
+    in the comparison itself.  Gaps the cascade dry run rejects only shrink
+    the feasible set, so the stop stays exact.
     """
     if cost < 0:
         raise SchedulingError(f"negative communication cost {cost}")
@@ -292,8 +344,8 @@ def _schedule_edge_optimal_fast(
         best_finish = start + duration
         # -- probe scan (see probe_optimal), stopped at the first dead gap --
         least_finish = lo + duration
-        top = max(tail_prev, least_finish, n * EPS)
-        cut = least_finish - 4 * (n + 1) * math.ulp(top)
+        slop = _rounding_slop(n, tail_prev, least_finish)
+        cut = least_finish - slop
         accum = 0.0
         for i in range(n - 1, -1, -1):
             slot_start = starts[i]
@@ -329,7 +381,10 @@ def _schedule_edge_optimal_fast(
             prev_finish = finishes[i - 1] if i > 0 else 0.0
             start = prev_finish if prev_finish > lo else lo
             fin = start + duration
-            if fin <= available:
+            if fin <= available and (
+                available - fin >= slop
+                or _cascade_fits(state, lid, slots, i, fin, comm)
+            ):
                 best_index = i
                 best_start = start
                 best_finish = fin

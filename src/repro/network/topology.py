@@ -16,12 +16,15 @@ edge-scheduling engine books time slots on each of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Protocol, Sequence, TypeAlias
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator, Literal, Protocol, Sequence, TypeAlias
 
 from repro.exceptions import TopologyError
 from repro.types import LinkId, VertexId
+
+if TYPE_CHECKING:
+    # Interop only: ``to_networkx`` imports it when called, so neither
+    # ``import repro`` nor any scheduling, validation or sweep loads it.
+    import networkx as nx
 
 VertexKind = Literal["processor", "switch"]
 LinkKind = Literal["ptp", "bus"]
@@ -349,6 +352,8 @@ class NetworkTopology:
 
     def to_networkx(self) -> nx.MultiDiGraph:
         """Routing-graph view: one directed arc per (link, direction) choice."""
+        import networkx as nx
+
         g = nx.MultiDiGraph(name=self.name)
         for v in self._vertices.values():
             g.add_node(v.vid, kind=v.kind, speed=v.speed, label=v.name)

@@ -9,12 +9,15 @@ and from networkx live on the class for interoperability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator
 
 from repro.exceptions import GraphError
 from repro.types import EdgeKey, TaskId
+
+if TYPE_CHECKING:
+    # Interop only: ``to_networkx`` imports it when called, so neither
+    # ``import repro`` nor any scheduling, validation or sweep loads it.
+    import networkx as nx
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,6 +196,8 @@ class TaskGraph:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export as a :class:`networkx.DiGraph` with ``weight``/``cost`` attrs."""
+        import networkx as nx
+
         g = nx.DiGraph(name=self.name)
         for t in self._tasks.values():
             g.add_node(t.tid, weight=t.weight, label=t.name)

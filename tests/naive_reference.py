@@ -22,6 +22,10 @@ maintained naively: the arrays are rebuilt from scratch on every write.
 ``FullResimulationEvaluator`` does the same for the mapping searches'
 scorer, :class:`repro.core.batch.BatchMappingEvaluator`: every score is one
 complete :func:`repro.core.mapping.simulate_mapping` run.
+
+``naive_validate_bandwidth`` is the BBSA schedule check before it walked
+its curves with pointers: one :meth:`Cumulative.value` bisect per departure
+breakpoint, and the hop-to-hop pass never skipped.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Mapping, Sequence
 
 from repro.core.mapping import simulate_mapping
 from repro.core.schedule import Schedule
-from repro.exceptions import RoutingError, SchedulingError
+from repro.exceptions import RoutingError, SchedulingError, ValidationError
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.linksched.slots import TimeSlot, insert_slot
 from repro.linksched.slots import find_gap as linear_find_gap
@@ -48,6 +52,7 @@ __all__ = [
     "linear_find_gap",
     "naive_bfs_route",
     "naive_dijkstra_route",
+    "naive_validate_bandwidth",
 ]
 
 
@@ -370,3 +375,84 @@ class FullResimulationEvaluator:
         self, mappings: Sequence[Mapping[TaskId, VertexId]]
     ) -> list[float]:
         return [self.evaluate(m) for m in mappings]
+
+
+# ---------------------------------------------------------------------------
+# BBSA schedule validation: one bisect per departure breakpoint.
+# ---------------------------------------------------------------------------
+
+
+def naive_validate_bandwidth(schedule: Schedule, eps: float) -> None:
+    """``repro.core.validate._validate_bandwidth`` as a bisect per point."""
+    state = schedule.bandwidth_state
+    assert state is not None
+    graph = schedule.graph
+
+    checked: set[int] = set()
+    for e in graph.edges():
+        for booking in state.bookings_of(e.key):
+            if booking.lid in checked:
+                continue
+            checked.add(booking.lid)
+            prof = state.profile(booking.lid)
+            if prof.max_used() > 1.0 + 1e-6:
+                raise ValidationError(
+                    f"link {booking.lid} over-committed: used {prof.max_used()}"
+                )
+
+    for e in graph.edges():
+        if not state.has_route(e.key):
+            continue
+        route = state.route_of(e.key)
+        if not route:
+            continue
+        bookings = state.bookings_of(e.key)
+        if tuple(b.lid for b in bookings) != route:
+            raise ValidationError(
+                f"edge {e.key}: bookings {[b.lid for b in bookings]} do not match "
+                f"route {route}"
+            )
+        src_finish = schedule.placements[e.src].finish
+        prev_dep = None
+        for booking in bookings:
+            if abs(booking.departure.final_volume - e.cost) > max(eps, 1e-6 * e.cost):
+                raise ValidationError(
+                    f"edge {e.key} on link {booking.lid}: forwarded "
+                    f"{booking.departure.final_volume} of {e.cost}"
+                )
+            for t, v in booking.departure.points:
+                if v > booking.arrival.value(t) + max(eps, 1e-6 * e.cost):
+                    raise ValidationError(
+                        f"edge {e.key} on link {booking.lid}: forwarded {v} by "
+                        f"t={t} but only {booking.arrival.value(t)} had arrived"
+                    )
+            if prev_dep is not None:
+                tol = max(eps, 1e-6 * e.cost)
+                if schedule.comm.mode == "cut-through":
+                    for t, v in booking.departure.points:
+                        if v > prev_dep.value(t - schedule.comm.hop_delay) + tol:
+                            raise ValidationError(
+                                f"edge {e.key} on link {booking.lid}: forwarded "
+                                f"{v} by t={t}, outrunning the previous hop"
+                            )
+                else:
+                    lower = prev_dep.finish_time() + schedule.comm.hop_delay
+                    if booking.departure.start_time < lower - eps:
+                        raise ValidationError(
+                            f"edge {e.key} on link {booking.lid}: store-and-forward "
+                            f"hop starts at {booking.departure.start_time}, before "
+                            f"the previous hop completes at {lower}"
+                        )
+            prev_dep = booking.departure
+            if booking.departure.start_time < src_finish - eps:
+                raise ValidationError(
+                    f"edge {e.key} on link {booking.lid}: transfer begins at "
+                    f"{booking.departure.start_time}, before the source finishes "
+                    f"at {src_finish}"
+                )
+        arrival = schedule.edge_arrivals[e.key]
+        if abs(bookings[-1].departure.finish_time() - arrival) > eps:
+            raise ValidationError(
+                f"edge {e.key}: recorded arrival {arrival} != final hop finish "
+                f"{bookings[-1].departure.finish_time()}"
+            )

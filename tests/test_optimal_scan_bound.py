@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import obs
+from repro.linksched.causality import check_route_causality
 from repro.linksched.commmodel import CUT_THROUGH, STORE_AND_FORWARD, CommModel
 from repro.linksched.optimal_insertion import schedule_edge_optimal
 from repro.linksched.state import LinkScheduleState
@@ -106,3 +107,53 @@ class TestBoundedScan:
                 obs.disable()
             assert arrival == expected
             assert _slot_lists(bounded, lids) == _slot_lists(full, lids)
+
+
+#: ``(first, last, cost, ready)`` bookings on a 5-processor chain with link
+#: speeds 2, 1, 1, 0.5 and hop delay 0.5.  The last booking's ready time sits
+#: within ``EPS`` of a queued slot's deferral bound: the scan's rounded test
+#: admits that gap, but pushing the slot would overrun its slack by ~8e-17
+#: beyond ``EPS``, so the commit's cascade check used to raise.
+EPS_BOUNDARY_PLAN = [
+    (3, 4, 5e-324, 25.0),
+    (0, 2, 5e-324, 17.748597838757878),
+    (3, 4, 5e-324, 1.9703526228089563e-100),
+    (3, 4, 5e-324, 25.0),
+    (2, 3, 5e-324, 35.0),
+    (2, 3, 5e-324, 1.4726931687741998),
+    (0, 4, 5e-324, 17.748597839257876),
+    (3, 4, 5e-324, 25.0),
+    (0, 4, 12.79466133869644, 16.861167946819982),
+    (0, 1, 5e-324, 17.748597838757878),
+    (3, 4, 5e-324, 25.0),
+    (1, 4, 5e-324, 18.248597840257876),
+]
+
+
+def _book_plan(observing: bool):
+    net = linear_array(CHAIN, link_speed=iter([2.0, 1.0, 1.0, 0.5]).__next__)
+    procs = [p.vid for p in net.processors()]
+    comm = CommModel(hop_delay=0.5)
+    state = LinkScheduleState()
+    arrivals = []
+    if observing:
+        obs.enable(obs.NullSink())
+    try:
+        for k, (first, last, cost, ready) in enumerate(EPS_BOUNDARY_PLAN):
+            route = bfs_route(net, procs[first], procs[last])
+            arrivals.append(
+                schedule_edge_optimal(state, (k, k + 1), route, cost, ready, comm)
+            )
+    finally:
+        if observing:
+            obs.disable()
+    for k, (_, _, cost, ready) in enumerate(EPS_BOUNDARY_PLAN):
+        check_route_causality(state, net, (k, k + 1), cost, ready, comm=comm)
+    return arrivals, _slot_lists(state, [l.lid for l in net.links()])
+
+
+@pytest.mark.parametrize("observing", [False, True], ids=["fast", "probe-commit"])
+def test_gap_at_eps_boundary_is_committable(observing):
+    arrivals, slots = _book_plan(observing)
+    assert len(arrivals) == len(EPS_BOUNDARY_PLAN)
+    assert (arrivals, slots) == _book_plan(not observing)

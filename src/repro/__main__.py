@@ -32,8 +32,26 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
+from typing import IO
 
 from repro import __version__
+
+
+class _OutputError(Exception):
+    """An output file named on the command line cannot be written."""
+
+
+def _open_output(path: str) -> IO[str]:
+    """Open ``path`` for writing, or raise :class:`_OutputError`.
+
+    Commands that write a file call this before they schedule anything, so
+    an unwritable path fails at once instead of after the whole run.
+    """
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -159,15 +177,17 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     # The ledger wants the run's counters even when the user didn't ask for
     # --stats, so observability is on unless the ledger is off too.
     observing = want_stats or not args.no_runlog
+    trace_fh = _open_output(args.trace_out) if args.trace_out else None
     if observing:
-        sink = obs.JsonlSink(args.trace_out) if args.trace_out else obs.ListSink()
-        obs.enable(sink)
+        obs.enable(obs.JsonlSink(trace_fh) if trace_fh else obs.ListSink())
     t0 = perf_counter()
     try:
         schedule = SCHEDULERS[args.algorithm](**kwargs).schedule(graph, net)
     finally:
         if observing:
             obs.disable()
+        if trace_fh is not None:
+            trace_fh.close()
     wall = perf_counter() - t0
     validate_schedule(schedule)
     stats = schedule.stats
@@ -217,30 +237,30 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     graph, net = _workload_from_args(args)
     observing = not args.no_runlog
-    if observing:
-        obs.enable(obs.ListSink())
-    t0 = perf_counter()
-    try:
-        schedule = SCHEDULERS[args.algorithm]().schedule(graph, net)
-    finally:
+    with _open_output(args.trace_out) if args.trace_out else nullcontext() as trace_fh:
         if observing:
-            obs.disable()
-    wall = perf_counter() - t0
-    validate_schedule(schedule)
-    explanation = explain(schedule)
-    if args.json:
-        import json
+            obs.enable(obs.ListSink())
+        t0 = perf_counter()
+        try:
+            schedule = SCHEDULERS[args.algorithm]().schedule(graph, net)
+        finally:
+            if observing:
+                obs.disable()
+        wall = perf_counter() - t0
+        validate_schedule(schedule)
+        explanation = explain(schedule)
+        if args.json:
+            import json
 
-        print(json.dumps(explanation.to_dict(), indent=1, sort_keys=True))
-    else:
-        print(explain_report(explanation, chain=not args.no_chain))
-    if args.trace_out:
-        from repro.viz.trace import schedule_to_trace
+            print(json.dumps(explanation.to_dict(), indent=1, sort_keys=True))
+        else:
+            print(explain_report(explanation, chain=not args.no_chain))
+        if trace_fh is not None:
+            from repro.viz.trace import schedule_to_trace
 
-        with open(args.trace_out, "w") as fh:
-            fh.write(schedule_to_trace(schedule, explanation=explanation))
-        print(f"\nwrote Perfetto trace with critical-path track to "
-              f"{args.trace_out}")
+            trace_fh.write(schedule_to_trace(schedule, explanation=explanation))
+            print(f"\nwrote Perfetto trace with critical-path track to "
+                  f"{args.trace_out}")
     if not args.no_runlog:
         from repro.obs import runlog
 
@@ -669,20 +689,19 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from repro.viz.svg import schedule_to_svg
     from repro.viz.trace import schedule_to_trace
 
-    graph = random_layered_dag(args.tasks, rng=args.seed)
-    if args.ccr is not None:
-        graph = scale_to_ccr(graph, args.ccr)
-    net = TOPOLOGY_BUILDERS[args.topology](args.procs, rng=args.seed + 1)
-    schedule = SCHEDULERS[args.algorithm]().schedule(graph, net)
-    validate_schedule(schedule)
     renderers = {
         "svg": schedule_to_svg,
         "trace": schedule_to_trace,
         "json": schedule_to_json,
     }
-    content = renderers[args.format](schedule)
-    with open(args.output, "w") as fh:
-        fh.write(content)
+    with _open_output(args.output) as fh:
+        graph = random_layered_dag(args.tasks, rng=args.seed)
+        if args.ccr is not None:
+            graph = scale_to_ccr(graph, args.ccr)
+        net = TOPOLOGY_BUILDERS[args.topology](args.procs, rng=args.seed + 1)
+        schedule = SCHEDULERS[args.algorithm]().schedule(graph, net)
+        validate_schedule(schedule)
+        fh.write(renderers[args.format](schedule))
     print(f"wrote {args.format} for {schedule.summary()} to {args.output}")
     return 0
 
@@ -960,6 +979,9 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = list(argv) if argv is not None else sys.argv[1:]
     try:
         return args.fn(args)
+    except _OutputError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         import os

@@ -22,7 +22,7 @@ from repro.linksched.bandwidth import (
     probe_step_finish,
 )
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
-from repro.network.routing import _check_endpoints, bfs_route, dijkstra_route
+from repro.network.routing import _check_endpoints, _report_dijkstra, bfs_route
 from repro.network.topology import Link, NetworkTopology, Route, Vertex
 from repro.obs import OBS, span
 from repro.procsched.state import ProcessorState
@@ -39,13 +39,14 @@ def _dijkstra_fluid(
     profiles: dict[LinkId, BandwidthProfile],
     tiny: bool,
 ) -> Route:
-    """Obs-off specialization of :func:`repro.network.routing.dijkstra_route`
-    with BBSA's fluid step-arrival probe inlined into the relax loop.
+    """BBSA's modified routing: :func:`repro.core.oihsa._dijkstra_indexed`'s
+    search (labels, tie-breaks, lower-bound prunes, dead-end skip) with the
+    fluid step-arrival probe of :meth:`BandwidthLinkState.probe_link`
+    inlined into the relax loop.
 
-    Bit-identical routes to the closure-driven generic loop in
-    :meth:`BBSAScheduler._route`: same labels, same tie-breaks, the same
-    dead-end skip and the same two lower-bound prunes — only the closure
-    calls and counter hooks are removed.
+    With observability on, the call reports the same ``routing.*`` totals
+    and ``route_probed`` event, with ``bandwidth.probes`` as its probe
+    counter.
     """
     _check_endpoints(net, src, dst)
     if src == dst:
@@ -64,6 +65,8 @@ def _dijkstra_fluid(
     sole = net.sole_out_neighbours()
     profiles_get = profiles.get
     best_dst = inf
+    probes = 0
+    cutoffs = 0
     while heap:
         d, hops, u = heappop(heap)
         if done[u]:
@@ -79,7 +82,9 @@ def _dijkstra_fluid(
             lb = d + cost / link.speed
             if cur_t != inf or best_dst != inf:
                 if lb > cur_t or (lb == cur_t and nh >= dist_h[v]) or lb > best_dst:
+                    cutoffs += 1
                     continue
+            probes += 1
             # Inlined ``BandwidthLinkState.probe_link`` (same arithmetic).
             if tiny:
                 arrival = d
@@ -107,6 +112,7 @@ def _dijkstra_fluid(
         route.append(parent_l[cur])
         cur = parent_v[cur]
     route.reverse()
+    _report_dijkstra(route, src, dst, dist_t[dst], probes, cutoffs, "bandwidth.probes")
     return route
 
 
@@ -147,28 +153,10 @@ class BBSAScheduler(ContentionScheduler):
 
         if cost < 0:
             raise SchedulingError(f"negative volume {cost}")
-        bstate = self._bstate
-        if not OBS.on:
-            # Obs-off fast path: the fully inlined loop, reading the
-            # profiles without per-probe method dispatch.
-            with span("routing"):
-                return _dijkstra_fluid(
-                    net, src, dst, ready, cost, bstate._profiles, cost <= _FEPS
-                )
-
-        # Ticks once per relaxation, where the bound is consulted.
-        probes_c = OBS.metrics.counter("bandwidth.probes")
-        probe_link = bstate.probe_link
-
-        def lower_bound(link: Link, t: float) -> float:
-            probes_c.inc()
-            return t + cost / link.speed
-
-        def probe(link: Link, t: float) -> float:
-            return probe_link(link, cost, t)
-
         with span("routing"):
-            return dijkstra_route(net, src, dst, ready, probe, lower_bound)
+            return _dijkstra_fluid(
+                net, src, dst, ready, cost, self._bstate._profiles, cost <= _FEPS
+            )
 
     def _place_task(
         self,

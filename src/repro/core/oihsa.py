@@ -28,7 +28,7 @@ from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.linksched.insertion import schedule_edge_basic
 from repro.linksched.optimal_insertion import schedule_edge_optimal
 from repro.linksched.state import LinkScheduleState, _LinkQueue  # repro-lint: disable=TXN001 (type-only use below)
-from repro.network.routing import _check_endpoints, bfs_route, dijkstra_route
+from repro.network.routing import _check_endpoints, _report_dijkstra, bfs_route
 from repro.network.topology import Link, NetworkTopology, Route, Vertex
 from repro.obs import OBS, span
 from repro.procsched.state import ProcessorState
@@ -44,15 +44,39 @@ def _dijkstra_indexed(
     cost: float,
     queues: dict[LinkId, _LinkQueue],  # repro-lint: disable=TXN001 (type annotation only)
 ) -> Route:
-    """Obs-off specialization of :func:`repro.network.routing.dijkstra_route`
-    with OIHSA's indexed-queue gap probe inlined into the relax loop.
+    """OIHSA's modified routing (paper Section 4.3): the route that
+    minimizes the communication's arrival time under the current link
+    schedules.
 
-    Produces bit-identical routes to the generic loop driven by the closure
-    probes in :meth:`OIHSAScheduler._route`: same labels (the probe is
-    ``find_gap_indexed``'s arithmetic verbatim), same ``(arrival, hops,
-    vid)`` tie-breaks, the same dead-end skip and the same two lower-bound
-    prunes (target-label and destination-label) — only the per-relaxation
-    closure calls and counter hooks are gone.
+    A label-setting Dijkstra on arrival times.  Relaxing a link probes the
+    finish time a ``cost``-sized transfer available at the label's time
+    would get in the link's queue (``find_gap_indexed``'s arithmetic,
+    inlined); that finish is monotone in the availability time, which is
+    what makes the labels final when they pop.
+
+    - Equal arrival times break toward **fewer hops**, then the lower
+      vertex id: with cut-through communication an idle detour often
+      finishes exactly when the direct route does, and preferring the short
+      route avoids squandering link capacity later edges will need (the
+      paper's "route paths with relatively low network workload").
+    - **Lower-bound prunes.**  The contention-free finish ``t + cost /
+      speed`` bounds the probe from below.  A relaxation whose bound cannot
+      improve its target's label is skipped, and so is one whose bound is
+      *strictly* above the destination's label: its target would pop only
+      after ``dst``, where the search stops.  Neither changes the popped
+      vertices or the route (ties are never pruned against the destination:
+      an equal-arrival label with fewer hops can still pop first).
+    - **Dead ends** are never relaxed.  A vertex ``v != dst`` whose every
+      out-link leads back to the vertex ``u`` it is reached from
+      (:meth:`~repro.network.topology.NetworkTopology.sole_out_neighbours`)
+      — on the paper's random WAN, every processor but the endpoints —
+      cannot lie on any route: its label would only be read by a relaxation
+      back into the settled ``u``.
+
+    With observability on, the call adds ``routing.relaxations`` (links
+    relaxed, dead ends excluded), ``routing.probe_cutoffs`` (relaxations a
+    bound pruned) and ``insertion.probes`` (queue probes made: relaxations
+    less cutoffs) to the metrics and emits one ``route_probed`` event.
     """
     _check_endpoints(net, src, dst)
     if src == dst:
@@ -71,6 +95,8 @@ def _dijkstra_indexed(
     sole = net.sole_out_neighbours()
     queues_get = queues.get
     best_dst = inf
+    probes = 0
+    cutoffs = 0
     while heap:
         d, hops, u = heappop(heap)
         if done[u]:
@@ -87,7 +113,9 @@ def _dijkstra_indexed(
             lb = d + duration
             if cur_t != inf or best_dst != inf:
                 if lb > cur_t or (lb == cur_t and nh >= dist_h[v]) or lb > best_dst:
+                    cutoffs += 1
                     continue
+            probes += 1
             # Inlined ``find_gap_indexed`` with ``min_finish=0``: the start
             # floor ``max(d, -duration)`` collapses to ``d`` (both operands
             # non-negative here), and only the finish is needed.
@@ -125,6 +153,7 @@ def _dijkstra_indexed(
         route.append(parent_l[cur])
         cur = parent_v[cur]
     route.reverse()
+    _report_dijkstra(route, src, dst, dist_t[dst], probes, cutoffs, "insertion.probes")
     return route
 
 
@@ -177,26 +206,9 @@ class OIHSAScheduler(ContentionScheduler):
         if cost < 0:
             raise SchedulingError(f"negative communication cost {cost}")
         lstate = self._lstate
-        if not OBS.on:
-            # Obs-off fast path: the fully inlined loop.
-            queues = lstate._queues  # hot path: skip per-probe method dispatch
-            with span("routing"):
-                return _dijkstra_indexed(net, src, dst, ready, cost, queues)
-
-        # The contention-free bound is consulted on *every* relaxation, so
-        # the probe-attempt counter lives here (one tick per relaxation).
-        probes_c = OBS.metrics.counter("insertion.probes")
-        find_gap = lstate.find_gap
-
-        def lower_bound(link: Link, t: float) -> float:
-            probes_c.inc()
-            return t + cost / link.speed
-
-        def probe(link: Link, t: float) -> float:
-            return find_gap(link.lid, cost / link.speed, t)[2]
-
+        queues = lstate._queues  # hot path: skip per-probe method dispatch
         with span("routing"):
-            return dijkstra_route(net, src, dst, ready, probe, lower_bound)
+            return _dijkstra_indexed(net, src, dst, ready, cost, queues)
 
     def _place_task(
         self,

@@ -19,7 +19,6 @@ from repro.linksched.state import LinkScheduleState
 from repro.linksched.insertion import probe_basic, schedule_edge_basic, probe_route_basic
 from repro.linksched.optimal_insertion import (
     deferrable_time,
-    probe_optimal,
     schedule_edge_optimal,
 )
 from repro.linksched.bandwidth import (
@@ -42,7 +41,6 @@ __all__ = [
     "schedule_edge_basic",
     "probe_route_basic",
     "deferrable_time",
-    "probe_optimal",
     "schedule_edge_optimal",
     "Cumulative",
     "BandwidthProfile",

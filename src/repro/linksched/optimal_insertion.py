@@ -26,13 +26,13 @@ can absorb.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from repro.exceptions import SchedulingError
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.linksched.slots import TimeSlot
 from repro.linksched.state import LinkScheduleState
-from repro.network.topology import Link, Route
+from repro.network.topology import Route
 from repro.obs import OBS
 from repro.types import EPS, EdgeKey
 
@@ -75,8 +75,9 @@ def _cascade_fits(
     """Whether the deferral cascade of a new slot ending at ``finish`` at
     ``index`` stays within every pushed slot's Lemma-2 slack.
 
-    A dry run of :func:`commit_optimal`'s cascade, same arithmetic and same
-    test: it returns False exactly when committing that placement would raise.
+    A dry run of :func:`schedule_edge_optimal`'s commit cascade, same
+    arithmetic and same test: it returns False exactly when committing that
+    placement would raise.
     """
     prev_finish = finish
     for j in range(index, len(slots)):
@@ -95,7 +96,7 @@ def _rounding_slop(n: int, tail_finish: float, least_finish: float) -> float:
 
     In exact arithmetic a gap the scan admits with margin ``m`` leaves every
     slot its cascade pushes at least ``m`` inside its slack, and the scan's
-    stop is exact (see :func:`_schedule_edge_optimal_fast`).  The computed
+    stop is exact (see :func:`schedule_edge_optimal`).  The computed
     tests differ from the exact ones by at most ``4 * (n + 1)`` roundings:
     two per slot in the ``accum`` chain, two per pushed slot, and a few in
     the comparisons (the slacks are the same expression in scan and
@@ -111,212 +112,53 @@ def _rounding_slop(n: int, tail_finish: float, least_finish: float) -> float:
     return 16 * (n + 1) * math.ulp(top)
 
 
-class OptimalPlacement(NamedTuple):
-    """Result of :func:`probe_optimal`: where the new slot goes and its times."""
-
-    index: int
-    start: float
-    finish: float
-    #: by how much the slot currently at ``index`` must be deferred (0 if none)
-    overflow: float
-
-
-def probe_optimal(
-    state: LinkScheduleState,
-    link: Link,
-    cost: float,
-    est: float,
-    min_finish: float = 0.0,
-    comm: CommModel = CUT_THROUGH,
-) -> OptimalPlacement:
-    """Earliest placement on ``link`` allowing deferral of existing slots.
-
-    Pure (no commit).  Falls back to appending after the last slot when no
-    deferral-assisted gap is feasible — the append position is never better
-    than a feasible insertion, so the scan keeps the head-most feasible gap.
-    """
-    if cost < 0:
-        raise SchedulingError(f"negative communication cost {cost}")
-    observing = OBS.on
-    if observing:
-        OBS.metrics.counter("optimal.probes").inc()
-    duration = cost / link.speed
-    lid = link.lid
-    queue = state._queues.get(lid)
-    if queue is None:
-        slots, starts, finishes = (), (), ()
-    else:
-        slots, starts, finishes = queue.slots, queue.starts, queue.finishes
-    n = len(slots)
-    floor = min_finish - duration
-    lo = est if est >= floor else floor  # == max(est, min_finish - duration)
-
-    # Tail placement is always feasible.  The best candidate is tracked in
-    # plain locals; the OptimalPlacement is built once on return.
-    tail_prev = finishes[-1] if n else 0.0
-    start = tail_prev if tail_prev > lo else lo
-    best_index = n
-    best_start = start
-    best_finish = start + duration
-    best_overflow = 0.0
-    slop = _rounding_slop(n, tail_prev, lo + duration)
-
-    # The scan calls the Lemma-2 slack once per queued slot; inline
-    # :func:`deferrable_time` (same arithmetic) with the state's internals
-    # hoisted, falling back to the methods only to raise their proper errors.
-    next_link_map = state._next_link
-    queues = state._queues
-    hop = comm.hop_delay
-    cut_through = comm.mode == "cut-through"
-
-    accum = 0.0
-    for i in range(n - 1, -1, -1):
-        slot_start = starts[i]
-        gap_after = (starts[i + 1] - finishes[i]) if i + 1 < n else math.inf
-        room = accum + gap_after
-        if room == 0.0:  # repro-lint: disable=FLT001 (exact-zero fast path)
-            # ``min(dt, 0.0)`` is 0.0 for any slack (clamped >= 0), so the
-            # slack lookups can be skipped — back-to-back slots, the common
-            # case in packed queue tails, all take this branch.
-            accum = 0.0
-        else:
-            s = slots[i]
-            try:
-                next_lid = next_link_map[(s.edge, lid)]
-            except KeyError:
-                next_lid = state.next_link_of(s.edge, lid)  # raises the seed error
-            if next_lid is None:
-                dt = 0.0
-            else:
-                try:
-                    nxt = queues[next_lid].by_edge[s.edge]
-                except KeyError:
-                    nxt = state.slot_of(s.edge, next_lid)  # raises the seed error
-                if cut_through:
-                    dt = min(
-                        nxt.start - hop - s.start,
-                        nxt.finish - hop - s.finish,
-                    )
-                else:
-                    dt = nxt.start - hop - s.finish
-                dt = max(0.0, dt)
-            accum = dt if dt < room else room
-        prev_finish = finishes[i - 1] if i > 0 else 0.0
-        start = prev_finish if prev_finish > lo else lo
-        finish = start + duration
-        available = slot_start + accum + EPS
-        # Within rounding distance of the bound, the computed test may admit
-        # a gap whose cascade then overruns a slack by an ulp: admit it only
-        # if the cascade's own test passes (a gap admitted with more margin
-        # always passes it).
-        if finish <= available and (
-            available - finish >= slop
-            or _cascade_fits(state, lid, slots, i, finish, comm)
-        ):
-            overflow = finish - slot_start
-            if overflow < 0.0:
-                overflow = 0.0
-            # Head-most feasible gap == earliest start: keep scanning.
-            best_index = i
-            best_start = start
-            best_finish = finish
-            best_overflow = overflow if overflow < accum else accum
-        elif observing:
-            OBS.metrics.counter("optimal.gap_rejections").inc()
-            OBS.emit(
-                "probe_rejected",
-                t=start,
-                lid=lid,
-                index=i,
-                needed=finish,
-                available=slot_start + accum,
-            )
-    return OptimalPlacement(best_index, best_start, best_finish, best_overflow)
-
-
-def commit_optimal(
-    state: LinkScheduleState,
-    link: Link,
-    edge: EdgeKey,
-    placement: OptimalPlacement,
-    comm: CommModel = CUT_THROUGH,
-) -> None:
-    """Apply a placement: insert the new slot and cascade deferrals.
-
-    Each pushed slot's individual shift is asserted against its Lemma-2 slack
-    (an internal invariant; a violation means the probe's ``accum`` math and
-    the commit disagree — a bug, not a user error).
-    """
-    slots = state.slots(link.lid)
-    new_slot = TimeSlot(edge, placement.start, placement.finish)
-    suffix: list[TimeSlot] = [new_slot]
-    prev_finish = new_slot.finish
-    observing = OBS.on
-    for i in range(placement.index, len(slots)):
-        s = slots[i]
-        if s.start + EPS >= prev_finish:
-            suffix.extend(slots[i:])
-            break
-        delta = prev_finish - s.start
-        slack = deferrable_time(state, link.lid, s, comm)
-        if delta > slack + EPS:
-            raise SchedulingError(
-                f"deferral cascade pushed edge {s.edge} on link {link.lid} by "
-                f"{delta:.12g} but its causality slack is only {slack:.12g}"
-            )
-        moved = s.shifted(delta)
-        suffix.append(moved)
-        prev_finish = moved.finish
-        if observing:
-            OBS.metrics.counter("optimal.deferrals").inc()
-            OBS.metrics.histogram("optimal.deferral_amount").observe(delta)
-            OBS.emit(
-                "slot_deferred",
-                t=moved.start,
-                lid=link.lid,
-                edge=list(s.edge),
-                for_edge=list(edge),
-                delta=delta,
-                slack=slack,
-            )
-    state.replace_suffix(link.lid, placement.index, suffix)
-
-
-def _schedule_edge_optimal_fast(
+def schedule_edge_optimal(
     state: LinkScheduleState,
     edge: EdgeKey,
     route: Route,
     cost: float,
     ready_time: float,
-    comm: CommModel,
+    comm: CommModel = CUT_THROUGH,
 ) -> float:
-    """Obs-off booking loop: :func:`probe_optimal` + :func:`commit_optimal`
-    fused per link.
+    """Book ``edge`` along ``route`` with optimal insertion; return arrival time.
 
-    Bit-identical to the probe/commit pair — the scan and cascade arithmetic
-    are copied verbatim (including error messages); only the per-link
-    function calls, the :class:`OptimalPlacement` allocations (whose
-    ``overflow`` field the commit never reads), and the observability hooks
-    are dropped.
+    Per link, a tail -> head scan finds the head-most feasible gap (formula
+    (3)), which gives the earliest start (Theorem 1); the commit then
+    inserts the new slot and shifts the slots behind it right by exactly
+    the overflow, each within its Lemma-2 slack.  Tail placement is always
+    feasible, so the scan starts from it.
 
-    The scan also stops at the first slot that proves every gap in front of
-    it infeasible, where :func:`probe_optimal` walks on to the head (it
-    reports each rejected gap).  Write ``S_i = starts[i] + accum_i``.  Since
-    ``accum_i <= accum_{i+1} + starts[i+1] - finishes[i]``, exactly
-    ``S_i <= S_{i+1} - (finishes[i] - starts[i]) <= S_{i+1}``: ``S`` never
-    grows toward the head.  Every gap in front of slot ``j`` finishes at
-    ``max(finishes[j-1], lo) + duration >= lo + duration`` (so does its
-    rounded value), so once ``S_i + EPS`` falls below ``lo + duration`` no
-    gap at or before ``i`` can be feasible and the head-most feasible gap is
-    already known.  Rounding can let the computed ``S`` creep up toward the
-    head by two roundings per slot (``starts[i+1] - finishes[i]`` and the
-    ``room`` sum), so the stop compares against ``lo + duration`` less
+    The scan stops at the first slot that proves every gap in front of it
+    infeasible.  Write ``S_i = starts[i] + accum_i``.  Since ``accum_i <=
+    accum_{i+1} + starts[i+1] - finishes[i]``, exactly ``S_i <= S_{i+1} -
+    (finishes[i] - starts[i]) <= S_{i+1}``: ``S`` never grows toward the
+    head.  Every gap in front of slot ``j`` finishes at ``max(finishes[j-1],
+    lo) + duration >= lo + duration`` (so does its rounded value), so once
+    ``S_i + EPS`` falls below ``lo + duration`` no gap at or before ``i``
+    can be feasible and the head-most feasible gap is already known.
+    Rounding can let the computed ``S`` creep up toward the head by two
+    roundings per slot (``starts[i+1] - finishes[i]`` and the ``room``
+    sum), so the stop compares against ``lo + duration`` less
     :func:`_rounding_slop`, which covers those ``2n`` roundings and the few
     in the comparison itself.  Gaps the cascade dry run rejects only shrink
     the feasible set, so the stop stays exact.
+
+    With observability on, each pushed slot adds to ``optimal.deferrals``
+    and ``optimal.deferral_amount`` and emits a ``slot_deferred`` event;
+    the booking adds one ``optimal.probes`` per link, the slots its scans
+    visited to ``optimal.slots_scanned``, and emits ``edge_scheduled``.
     """
+    if ready_time < 0:
+        raise SchedulingError(f"negative ready time {ready_time}")
     if cost < 0:
         raise SchedulingError(f"negative communication cost {cost}")
+    if not route or cost <= 0:
+        state.record_route(edge, ())
+        return ready_time
+    state.record_route(edge, tuple(l.lid for l in route))
+    observing = OBS.on
+    # ``comm.next_constraints`` inlined with the model's fields hoisted out
+    # of the loop (same arithmetic — see CommModel.next_constraints).
     hop = comm.hop_delay
     cut_through = comm.mode == "cut-through"
     queues = state._queues
@@ -324,6 +166,7 @@ def _schedule_edge_optimal_fast(
     est = ready_time
     min_finish = 0.0
     finish = ready_time
+    scanned = 0
     for link in route:
         lid = link.lid
         duration = cost / link.speed
@@ -336,24 +179,30 @@ def _schedule_edge_optimal_fast(
             slots, starts, finishes = queue.slots, queue.starts, queue.finishes
         n = len(slots)
         floor = min_finish - duration
-        lo = est if est >= floor else floor
+        lo = est if est >= floor else floor  # == max(est, min_finish - duration)
         tail_prev = finishes[-1] if n else 0.0
         start = tail_prev if tail_prev > lo else lo
         best_index = n
         best_start = start
         best_finish = start + duration
-        # -- probe scan (see probe_optimal), stopped at the first dead gap --
+        # -- scan, tail -> head, stopped at the first dead gap --
         least_finish = lo + duration
         slop = _rounding_slop(n, tail_prev, least_finish)
         cut = least_finish - slop
         accum = 0.0
+        stop = 0
         for i in range(n - 1, -1, -1):
             slot_start = starts[i]
             gap_after = (starts[i + 1] - finishes[i]) if i + 1 < n else math.inf
             room = accum + gap_after
-            if room == 0.0:  # repro-lint: disable=FLT001 (mirrors probe_optimal)
+            if room == 0.0:  # repro-lint: disable=FLT001 (exact-zero fast path)
+                # ``min(dt, 0.0)`` is 0.0 for any slack (clamped >= 0), so the
+                # slack lookup can be skipped — back-to-back slots, the common
+                # case in packed queue tails, all take this branch.
                 accum = 0.0
             else:
+                # :func:`deferrable_time` inlined (same arithmetic), falling
+                # back to the state's methods only to raise their errors.
                 s = slots[i]
                 try:
                     next_lid = next_link_map[(s.edge, lid)]
@@ -377,18 +226,25 @@ def _schedule_edge_optimal_fast(
                 accum = dt if dt < room else room
             available = slot_start + accum + EPS
             if available < cut:
+                stop = i
                 break
             prev_finish = finishes[i - 1] if i > 0 else 0.0
             start = prev_finish if prev_finish > lo else lo
             fin = start + duration
+            # Within rounding distance of the bound, the computed test may
+            # admit a gap whose cascade then overruns a slack by an ulp:
+            # admit it only if the cascade's own test passes (a gap admitted
+            # with more margin always passes it).
             if fin <= available and (
                 available - fin >= slop
                 or _cascade_fits(state, lid, slots, i, fin, comm)
             ):
+                # Head-most feasible gap == earliest start: keep scanning.
                 best_index = i
                 best_start = start
                 best_finish = fin
-        # -- commit cascade (see commit_optimal) --
+        scanned += n - stop
+        # -- commit: insert, cascading deferrals within each slot's slack --
         new_slot = TimeSlot(edge, best_start, best_finish)
         if best_index == n:
             state.replace_suffix(lid, n, [new_slot])
@@ -403,6 +259,8 @@ def _schedule_edge_optimal_fast(
                 delta = prev_finish - s.start
                 slack = deferrable_time(state, lid, s, comm)
                 if delta > slack + EPS:
+                    # The scan's ``accum`` math and the cascade disagree: a
+                    # bug, not a user error.
                     raise SchedulingError(
                         f"deferral cascade pushed edge {s.edge} on link {lid} by "
                         f"{delta:.12g} but its causality slack is only {slack:.12g}"
@@ -410,6 +268,18 @@ def _schedule_edge_optimal_fast(
                 moved = s.shifted(delta)
                 suffix.append(moved)
                 prev_finish = moved.finish
+                if observing:
+                    OBS.metrics.counter("optimal.deferrals").inc()
+                    OBS.metrics.histogram("optimal.deferral_amount").observe(delta)
+                    OBS.emit(
+                        "slot_deferred",
+                        t=moved.start,
+                        lid=lid,
+                        edge=list(s.edge),
+                        for_edge=list(edge),
+                        delta=delta,
+                        slack=slack,
+                    )
             state.replace_suffix(lid, best_index, suffix)
         finish = best_finish
         if cut_through:
@@ -418,53 +288,17 @@ def _schedule_edge_optimal_fast(
         else:
             est = finish + hop
             min_finish = 0.0
-    return finish
-
-
-def schedule_edge_optimal(
-    state: LinkScheduleState,
-    edge: EdgeKey,
-    route: Route,
-    cost: float,
-    ready_time: float,
-    comm: CommModel = CUT_THROUGH,
-) -> float:
-    """Book ``edge`` along ``route`` with optimal insertion; return arrival time."""
-    if ready_time < 0:
-        raise SchedulingError(f"negative ready time {ready_time}")
-    if cost < 0:
-        raise SchedulingError(f"negative communication cost {cost}")
-    if not route or cost <= 0:
-        state.record_route(edge, ())
-        return ready_time
-    state.record_route(edge, tuple(l.lid for l in route))
-    if not OBS.on:
-        return _schedule_edge_optimal_fast(state, edge, route, cost, ready_time, comm)
-    est = ready_time
-    min_finish = 0.0
-    finish = ready_time
-    # ``comm.next_constraints`` inlined with the model's fields hoisted out of
-    # the loop (same arithmetic — see CommModel.next_constraints).
-    hop = comm.hop_delay
-    cut_through = comm.mode == "cut-through"
-    for link in route:
-        placement = probe_optimal(state, link, cost, est, min_finish, comm)
-        commit_optimal(state, link, edge, placement, comm)
-        finish = placement.finish
-        if cut_through:
-            est = placement.start + hop
-            min_finish = finish + hop
-        else:
-            est = finish + hop
-            min_finish = 0.0
-    OBS.metrics.counter("insertion.edges_scheduled").inc()
-    OBS.emit(
-        "edge_scheduled",
-        t=finish,
-        edge=list(edge),
-        policy="optimal",
-        links=[l.lid for l in route],
-        ready=ready_time,
-        arrival=finish,
-    )
+    if observing:
+        OBS.metrics.counter("optimal.probes").inc(len(route))
+        OBS.metrics.counter("optimal.slots_scanned").inc(scanned)
+        OBS.metrics.counter("insertion.edges_scheduled").inc()
+        OBS.emit(
+            "edge_scheduled",
+            t=finish,
+            edge=list(edge),
+            policy="optimal",
+            links=[l.lid for l in route],
+            ready=ready_time,
+            arrival=finish,
+        )
     return finish

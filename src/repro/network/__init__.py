@@ -24,7 +24,6 @@ from repro.network.builders import (
 from repro.network.routing import (
     HierarchicalRouter,
     bfs_route,
-    dijkstra_route,
     equal_cost_routes,
 )
 from repro.network.fabrics import (
@@ -59,7 +58,6 @@ __all__ = [
     "torus3d",
     "dragonfly",
     "bfs_route",
-    "dijkstra_route",
     "equal_cost_routes",
     "HierarchicalRouter",
     "FabricCounts",

@@ -4,10 +4,14 @@ Two routing policies, matching the paper:
 
 - :func:`bfs_route` — BA's *minimal routing*: shortest path in hop count,
   found by breadth-first search.  Static: ignores link speeds and load.
-- :func:`dijkstra_route` — OIHSA/BBSA's *modified routing*: Dijkstra where
-  relaxing a link asks a caller-supplied probe "when would this communication
-  finish on this link, given the current link schedules, if it becomes
-  available at time t?".  The route therefore adapts to live contention.
+- OIHSA/BBSA's *modified routing*: Dijkstra where relaxing a link asks "when
+  would this communication finish on this link, given the current link
+  schedules, if it becomes available at time t?", so the route adapts to
+  live contention.  The answer depends on each scheduler's link model, so
+  each scheduler owns its search, with its probe inlined into the relax
+  loop: :func:`repro.core.oihsa._dijkstra_indexed` (slot queues) and
+  :func:`repro.core.bbsa._dijkstra_fluid` (fluid bandwidth).  Both check
+  their endpoints and report to :mod:`repro.obs` through the helpers here.
 
 Both tie-break deterministically (lowest link id wins) so schedules are
 reproducible.
@@ -30,16 +34,12 @@ On top of the flat searches sits the datacenter-fabric layer:
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
-from typing import Callable, Protocol
+from typing import Protocol
 
 from repro.exceptions import RoutingError
 from repro.network.topology import Link, NetworkTopology, Route
 from repro.obs import OBS
 from repro.types import VertexId
-
-#: probe(link, ready_time) -> finish time of the communication on that link.
-LinkProbe = Callable[[Link, float], float]
 
 
 def _check_endpoints(net: NetworkTopology, src: VertexId, dst: VertexId) -> None:
@@ -132,154 +132,42 @@ def bfs_route(net: NetworkTopology, src: VertexId, dst: VertexId) -> Route:
     return route
 
 
-#: label used for unlabeled vertices; module-level so identity comparison
-#: distinguishes "never labeled" without allocating per relaxation
-_UNLABELED: tuple[float, int] = (float("inf"), 0)
-
-
-def dijkstra_route(
-    net: NetworkTopology,
+def _report_dijkstra(
+    route: Route,
     src: VertexId,
     dst: VertexId,
-    ready_time: float,
-    probe: LinkProbe,
-    lower_bound: LinkProbe | None = None,
-) -> Route:
-    """Contention-aware route: minimize the communication's arrival time.
+    arrival: float,
+    probes: int,
+    cutoffs: int,
+    probe_counter: str,
+) -> None:
+    """Report one modified-routing search (a no-op with observability off).
 
-    ``probe(link, t)`` must return the finish time of the communication on
-    ``link`` when the data is available to enter the link at time ``t``; it
-    must be monotone in ``t`` (later availability never finishes earlier),
-    which holds for every insertion policy in :mod:`repro.linksched`.  Under
-    that assumption this is a standard label-setting Dijkstra on arrival
-    times.
-
-    ``lower_bound(link, t)``, when given, must return a value ``<=``
-    ``probe(link, t)`` (typically the contention-free ``t + cost / speed``).
-    When even the bound cannot improve the target vertex's current label,
-    the (much more expensive) ``probe`` is skipped.  Because the actual
-    arrival can only be later, the skipped relaxation could never have
-    updated the label — routes are unchanged.  The bound also prunes
-    against the **destination's** current label: an update whose bound is
-    *strictly* above it would give its target a label that pops only after
-    ``dst``, where the search stops, so skipping it changes neither the
-    popped-vertex sequence nor the returned route (ties are never pruned
-    this way — an equal-arrival label with fewer hops can still pop first
-    and matter).  Against an unlabeled target the bound alone can never
-    prune, so it is skipped there — except while observability is on,
-    where the callable is invoked on every relaxation so callers may hang
-    per-relaxation bookkeeping (probe counters) on it.
-
-    Equal arrival times are broken toward **fewer hops**: with cut-through
-    communication an idle detour often finishes exactly when the direct
-    route does, and preferring the short route avoids squandering link
-    capacity that later edges will need (the paper's "route paths with
-    relatively low network workload").
-
-    **Dead ends** are never probed.  A vertex ``v != dst`` whose every
-    out-link leads back to the vertex ``u`` it is relaxed from
-    (:meth:`~repro.network.topology.NetworkTopology.sole_out_neighbours`) —
-    on the paper's random WAN, every processor but the two endpoints — cannot
-    lie on any route: its label would only ever be read by a relaxation back
-    into ``u``, which is already settled.  Skipping it leaves every other
-    label, the destination bound, the pop order of the remaining vertices
-    and the returned route unchanged.
+    The fused searches count in local integers and hand the totals over
+    once per call: ``probes`` link probes made and ``cutoffs`` relaxations
+    a lower bound pruned, so ``routing.relaxations`` is their sum and
+    ``probe_counter`` (the scheduler's probe metric) gets ``probes``.
     """
-    _check_endpoints(net, src, dst)
-    if src == dst:
-        return []
-    if ready_time < 0:
-        raise RoutingError(f"negative ready time {ready_time}")
-    # Vertex ids are dense ``0..n-1`` (sequential assignment, no removal), so
-    # labels, parents, and the done flags live in flat arrays — the relax
-    # loop's inner reads are list indexing instead of dict/set lookups.
-    n = net.num_vertices
-    inf = _UNLABELED[0]
-    dist_t: list[float] = [inf] * n
-    dist_h: list[int] = [0] * n
-    parent_v: list[VertexId] = [-1] * n
-    parent_l: list[Link | None] = [None] * n
-    done = bytearray(n)
-    dist_t[src] = ready_time
-    # Heap entries carry (arrival, hops, vertex id); hops then vertex id are
-    # the deterministic tie-breaks.
-    heap: list[tuple[float, int, VertexId]] = [(ready_time, 0, src)]
-    relaxations = 0
-    cutoffs = 0
-    dead_ends = 0
-    out_links = net.sorted_out_links
-    sole = net.sole_out_neighbours()
-    obs_on = OBS.on
-    has_bound = lower_bound is not None
-    best_dst = inf
-    while heap:
-        d, hops, u = heappop(heap)
-        if done[u]:
-            continue
-        done[u] = 1
-        if u == dst:
-            break
-        nh = hops + 1
-        for link, v in out_links(u):
-            if done[v]:
-                continue
-            if sole[v] == u and v != dst:
-                dead_ends += 1
-                continue
-            relaxations += 1
-            cur_t = dist_t[v]
-            if has_bound and (cur_t != inf or best_dst != inf or obs_on):
-                # Tuple-free ``(lower_bound, nh) >= (cur_t, cur_h)``
-                # comparison, plus the strictly-worse-than-destination prune
-                # (see docstring).
-                lb = lower_bound(link, d)
-                if lb > cur_t or (lb == cur_t and nh >= dist_h[v]) or lb > best_dst:
-                    cutoffs += 1
-                    continue
-            arrival = probe(link, d)
-            if arrival < d:
-                raise RoutingError(
-                    f"probe on link {link.lid} returned arrival {arrival} earlier "
-                    f"than availability {d}"
-                )
-            if arrival < cur_t or (arrival == cur_t and nh < dist_h[v]):
-                dist_t[v] = arrival
-                dist_h[v] = nh
-                parent_v[v] = u
-                parent_l[v] = link
-                heappush(heap, (arrival, nh, v))
-                if v == dst:
-                    best_dst = arrival
-    if parent_l[dst] is None:
-        raise RoutingError(
-            f"no route from processor {src} to {dst} in topology {net.name!r}"
-        )
-    route: Route = []
-    cur = dst
-    while cur != src:
-        route.append(parent_l[cur])
-        cur = parent_v[cur]
-    route.reverse()
     if OBS.on:
-        OBS.metrics.counter("routing.dijkstra_routes").inc()
-        OBS.metrics.counter("routing.relaxations").inc(relaxations)
+        metrics = OBS.metrics
+        relaxations = probes + cutoffs
+        metrics.counter("routing.dijkstra_routes").inc()
+        metrics.counter("routing.relaxations").inc(relaxations)
         if cutoffs:
-            OBS.metrics.counter("routing.probe_cutoffs").inc(cutoffs)
-        if dead_ends:
-            OBS.metrics.counter("routing.dead_end_skips").inc(dead_ends)
-        OBS.metrics.histogram("routing.route_length").observe(float(len(route)))
+            metrics.counter("routing.probe_cutoffs").inc(cutoffs)
+        metrics.counter(probe_counter).inc(probes)
+        metrics.histogram("routing.route_length").observe(float(len(route)))
         OBS.emit(
             "route_probed",
-            t=dist_t[dst],
+            t=arrival,
             policy="dijkstra",
             src=src,
             dst=dst,
             hops=len(route),
             relaxations=relaxations,
-            arrival=dist_t[dst],
+            arrival=arrival,
             links=[l.lid for l in route],
         )
-    return route
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ Event kinds (the taxonomy is closed; see ``docs/observability.md``):
                           its causality slack (OIHSA, Lemma 2)
 ``processor_chosen``      the scheduler fixed a task's processor
 ``task_placed``           a task was booked on a processor timeline
-``probe_rejected``        a candidate gap failed the feasibility test
-                          (formula (3)) during an optimal-insertion scan
 ========================  =====================================================
 
 Sinks decide where events go: :class:`NullSink` drops them (profiling runs
@@ -41,7 +39,6 @@ EVENT_KINDS = frozenset(
         "slot_deferred",
         "processor_chosen",
         "task_placed",
-        "probe_rejected",
     }
 )
 

@@ -9,9 +9,8 @@ Perfetto's default pid interleaving.  Load the file in Perfetto or
 
 When the schedule carries an observability capture (``schedule.stats`` from
 an :mod:`repro.obs`-enabled run), timestamped decision events — slot
-deferrals, rejected insertion probes, task placements — are rendered as
-instant events on the lane they refer to, so the *why* of the schedule shows
-up alongside the Gantt.
+deferrals and task placements — are rendered as instant events on the lane
+they refer to, so the *why* of the schedule shows up alongside the Gantt.
 """
 
 from __future__ import annotations

@@ -1,17 +1,25 @@
 """Naive reference implementations retained for differential testing.
 
-PR "scheduler hot-path overhaul" replaced three substrate pieces with faster
+The scheduler hot paths replaced four substrate pieces with faster
 equivalents that must be *bit-identical* in behavior:
 
 - the linear ``find_gap`` scan      -> bisecting ``find_gap_indexed``,
 - copy-on-write transactions        -> undo-log transactions,
 - dict-labeled BFS/Dijkstra search  -> flat-array search with lower-bound
-  pruning and inlined probes.
+  pruning, dead-end skips and inlined probes,
+- the full tail -> head optimal-insertion scan -> the scan that stops at
+  the first provably dead gap.
 
 This module keeps the original (seed) algorithms alive so Hypothesis can
 drive both implementations through identical call sequences and compare
 results exactly.  The code is intentionally the straightforward version —
 clarity over speed — and must not be "optimized": it *is* the oracle.
+
+``naive_dijkstra_indexed`` and ``naive_dijkstra_fluid`` take the signatures
+of OIHSA's and BBSA's fused searches, so a test can patch them over
+``repro.core.oihsa._dijkstra_indexed`` / ``repro.core.bbsa._dijkstra_fluid``;
+``naive_schedule_edge_optimal`` likewise stands in for
+``repro.linksched.optimal_insertion.schedule_edge_optimal``.
 
 ``NaiveLinkScheduleState`` mirrors :class:`repro.linksched.state
 .LinkScheduleState`'s full surface (including the ``_queues`` internals the
@@ -30,30 +38,44 @@ breakpoint, and the hop-to-hop pass never skipped.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from heapq import heappop, heappush
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.core.mapping import simulate_mapping
 from repro.core.schedule import Schedule
 from repro.exceptions import RoutingError, SchedulingError, ValidationError
+from repro.linksched.bandwidth import BandwidthProfile, Cumulative, forward_through_link
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
+from repro.linksched.optimal_insertion import (
+    _cascade_fits,
+    _rounding_slop,
+    deferrable_time,
+)
 from repro.linksched.slots import TimeSlot, insert_slot
 from repro.linksched.slots import find_gap as linear_find_gap
-from repro.network.routing import LinkProbe, _check_endpoints
+from repro.linksched.state import LinkScheduleState, _LinkQueue
+from repro.network.routing import _check_endpoints
 from repro.network.topology import Link, NetworkTopology, Route
 from repro.obs import OBS
 from repro.taskgraph.graph import TaskGraph
-from repro.types import EdgeKey, LinkId, TaskId, VertexId
+from repro.types import EPS, EdgeKey, LinkId, TaskId, VertexId
 
 __all__ = [
     "FullResimulationEvaluator",
     "NaiveLinkScheduleState",
     "linear_find_gap",
     "naive_bfs_route",
+    "naive_dijkstra_fluid",
+    "naive_dijkstra_indexed",
     "naive_dijkstra_route",
+    "naive_schedule_edge_optimal",
     "naive_validate_bandwidth",
 ]
+
+#: probe(link, ready_time) -> finish time of the communication on that link.
+LinkProbe = Callable[[Link, float], float]
 
 
 # ---------------------------------------------------------------------------
@@ -97,21 +119,27 @@ def naive_bfs_route(net: NetworkTopology, src: VertexId, dst: VertexId) -> Route
     return route
 
 
+def _dead_end(net: NetworkTopology, v: VertexId, u: VertexId) -> bool:
+    """Whether every out-link of ``v`` leads back to ``u`` (and there is one)."""
+    return {w for _, w in net.out_links(v)} == {u}
+
+
 def naive_dijkstra_route(
     net: NetworkTopology,
     src: VertexId,
     dst: VertexId,
     ready_time: float,
     probe: LinkProbe,
-    lower_bound: LinkProbe | None = None,
 ) -> Route:
     """The seed's Dijkstra: every relaxation calls ``probe``, no cutoffs.
 
     The reference never prunes — no lower-bound cutoffs, no dead-end skips —
-    which is exactly what makes it an oracle for the pruned search.
-    ``lower_bound``'s value is never used; while observability is on it is
-    still called once per relaxation, as ``dijkstra_route`` promises its
-    callers, because schedulers hang their probe counters on it.
+    which is exactly what makes it an oracle for the pruned search.  While
+    observability is on it counts its relaxations, and in
+    ``routing.dead_end_relaxations`` those into a dead end (a vertex other
+    than ``dst`` whose every out-link leads back to the vertex it is relaxed
+    from), which the pruned search skips: the difference is the pruned
+    search's ``routing.relaxations``.
     """
     _check_endpoints(net, src, dst)
     if src == dst:
@@ -123,6 +151,7 @@ def naive_dijkstra_route(
     done: set[VertexId] = set()
     heap: list[tuple[float, int, VertexId]] = [(ready_time, 0, src)]
     relaxations = 0
+    dead_ends = 0
     while heap:
         d, hops, u = heappop(heap)
         if u in done:
@@ -134,8 +163,8 @@ def naive_dijkstra_route(
             if v in done:
                 continue
             relaxations += 1
-            if lower_bound is not None and OBS.on:
-                lower_bound(link, d)
+            if v != dst and _dead_end(net, v, u):
+                dead_ends += 1
             arrival = probe(link, d)
             if arrival < d:
                 raise RoutingError(
@@ -161,8 +190,164 @@ def naive_dijkstra_route(
     if OBS.on:
         OBS.metrics.counter("routing.dijkstra_routes").inc()
         OBS.metrics.counter("routing.relaxations").inc(relaxations)
+        if dead_ends:
+            OBS.metrics.counter("routing.dead_end_relaxations").inc(dead_ends)
         OBS.metrics.histogram("routing.route_length").observe(float(len(route)))
     return route
+
+
+def naive_dijkstra_indexed(
+    net: NetworkTopology,
+    src: VertexId,
+    dst: VertexId,
+    ready_time: float,
+    cost: float,
+    queues: Mapping[LinkId, _LinkQueue | _NaiveQueue],
+) -> Route:
+    """OIHSA's routing as the seed ran it: :func:`naive_dijkstra_route`
+    probing each link with the linear gap scan (``insertion.probes`` counts
+    the probes while observability is on)."""
+
+    def probe(link: Link, t: float) -> float:
+        if OBS.on:
+            OBS.metrics.counter("insertion.probes").inc()
+        queue = queues.get(link.lid)
+        slots = queue.slots if queue is not None else []
+        return linear_find_gap(slots, cost / link.speed, t)[2]
+
+    return naive_dijkstra_route(net, src, dst, ready_time, probe)
+
+
+def naive_dijkstra_fluid(
+    net: NetworkTopology,
+    src: VertexId,
+    dst: VertexId,
+    ready_time: float,
+    cost: float,
+    profiles: Mapping[LinkId, BandwidthProfile],
+    tiny: bool,
+) -> Route:
+    """BBSA's routing as the seed ran it: :func:`naive_dijkstra_route`
+    probing each link with the general fluid sweep (a step arrival forwarded
+    through :func:`forward_through_link`); a ``tiny`` volume arrives when it
+    is ready, as in ``BandwidthLinkState.probe_link``."""
+
+    def probe(link: Link, t: float) -> float:
+        if OBS.on:
+            OBS.metrics.counter("bandwidth.probes").inc()
+        if tiny:
+            return t
+        profile = profiles.get(link.lid) or BandwidthProfile()
+        departure, _ = forward_through_link(
+            profile, Cumulative.step(t, cost), link.speed
+        )
+        return departure.finish_time()
+
+    return naive_dijkstra_route(net, src, dst, ready_time, probe)
+
+
+# ---------------------------------------------------------------------------
+# Optimal insertion: the full tail -> head scan, then the commit cascade.
+# ---------------------------------------------------------------------------
+
+
+def _naive_probe_optimal(
+    state: LinkScheduleState | NaiveLinkScheduleState,
+    link: Link,
+    cost: float,
+    est: float,
+    min_finish: float,
+    comm: CommModel,
+) -> tuple[int, float, float]:
+    """``(index, start, finish)`` of the head-most feasible gap on ``link``.
+
+    Scans every queued slot from tail to head, evaluating formula (3) at
+    each gap (the production scan stops at the first provably dead one).
+    The rounding guard is production's: within ``_rounding_slop`` of the
+    bound a gap is admitted only if its cascade's dry run fits.
+    """
+    duration = cost / link.speed
+    lid = link.lid
+    slots = state.slots(lid)
+    n = len(slots)
+    lo = max(est, min_finish - duration)
+    tail_prev = slots[-1].finish if n else 0.0
+    start = max(lo, tail_prev)
+    best = (n, start, start + duration)
+    slop = _rounding_slop(n, tail_prev, lo + duration)
+    accum = 0.0
+    for i in range(n - 1, -1, -1):
+        s = slots[i]
+        gap_after = slots[i + 1].start - s.finish if i + 1 < n else math.inf
+        accum = min(deferrable_time(state, lid, s, comm), accum + gap_after)
+        prev_finish = slots[i - 1].finish if i > 0 else 0.0
+        start = max(lo, prev_finish)
+        finish = start + duration
+        available = s.start + accum + EPS
+        if finish <= available and (
+            available - finish >= slop
+            or _cascade_fits(state, lid, slots, i, finish, comm)
+        ):
+            best = (i, start, finish)
+    return best
+
+
+def _naive_commit_optimal(
+    state: LinkScheduleState | NaiveLinkScheduleState,
+    lid: LinkId,
+    edge: EdgeKey,
+    placement: tuple[int, float, float],
+    comm: CommModel,
+) -> None:
+    """Insert the new slot at ``placement`` and cascade the deferrals."""
+    index, start, finish = placement
+    slots = state.slots(lid)
+    suffix: list[TimeSlot] = [TimeSlot(edge, start, finish)]
+    prev_finish = finish
+    for i in range(index, len(slots)):
+        s = slots[i]
+        if s.start + EPS >= prev_finish:
+            suffix.extend(slots[i:])
+            break
+        delta = prev_finish - s.start
+        slack = deferrable_time(state, lid, s, comm)
+        if delta > slack + EPS:
+            raise SchedulingError(
+                f"deferral cascade pushed edge {s.edge} on link {lid} by "
+                f"{delta:.12g} but its causality slack is only {slack:.12g}"
+            )
+        moved = s.shifted(delta)
+        suffix.append(moved)
+        prev_finish = moved.finish
+    state.replace_suffix(lid, index, suffix)
+
+
+def naive_schedule_edge_optimal(
+    state: LinkScheduleState | NaiveLinkScheduleState,
+    edge: EdgeKey,
+    route: Route,
+    cost: float,
+    ready_time: float,
+    comm: CommModel = CUT_THROUGH,
+) -> float:
+    """Optimal insertion with the full scan: probe, then commit, per link."""
+    if ready_time < 0:
+        raise SchedulingError(f"negative ready time {ready_time}")
+    if cost < 0:
+        raise SchedulingError(f"negative communication cost {cost}")
+    if not route or cost <= 0:
+        state.record_route(edge, ())
+        return ready_time
+    state.record_route(edge, tuple(l.lid for l in route))
+    est = ready_time
+    min_finish = 0.0
+    finish = ready_time
+    for link in route:
+        placement = _naive_probe_optimal(state, link, cost, est, min_finish, comm)
+        _naive_commit_optimal(state, link.lid, edge, placement, comm)
+        _, start, finish = placement
+        est, min_finish = comm.next_constraints(start, finish)
+    return finish
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,33 @@ class TestExplainCli:
         assert "critical path" in names
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be opened fails before any scheduling:
+    one line on stderr, nothing on stdout, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schedule", "--tasks", "8", "--procs", "4", "--trace-out"],
+            ["explain", "--tasks", "8", "--procs", "4", "--trace-out"],
+            ["export", "--tasks", "8", "--procs", "4", "--format", "json"],
+        ],
+        ids=["schedule", "explain", "export"],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        path = str(tmp_path / "missing-dir" / "out")
+        if argv[0] == "export":
+            argv = ["export", path] + argv[1:]
+        else:
+            argv = argv + [path]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"repro: cannot write {path}: No such file or directory"
+        ]
+
+
 def _ledger_run_id(err: str) -> str:
     for line in err.splitlines():
         if line.startswith("[ledger] run "):

@@ -7,13 +7,13 @@ changes nothing but the work done, so this module checks, exactly:
 
 1. the sole-neighbour table the skip reads, and its invalidation;
 2. for every ordered processor pair, against live link state captured in
-   the middle of a real OIHSA / BBSA run, the route of both the obs-off
-   fused search and the obs-on generic search equals the route of the
-   unpruned :func:`tests.naive_reference.naive_dijkstra_route` driven by
-   the linear gap scan (OIHSA) or the general fluid sweep (BBSA);
-3. every skipped dead end is a relaxation the reference performs:
-   ``routing.relaxations + routing.dead_end_skips`` equals the reference's
-   relaxation count.
+   the middle of a real OIHSA / BBSA run, the route of the fused search
+   equals the route of the unpruned
+   :func:`tests.naive_reference.naive_dijkstra_route` driven by the linear
+   gap scan (OIHSA) or the general fluid sweep (BBSA);
+3. the only relaxations the fused search skips are dead ends: its
+   ``routing.relaxations`` equals the reference's relaxations less the
+   reference's ``routing.dead_end_relaxations``.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ import repro.core.oihsa as oihsa_mod
 from repro import obs
 from repro.core.bbsa import BBSAScheduler
 from repro.core.oihsa import OIHSAScheduler
-from repro.linksched.bandwidth import (
-    BandwidthLinkState,
-    Cumulative,
-    forward_through_link,
-)
-from repro.linksched.slots import find_gap
+from repro.linksched.bandwidth import BandwidthLinkState, _FEPS
 from repro.linksched.state import LinkScheduleState
 from repro.network.builders import (
     linear_array,
@@ -42,7 +37,7 @@ from repro.network.builders import (
 )
 from repro.network.topology import NetworkTopology
 from repro.taskgraph.generators import random_layered_dag
-from tests.naive_reference import naive_dijkstra_route
+from tests.naive_reference import naive_dijkstra_fluid, naive_dijkstra_indexed
 
 ROUTES = settings(
     max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -171,21 +166,20 @@ def _counted(fn) -> tuple[object, dict]:
     return result, counters
 
 
-def _assert_all_pairs_match(net, sched, oracle_probe, ready, cost):
+def _assert_all_pairs_match(net, sched, ready, cost, oracle):
+    """``oracle(src, dst)`` runs the reference search on the same state."""
     procs = [p.vid for p in net.processors()]
     for src in procs:
         for dst in procs:
             if src == dst:
                 continue
-            expected, ref = _counted(
-                lambda: naive_dijkstra_route(net, src, dst, ready, oracle_probe)
-            )
-            assert sched._route(net, src, dst, cost, ready) == expected
+            expected, ref = _counted(lambda: oracle(src, dst))
             route, got = _counted(lambda: sched._route(net, src, dst, cost, ready))
             assert route == expected, (src, dst)
-            assert got.get("routing.relaxations", 0) + got.get(
-                "routing.dead_end_skips", 0
-            ) == ref.get("routing.relaxations", 0), (src, dst)
+            skipped = ref.get("routing.dead_end_relaxations", 0)
+            assert got["routing.relaxations"] == (
+                ref["routing.relaxations"] - skipped
+            ), (src, dst)
 
 
 class TestPrunedMatchesNaive:
@@ -201,11 +195,10 @@ class TestPrunedMatchesNaive:
         lstate._queues = queues
         sched = OIHSAScheduler()
         sched._lstate = lstate
-
-        def oracle_probe(link, t):
-            return find_gap(lstate.slots(link.lid), cost / link.speed, t)[2]
-
-        _assert_all_pairs_match(net, sched, oracle_probe, ready, cost)
+        _assert_all_pairs_match(
+            net, sched, ready, cost,
+            lambda src, dst: naive_dijkstra_indexed(net, src, dst, ready, cost, queues),
+        )
 
     @ROUTES
     @given(net=topologies, graph=graphs, call_index=st.integers(0, 40))
@@ -215,17 +208,14 @@ class TestPrunedMatchesNaive:
             lambda: BBSAScheduler().schedule(graph, net), call_index,
         )
         profiles, ready, cost = captured if captured else ({}, 0.0, 10.0)
-        bstate = BandwidthLinkState(_profiles=profiles)
         sched = BBSAScheduler()
-        sched._bstate = bstate
-
-        def oracle_probe(link, t):
-            departure, _ = forward_through_link(
-                bstate.profile(link.lid), Cumulative.step(t, cost), link.speed
-            )
-            return departure.finish_time()
-
-        _assert_all_pairs_match(net, sched, oracle_probe, ready, cost)
+        sched._bstate = BandwidthLinkState(_profiles=profiles)
+        _assert_all_pairs_match(
+            net, sched, ready, cost,
+            lambda src, dst: naive_dijkstra_fluid(
+                net, src, dst, ready, cost, profiles, cost <= _FEPS
+            ),
+        )
 
 
 @pytest.mark.parametrize("src_end", [True, False])
@@ -238,6 +228,11 @@ def test_leaf_end_is_routed_to_and_from(src_end):
     sched = OIHSAScheduler()
     route, counters = _counted(lambda: sched._route(net, src, dst, 5.0, 0.0))
     assert len(route) == 3
-    assert "routing.dead_end_skips" not in counters  # nothing to skip end to end
+    assert counters["routing.relaxations"] == 3  # nothing to skip end to end
     _, counters = _counted(lambda: sched._route(net, ids[1], ids[2], 5.0, 0.0))
-    assert counters["routing.dead_end_skips"] == 1  # ids[0] from ids[1]
+    assert counters["routing.relaxations"] == 1  # ids[0] skipped from ids[1]
+    _, ref = _counted(
+        lambda: naive_dijkstra_indexed(net, ids[1], ids[2], 0.0, 5.0, {})
+    )
+    assert ref["routing.relaxations"] == 2
+    assert ref["routing.dead_end_relaxations"] == 1

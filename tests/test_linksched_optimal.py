@@ -5,12 +5,8 @@ import pytest
 from repro.exceptions import SchedulingError
 from repro.linksched.causality import check_route_causality
 from repro.linksched.insertion import schedule_edge_basic
-from repro.linksched.optimal_insertion import (
-    deferrable_time,
-    probe_optimal,
-    schedule_edge_optimal,
-)
-from repro.linksched.slots import check_queue_invariants
+from repro.linksched.optimal_insertion import deferrable_time, schedule_edge_optimal
+from repro.linksched.slots import TimeSlot, check_queue_invariants
 from repro.linksched.state import LinkScheduleState
 from repro.network.builders import linear_array
 from repro.network.routing import bfs_route
@@ -44,27 +40,40 @@ class TestDeferrableTime:
         assert deferrable_time(state, route[0].lid, first_slot) == 10.0
 
 
+def placement(state, lid, edge):
+    """``(index, start, finish)`` of ``edge``'s slot in link ``lid``'s queue."""
+    slots = state.slots(lid)
+    index = [s.edge for s in slots].index(edge)
+    return index, slots[index].start, slots[index].finish
+
+
 class TestProbeOptimal:
+    """Where the per-link scan places a new slot, read back from the queue."""
+
     def test_empty_link_matches_basic(self):
         net, ps = three_procs(link_speed=2.0)
         route = bfs_route(net, ps[0], ps[1])
         state = LinkScheduleState()
-        placement = probe_optimal(state, route[0], 10.0, est=3.0)
-        assert (placement.index, placement.start, placement.finish) == (0, 3.0, 8.0)
-        assert placement.overflow == 0.0
+        schedule_edge_optimal(state, (1, 2), route, 10.0, 3.0)
+        assert placement(state, route[0].lid, (1, 2)) == (0, 3.0, 8.0)
+        assert len(state.slots(route[0].lid)) == 1
 
     def test_min_finish_respected(self):
-        net, ps = three_procs()
-        route = bfs_route(net, ps[0], ps[1])
-        placement = probe_optimal(LinkScheduleState(), route[0], 4.0, est=0.0, min_finish=10.0)
-        assert placement.finish == 10.0
-        assert placement.start == 6.0
+        # The first link (speed 0.25) finishes the transfer at 16, so on the
+        # second it may not finish earlier: it starts at 16 - 4, not at 0.
+        net = linear_array(3, link_speed=iter([0.25, 1.0]).__next__)
+        ps = [p.vid for p in net.processors()]
+        route = bfs_route(net, ps[0], ps[2])
+        state = LinkScheduleState()
+        assert schedule_edge_optimal(state, (1, 2), route, 4.0, 0.0) == 16.0
+        assert placement(state, route[0].lid, (1, 2)) == (0, 0.0, 16.0)
+        assert placement(state, route[1].lid, (1, 2)) == (0, 12.0, 16.0)
 
     def test_negative_cost_rejected(self):
         net, ps = three_procs()
         route = bfs_route(net, ps[0], ps[1])
         with pytest.raises(SchedulingError):
-            probe_optimal(LinkScheduleState(), route[0], -2.0, est=0.0)
+            schedule_edge_optimal(LinkScheduleState(), (1, 2), route, -2.0, 0.0)
 
     def test_defers_blocking_slot(self):
         net, ps = three_procs()
@@ -75,16 +84,13 @@ class TestProbeOptimal:
         # is [0, 10) but its next-link slot is at [20, 30) -> slack 20.
         schedule_edge_basic(state, (9, 9), [route02[1]], 10.0, 20.0)
         state.record_route((5, 5), (lid0, route02[1].lid))
-        from repro.linksched.slots import TimeSlot
-
         state.insert(lid0, 0, TimeSlot((5, 5), 0.0, 10.0))
         state.insert(route02[1].lid, 1, TimeSlot((5, 5), 30.0, 40.0))
         # New 6-long transfer with est=0: basic insertion would append at 10,
-        # optimal insertion defers (5,5) and starts at 0.
-        placement = probe_optimal(state, route02[0], 6.0, est=0.0)
-        assert placement.index == 0
-        assert placement.start == 0.0
-        assert placement.overflow == 6.0
+        # optimal insertion defers (5,5) by the overflow 6 and starts at 0.
+        schedule_edge_optimal(state, (1, 2), [route02[0]], 6.0, 0.0)
+        assert placement(state, lid0, (1, 2)) == (0, 0.0, 6.0)
+        assert placement(state, lid0, (5, 5)) == (1, 6.0, 16.0)
 
 
 class TestScheduleEdgeOptimal:
@@ -131,7 +137,6 @@ class TestScheduleEdgeOptimal:
         net, ps = three_procs()
         route = bfs_route(net, ps[0], ps[2])
         lid0, lid1 = route[0].lid, route[1].lid
-        from repro.linksched.slots import TimeSlot
 
         state = LinkScheduleState()
         # Two occupants back-to-back on link 0, each with ample slack on link 1.
@@ -151,7 +156,6 @@ class TestScheduleEdgeOptimal:
         net, ps = three_procs()
         route = bfs_route(net, ps[0], ps[2])
         lid0, lid1 = route[0].lid, route[1].lid
-        from repro.linksched.slots import TimeSlot
 
         state = LinkScheduleState()
         # Occupant 1 at [0, 4) with slack, occupant 2 far away at [100, 104).
@@ -168,7 +172,6 @@ class TestScheduleEdgeOptimal:
         net, ps = three_procs()
         route = bfs_route(net, ps[0], ps[2])
         lid0, lid1 = route[0].lid, route[1].lid
-        from repro.linksched.slots import TimeSlot
 
         state = LinkScheduleState()
         # Occupant [0, 4) has exactly 2 units of slack: its next-link slot is
@@ -187,7 +190,6 @@ class TestScheduleEdgeOptimal:
         net, ps = three_procs()
         route = bfs_route(net, ps[0], ps[2])
         lid0, lid1 = route[0].lid, route[1].lid
-        from repro.linksched.slots import TimeSlot
 
         state = LinkScheduleState()
         edge = (9, 9)

@@ -1,8 +1,13 @@
-"""Unit tests for repro.network.routing (BFS + contention-aware Dijkstra)."""
+"""Unit tests for route search: BFS (repro.network.routing) and OIHSA's
+contention-aware Dijkstra (repro.core.oihsa._dijkstra_indexed)."""
 
 import pytest
 
+from repro import obs
+from repro.core.oihsa import _dijkstra_indexed
 from repro.exceptions import RoutingError
+from repro.linksched.insertion import schedule_edge_basic
+from repro.linksched.state import LinkScheduleState
 from repro.network.builders import (
     fully_connected,
     linear_array,
@@ -10,7 +15,7 @@ from repro.network.builders import (
     shared_bus,
     switched_cluster,
 )
-from repro.network.routing import bfs_route, dijkstra_route
+from repro.network.routing import bfs_route
 from repro.network.topology import NetworkTopology
 
 
@@ -79,74 +84,68 @@ class TestBfs:
 
 
 class TestDijkstra:
-    @staticmethod
-    def _uniform_probe(duration):
-        return lambda link, t: t + duration
+    """With no slots booked every link is idle, so a transfer of ``cost``
+    takes ``cost / speed`` per link: unit links and unit cost make the
+    arrival time the hop count."""
 
     def test_same_processor_empty(self, net4):
         p = net4.processors()[0].vid
-        assert dijkstra_route(net4, p, p, 0.0, self._uniform_probe(1.0)) == []
+        assert _dijkstra_indexed(net4, p, p, 0.0, 1.0, {}) == []
 
     def test_matches_bfs_under_uniform_cost(self):
         net = random_wan(20, rng=11)
         ps = [p.vid for p in net.processors()]
         bfs = bfs_route(net, ps[0], ps[7])
-        dij = dijkstra_route(net, ps[0], ps[7], 0.0, self._uniform_probe(1.0))
+        dij = _dijkstra_indexed(net, ps[0], ps[7], 0.0, 1.0, {})
         assert len(dij) == len(bfs)
 
     def test_avoids_loaded_link(self):
-        # Triangle: direct a-b link is "busy" (slow probe); detour via c wins.
+        # Triangle: the direct a-b link is busy over [0, 10); the detour via
+        # c arrives at 2, the direct link not before 11.
         net = fully_connected(3)
         a, b, c = (p.vid for p in net.processors())
-        direct = {l.lid for l, v in net.out_links(a) if v == b}
-
-        def probe(link, t):
-            return t + (10.0 if link.lid in direct else 1.0)
-
-        route = dijkstra_route(net, a, b, 0.0, probe)
+        direct = [l for l, v in net.out_links(a) if v == b]
+        state = LinkScheduleState()
+        schedule_edge_basic(state, (9, 9), direct, 10.0, 0.0)
+        route = _dijkstra_indexed(net, a, b, 0.0, 1.0, state._queues)
         assert len(route) == 2  # a -> c -> b
-        assert all(l.lid not in direct for l in route)
+        assert direct[0] not in route
 
     def test_ready_time_threads_through(self):
         net = linear_array(3)
         ps = [p.vid for p in net.processors()]
-        seen = []
-
-        def probe(link, t):
-            seen.append(t)
-            return t + 2.0
-
-        dijkstra_route(net, ps[0], ps[2], 5.0, probe)
-        assert min(seen) == 5.0
+        sink = obs.ListSink()
+        obs.enable(sink)
+        try:
+            _dijkstra_indexed(net, ps[0], ps[2], 5.0, 2.0, {})
+        finally:
+            obs.disable()
+        (event,) = [e for e in sink.events if e.kind == "route_probed"]
+        assert event.data["arrival"] == 9.0  # 5 + 2 per hop
 
     def test_negative_ready_time_rejected(self, net2):
         a, b = (p.vid for p in net2.processors())
         with pytest.raises(RoutingError):
-            dijkstra_route(net2, a, b, -1.0, self._uniform_probe(1.0))
-
-    def test_non_monotone_probe_detected(self, net2):
-        a, b = (p.vid for p in net2.processors())
-        with pytest.raises(RoutingError):
-            dijkstra_route(net2, a, b, 10.0, lambda link, t: 0.0)
+            _dijkstra_indexed(net2, a, b, -1.0, 1.0, {})
 
     def test_disconnected_raises(self):
         net = NetworkTopology()
         a = net.add_processor()
         b = net.add_processor()
         with pytest.raises(RoutingError):
-            dijkstra_route(net, a.vid, b.vid, 0.0, self._uniform_probe(1.0))
+            _dijkstra_indexed(net, a.vid, b.vid, 0.0, 1.0, {})
 
     def test_route_is_walkable(self):
         net = random_wan(25, rng=12)
         ps = [p.vid for p in net.processors()]
-        route = dijkstra_route(net, ps[2], ps[-1], 0.0, self._uniform_probe(1.5))
+        route = _dijkstra_indexed(net, ps[2], ps[-1], 0.0, 1.5, {})
         _vertex_walk_ok(net, route, ps[2], ps[-1])
 
     def test_switch_endpoint_rejected(self, net4):
         switch = net4.switches()[0].vid
         proc = net4.processors()[0].vid
         with pytest.raises(RoutingError):
-            dijkstra_route(net4, proc, switch, 0.0, self._uniform_probe(1.0))
+            _dijkstra_indexed(net4, proc, switch, 0.0, 1.0, {})
 
 
 class TestRouteTable:

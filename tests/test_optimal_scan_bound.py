@@ -1,11 +1,11 @@
 """The bounded optimal-insertion scan vs the full scan, on deep link queues.
 
-With observability off, :func:`repro.linksched.optimal_insertion.schedule_edge_optimal`
-books through the fused fast path, whose tail->head scan stops at the first
-slot proving every gap in front of it infeasible.  With observability on it
-goes through :func:`probe_optimal` + :func:`commit_optimal`, which scan every
-slot.  Both must pick the same gap, so after every booking the arrivals and
-every link's slot list must be equal with ``==``.
+:func:`repro.linksched.optimal_insertion.schedule_edge_optimal` scans each
+link queue from tail to head and stops at the first slot proving every gap
+in front of it infeasible.  The oracle,
+:func:`tests.naive_reference.naive_schedule_edge_optimal`, scans every slot.
+Both must pick the same gap, so after every booking the arrivals and every
+link's slot list must be equal with ``==``.
 
 The bookings share one chain of links, so queues grow to the full booking
 count and deferral slack comes from the later links.  Costs include
@@ -28,6 +28,7 @@ from repro.linksched.state import LinkScheduleState
 from repro.network.builders import linear_array
 from repro.network.routing import bfs_route
 from repro.types import EPS
+from tests.naive_reference import naive_schedule_edge_optimal
 
 DEEP = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -98,13 +99,8 @@ class TestBoundedScan:
             route = bfs_route(net, procs[first], procs[last])
             ready = _ready_time(full, route[0].lid, ready_spec)
             edge = (k, k + 1)
-            obs.disable()
             arrival = schedule_edge_optimal(bounded, edge, route, cost, ready, comm)
-            obs.enable(obs.NullSink())
-            try:
-                expected = schedule_edge_optimal(full, edge, route, cost, ready, comm)
-            finally:
-                obs.disable()
+            expected = naive_schedule_edge_optimal(full, edge, route, cost, ready, comm)
             assert arrival == expected
             assert _slot_lists(bounded, lids) == _slot_lists(full, lids)
 
@@ -130,30 +126,52 @@ EPS_BOUNDARY_PLAN = [
 ]
 
 
-def _book_plan(observing: bool):
+def _book_plan(book):
     net = linear_array(CHAIN, link_speed=iter([2.0, 1.0, 1.0, 0.5]).__next__)
     procs = [p.vid for p in net.processors()]
     comm = CommModel(hop_delay=0.5)
     state = LinkScheduleState()
     arrivals = []
-    if observing:
-        obs.enable(obs.NullSink())
-    try:
-        for k, (first, last, cost, ready) in enumerate(EPS_BOUNDARY_PLAN):
-            route = bfs_route(net, procs[first], procs[last])
-            arrivals.append(
-                schedule_edge_optimal(state, (k, k + 1), route, cost, ready, comm)
-            )
-    finally:
-        if observing:
-            obs.disable()
+    for k, (first, last, cost, ready) in enumerate(EPS_BOUNDARY_PLAN):
+        route = bfs_route(net, procs[first], procs[last])
+        arrivals.append(book(state, (k, k + 1), route, cost, ready, comm))
     for k, (_, _, cost, ready) in enumerate(EPS_BOUNDARY_PLAN):
         check_route_causality(state, net, (k, k + 1), cost, ready, comm=comm)
     return arrivals, _slot_lists(state, [l.lid for l in net.links()])
 
 
-@pytest.mark.parametrize("observing", [False, True], ids=["fast", "probe-commit"])
-def test_gap_at_eps_boundary_is_committable(observing):
-    arrivals, slots = _book_plan(observing)
+_BOOKERS = {"fast": schedule_edge_optimal, "probe-commit": naive_schedule_edge_optimal}
+
+
+@pytest.mark.parametrize("scan", list(_BOOKERS))
+def test_gap_at_eps_boundary_is_committable(scan):
+    arrivals, slots = _book_plan(_BOOKERS[scan])
     assert len(arrivals) == len(EPS_BOUNDARY_PLAN)
-    assert (arrivals, slots) == _book_plan(not observing)
+    other = "probe-commit" if scan == "fast" else "fast"
+    assert (arrivals, slots) == _book_plan(_BOOKERS[other])
+
+
+def test_slots_scanned_stays_within_the_full_scan():
+    """``optimal.slots_scanned`` never exceeds the slots the full scan
+    visits (every slot queued on the route), and the bounded scan visits
+    strictly fewer once queues run deep ahead of the ready times."""
+    net = linear_array(CHAIN)
+    procs = [p.vid for p in net.processors()]
+    route = bfs_route(net, procs[0], procs[-1])
+    state = LinkScheduleState()
+    full_total = 0
+    obs.enable(obs.NullSink())
+    obs.reset()
+    try:
+        for k in range(120):
+            full = sum(len(state.slots(link.lid)) for link in route)
+            before = obs.METRICS.counter("optimal.slots_scanned").value
+            schedule_edge_optimal(state, (k, k + 1), route, 2.0, float(k))
+            scanned = obs.METRICS.counter("optimal.slots_scanned").value - before
+            assert scanned <= full
+            full_total += full
+        bounded_total = obs.METRICS.counter("optimal.slots_scanned").value
+    finally:
+        obs.disable()
+    assert len(state.slots(route[0].lid)) == 120
+    assert bounded_total < full_total

@@ -3,7 +3,7 @@
 Each test encodes one formal statement from Han & Wang (ICPP 2006) and
 verifies the implementation satisfies it — including an independent
 brute-force check of Theorem 1 (optimal insertion) against
-:func:`repro.linksched.optimal_insertion.probe_optimal`.
+:func:`repro.linksched.optimal_insertion.schedule_edge_optimal`.
 """
 
 import hypothesis.strategies as st
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.linksched.insertion import schedule_edge_basic
-from repro.linksched.optimal_insertion import deferrable_time, probe_optimal
+from repro.linksched.optimal_insertion import deferrable_time, schedule_edge_optimal
 from repro.linksched.slots import TimeSlot
 from repro.linksched.state import LinkScheduleState
 from repro.network.builders import linear_array
@@ -117,32 +117,38 @@ def brute_force_earliest_start(state, link, duration, est, min_finish):
     return best
 
 
+def booked_start(state, link, edge, cost, est):
+    """Book ``edge`` on the one-link route ``[link]``; its slot's start."""
+    schedule_edge_optimal(state, edge, [link], cost, est)
+    return state.slot_of(edge, link.lid).start
+
+
 class TestTheorem1:
-    """probe_optimal finds the earliest feasible start (optimal insertion)."""
+    """Optimal insertion finds the earliest feasible start."""
 
     @FAST
     @given(
         plans=st.lists(
             st.tuples(st.floats(0.5, 15.0), st.floats(0.0, 25.0)),
             min_size=1,
-            max_size=10,
+            max_size=60,
         ),
         new_cost=st.floats(0.5, 12.0),
         new_est=st.floats(0.0, 30.0),
     )
     def test_matches_brute_force(self, plans, new_cost, new_est):
-        from repro.linksched.optimal_insertion import schedule_edge_optimal
-
+        # Up to 60 queued slots, most of them ending far beyond ``new_est``,
+        # so the scan's early stop runs.
         net, route = route3()
         state = LinkScheduleState()
         for i, (cost, ready) in enumerate(plans):
             schedule_edge_optimal(state, (i, 100 + i), route, cost, ready)
         link = route[0]
-        placement = probe_optimal(state, link, new_cost, new_est)
         expected = brute_force_earliest_start(
             state, link, new_cost / link.speed, new_est, 0.0
         )
-        assert placement.start == pytest.approx(expected)
+        start = booked_start(state, link, (999, 999), new_cost, new_est)
+        assert start == pytest.approx(expected)
 
     def test_example_from_construction(self):
         # Hand-built queue where only deferral opens the early gap.
@@ -153,8 +159,9 @@ class TestTheorem1:
         state.record_route(edge, (lid0, lid1))
         state.insert(lid0, 0, TimeSlot(edge, 0.0, 5.0))
         state.insert(lid1, 0, TimeSlot(edge, 20.0, 25.0))  # 20 units of slack
-        placement = probe_optimal(state, route[0], 4.0, est=0.0)
-        assert placement.start == 0.0  # basic insertion would start at 5.0
+        start = booked_start(state, route[0], (1, 2), 4.0, est=0.0)
+        assert start == 0.0  # basic insertion would start at 5.0
+        assert [s.edge for s in state.slots(lid0)] == [(1, 2), edge]
 
 
 class TestTheorems3and4:

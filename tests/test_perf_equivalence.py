@@ -13,7 +13,8 @@ inputs and comparing results exactly:
    Hypothesis-generated workloads: same makespan, per-task placements, link
    slot lists, edge arrivals, and ScheduleStats counters (modulo the
    pruning-introspection counters), with the naive reference monkeypatched in,
-4. the obs-off fast paths change nothing observable and leave the metrics
+4. observing runs the very same calls into the fused searches and the
+   optimal-insertion booking, and an unobserved run leaves the metrics
    registry untouched.
 """
 
@@ -41,12 +42,15 @@ from repro.network.builders import (
     switched_cluster,
 )
 from repro.network.routing import bfs_route
+from repro.network.topology import Link
 from repro.obs import OBS
 from repro.taskgraph.generators import random_layered_dag
 from tests.naive_reference import (
     NaiveLinkScheduleState,
     naive_bfs_route,
-    naive_dijkstra_route,
+    naive_dijkstra_fluid,
+    naive_dijkstra_indexed,
+    naive_schedule_edge_optimal,
 )
 
 # Differential checks are exact (==), never approximate: the acceptance bar
@@ -190,10 +194,6 @@ topologies = st.one_of(
     ),
 )
 
-#: the lower-bound prune has no counterpart in the reference, which probes
-#: every relaxation — the only counter allowed to differ
-_NEW_COUNTERS = {"routing.probe_cutoffs"}
-
 # (scheduler name, [(module attr, naive impl)], module, routing probe counter)
 _CASES = [
     (
@@ -206,7 +206,8 @@ _CASES = [
         "oihsa",
         [
             ("LinkScheduleState", NaiveLinkScheduleState),
-            ("dijkstra_route", naive_dijkstra_route),
+            ("_dijkstra_indexed", naive_dijkstra_indexed),
+            ("schedule_edge_optimal", naive_schedule_edge_optimal),
             ("bfs_route", naive_bfs_route),
         ],
         oihsa_mod,
@@ -214,12 +215,20 @@ _CASES = [
     ),
     (
         "bbsa",
-        [("dijkstra_route", naive_dijkstra_route), ("bfs_route", naive_bfs_route)],
+        [("_dijkstra_fluid", naive_dijkstra_fluid), ("bfs_route", naive_bfs_route)],
         bbsa_mod,
         "bandwidth.probes",
     ),
     ("packet-ba", [("bfs_route", naive_bfs_route)], packetba_mod, None),
 ]
+
+#: what the optimal-insertion booking reports; its oracle reports nothing
+_BOOKING_COUNTERS = {
+    "insertion.edges_scheduled",
+    "optimal.deferrals",
+    "optimal.probes",
+    "optimal.slots_scanned",
+}
 
 
 def _comm_kwargs(name: str, comm) -> dict:
@@ -231,22 +240,27 @@ def _fold(counters: dict, name: str, extra: float) -> None:
         counters[name] = counters.get(name, 0) + extra
 
 
-def _filtered_counters(stats, probe_counter: str | None = None) -> dict:
-    counters = {
-        k: v
-        for k, v in stats.metrics.get("counters", {}).items()
-        if k not in _NEW_COUNTERS
-    }
-    # The topology route table turns repeat BFS calls into table hits; the
-    # naive reference recomputes every call.  Folding hits back into
-    # ``bfs_routes`` recovers the invocation count, which must match exactly.
+def _comparable_counters(stats, probe_counter: str | None, booking: bool) -> dict:
+    """Counters as the unpruned reference would count them.
+
+    The topology route table turns repeat BFS calls into table hits; the
+    naive reference recomputes every call, so hits fold back into
+    ``bfs_routes``.  The reference probes every relaxation, so the
+    lower-bound cutoffs fold back into the probe counter; it also relaxes
+    into dead ends, which it reports apart and which the pruned search
+    never relaxes, so those come off its relaxations and probes.  With
+    ``booking`` the optimal insertion was swapped for its silent oracle.
+    """
+    counters = dict(stats.metrics.get("counters", {}))
     _fold(counters, "routing.bfs_routes", counters.pop("routing.table_hits", 0))
-    # Likewise every dead-end skip is a relaxation (and a routing probe
-    # attempt) the unpruned reference performs.
-    skips = counters.pop("routing.dead_end_skips", 0)
-    _fold(counters, "routing.relaxations", skips)
+    cutoffs = counters.pop("routing.probe_cutoffs", 0)
+    dead_ends = counters.pop("routing.dead_end_relaxations", 0)
+    _fold(counters, "routing.relaxations", -dead_ends)
     if probe_counter is not None:
-        _fold(counters, probe_counter, skips)
+        _fold(counters, probe_counter, cutoffs - dead_ends)
+    if booking:
+        for name in _BOOKING_COUNTERS:
+            counters.pop(name, None)
     return counters
 
 
@@ -283,11 +297,11 @@ class TestSchedulerDifferential:
         cls = SCHEDULERS[name]
         comm_kw = _comm_kwargs(name, comm)
 
-        # 1. Optimized, obs off: exercises the fused fast paths.
+        # 1. Optimized, obs off.
         obs.disable()
         fast = cls(**comm_kw).schedule(graph, net)
 
-        # 2. Optimized, obs on: exercises the counting paths.
+        # 2. Optimized, obs on: the same code, counting.
         obs.enable(obs.NullSink())
         obs.reset()
         try:
@@ -311,9 +325,10 @@ class TestSchedulerDifferential:
             assert fast.placements == other.placements
             assert fast.edge_arrivals == other.edge_arrivals
             assert _link_slot_lists(fast) == _link_slot_lists(other)
-        assert _filtered_counters(
-            instrumented.stats, probe_counter
-        ) == _filtered_counters(reference.stats)
+        booking = any(attr == "schedule_edge_optimal" for attr, _ in patches)
+        assert _comparable_counters(
+            instrumented.stats, probe_counter, booking
+        ) == _comparable_counters(reference.stats, probe_counter, booking)
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +352,89 @@ class TestObsOffIsInert:
         assert OBS.bus.mark() == mark
         assert OBS.bus.since(mark) == []
 
-    @pytest.mark.parametrize("name", ["oihsa", "bbsa"])
-    def test_dead_end_counter_appears_when_observing(self, name, fork8, wan16):
-        # Every processor of a random WAN is a leaf, so any modified-routing
-        # search that settles a switch skips its other processors.
-        obs.enable(obs.NullSink())
-        obs.reset()
-        try:
-            result = SCHEDULERS[name]().schedule(fork8, wan16)
-            counters = result.stats.metrics.get("counters", {})
-            assert counters["routing.dead_end_skips"] > 0
-            assert counters["routing.relaxations"] > 0
-        finally:
-            obs.disable()
+
+# ---------------------------------------------------------------------------
+# Observing changes no code path.
+# ---------------------------------------------------------------------------
+
+#: (module, attribute) of every fused path OIHSA and BBSA call
+_FUSED = [
+    (oihsa_mod, "_dijkstra_indexed"),
+    (oihsa_mod, "schedule_edge_optimal"),
+    (bbsa_mod, "_dijkstra_fluid"),
+]
+
+
+def _plain(value):
+    """``value`` as comparable plain data: link state becomes its bookings,
+    links their ids; the topology and scalars compare as they are."""
+    if isinstance(value, LinkScheduleState):
+        return {lid: list(value.slots(lid)) for lid in value.used_links()}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, Link):
+        return value.lid
+    if hasattr(value, "segments"):  # a fluid link profile
+        return list(value.segments)
+    if hasattr(value, "by_edge"):  # a slot queue
+        return list(value.slots)
+    return value
+
+
+def _calls(name: str, graph, net, observing: bool) -> list:
+    """Every fused-path call of one run, with its arguments and result."""
+    log: list = []
+    saved = [(module, attr, getattr(module, attr)) for module, attr in _FUSED]
+
+    def spy(attr, real):
+        def call(*args):
+            before = _plain(args)
+            result = real(*args)
+            log.append((attr, before, _plain(result)))
+            return result
+
+        return call
+
+    for module, attr, real in saved:
+        setattr(module, attr, spy(attr, real))
+    if observing:
+        obs.enable(obs.ListSink())
+    try:
+        SCHEDULERS[name]().schedule(graph, net)
+    finally:
+        obs.disable()
+        for module, attr, real in saved:
+            setattr(module, attr, real)
+    return log
+
+
+@pytest.mark.parametrize("name", ["oihsa", "bbsa"])
+def test_observing_makes_the_same_fused_calls(name, fork8):
+    net = random_wan(32, rng=42)
+    quiet = _calls(name, fork8, net, observing=False)
+    assert quiet, "the run never reached a fused path"
+    assert _calls(name, fork8, net, observing=True) == quiet
+
+
+@pytest.mark.parametrize("name", ["oihsa", "bbsa"])
+def test_probe_counter_is_relaxations_less_cutoffs(name, fork8):
+    # The probe counter counts the link probes actually made: a relaxation
+    # the lower bound prunes probes nothing.  (A 32-processor random WAN has
+    # switch cycles, so some relaxations are pruned.)
+    probe_counter = {"oihsa": "insertion.probes", "bbsa": "bandwidth.probes"}[name]
+    obs.enable(obs.NullSink())
+    obs.reset()
+    try:
+        result = SCHEDULERS[name]().schedule(fork8, random_wan(32, rng=42))
+        counters = result.stats.metrics.get("counters", {})
+    finally:
+        obs.disable()
+    assert counters["routing.probe_cutoffs"] > 0
+    assert counters[probe_counter] == (
+        counters["routing.relaxations"] - counters["routing.probe_cutoffs"]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ through identical inputs and comparing exactly:
    :class:`~repro.network.routing.HierarchicalRouter` returns link-for-link
    the route a router-less clone's flat BFS returns, for every processor
    pair (small instances) or a deterministic sample (larger ones);
-2. route costs — hop counts agree with a uniform-probe flat Dijkstra on
+2. route costs — hop counts agree with OIHSA's contention-aware flat
+   Dijkstra on idle unit-speed links (where arrival time is hop count) on
    fabrics *and* on the existing random topologies;
 3. schedules — OIHSA / BBSA / BA makespans, placements, and link slot
    queues are bit-identical with the router attached vs detached;
@@ -27,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro import obs
 from repro.core import SCHEDULERS
+from repro.core.oihsa import _dijkstra_indexed
 from repro.network.builders import random_wan, switched_cluster
 from repro.network.fabrics import (
     fabric_for_procs,
@@ -34,7 +36,7 @@ from repro.network.fabrics import (
     leaf_spine,
     torus_fabric,
 )
-from repro.network.routing import bfs_route, dijkstra_route
+from repro.network.routing import bfs_route
 from repro.taskgraph.ccr import scale_to_ccr
 from repro.taskgraph.generators import random_layered_dag
 
@@ -86,23 +88,21 @@ class TestRouteIdentity:
         routed = build()
         flat = build()
         flat.detach_router()
-        probe = lambda link, t: t + 1.0  # noqa: E731 - uniform hop cost
         for s, d in _all_pairs(routed, limit=100):
             hops = len(bfs_route(routed, s, d))
-            assert hops == len(dijkstra_route(flat, s, d, 0.0, probe))
+            assert hops == len(_dijkstra_indexed(flat, s, d, 0.0, 1.0, {}))
 
 
 class TestRandomTopologyCosts:
-    """Flat BFS vs uniform-probe Dijkstra on the paper's random networks."""
+    """Flat BFS vs idle-link Dijkstra on the paper's random networks."""
 
     @ROUTES
     @given(seed=st.integers(0, 10_000), n=st.integers(4, 24))
     def test_random_wan_hop_counts(self, seed, n):
         net = random_wan(n, rng=seed)
-        probe = lambda link, t: t + 1.0  # noqa: E731
         for s, d in _all_pairs(net, limit=40):
             assert len(bfs_route(net, s, d)) == len(
-                dijkstra_route(net, s, d, 0.0, probe)
+                _dijkstra_indexed(net, s, d, 0.0, 1.0, {})
             )
 
     @ROUTES

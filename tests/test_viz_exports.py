@@ -181,7 +181,6 @@ class TestTraceInstants:
         assert instants
         assert {e["name"] for e in instants} <= {
             "slot_deferred",
-            "probe_rejected",
             "task_placed",
             "route_probed",
         }

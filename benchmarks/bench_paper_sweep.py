@@ -13,6 +13,9 @@ paper-scale points are tractable end to end and to pin their results:
 - Makespans are kernel-independent by the bit-identity contract
   (``tests/test_batch_equivalence.py``), so the checksum reproduces with or
   without the AOT-built kernel; wall time is reported, never gated.
+- ``peak_rss_mb`` is the larger of this process's and its pool workers'
+  peak resident set, read once the pool has shut down: what one sweep
+  worker needs at published scale.  Reported, never gated.
 
 Repetitions default to 2 (the full 5 takes hours single-core) — override
 with ``REPRO_PAPER_SWEEP_REPS``; worker count with ``REPRO_PAPER_SWEEP_JOBS``.
@@ -25,6 +28,7 @@ only the seconds-long check of the record's fields.
 import hashlib
 import json
 import os
+import resource
 import statistics
 from pathlib import Path
 from time import perf_counter
@@ -66,6 +70,16 @@ def unit_makespan_checksum(results) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def peak_rss_mb() -> float:
+    """Peak resident set of this process and of its waited-for children
+    (the runner's pool workers), in MB."""
+    peak = max(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+    )
+    return peak / 1024.0  # ru_maxrss is in KiB on Linux
+
+
 def run_sweep(config: ExperimentConfig, jobs: int) -> tuple[dict, list]:
     """Run the CCR sweep; return the BENCH record and the unit results."""
     x_values, units = plan_sweep(config, "ccr")
@@ -74,6 +88,8 @@ def run_sweep(config: ExperimentConfig, jobs: int) -> tuple[dict, list]:
     t0 = perf_counter()
     results = execute_units(config, units, jobs=jobs)
     wall = perf_counter() - t0
+    # execute_units has shut its pool down, so the workers are waited for.
+    peak = peak_rss_mb()
     assert len(results) == len(units)
 
     unit_walls = [r.wall_s or 0.0 for r in results]
@@ -96,6 +112,7 @@ def run_sweep(config: ExperimentConfig, jobs: int) -> tuple[dict, list]:
             "mean": statistics.fmean(unit_walls),
             "max": max(unit_walls),
         },
+        "peak_rss_mb": peak,
         "makespan_checksum": unit_makespan_checksum(results),
         "improvement_series": merge_unit_results(config, x_values, results),
         "telemetry": collect_telemetry(results).summary_dict(),
@@ -134,4 +151,6 @@ def test_tiny_sweep_record():
     # record carries no kernel provenance.
     assert "kernel_provenance" not in doc
     assert doc["units"] == 4 and doc["jobs"] == 2
+    # A peak never falls, so a later reading bounds the recorded one.
+    assert 0 < doc["peak_rss_mb"] <= peak_rss_mb()
     assert doc["sweep"]["n_procs"] == 8

@@ -112,22 +112,15 @@ class BAScheduler(ContentionScheduler):
         pstate: ProcessorState,
     ) -> Vertex:
         weight = graph.task(tid).weight
-        best: tuple[float, int] | None = None
-        chosen = procs[0]
         if self.processor_choice == "blind-eft":
             with span("processor_selection"):
                 latest = max(
                     (pstate.placement(p).finish for p in graph.predecessors(tid)),
                     default=0.0,
                 )
-                for proc in procs:
-                    finish = (
-                        max(latest, pstate.finish_time(proc.vid)) + weight / proc.speed
-                    )
-                    key = (finish, proc.vid)
-                    if best is None or key < best:
-                        best, chosen = key, proc
-            return chosen
+                return self._earliest_finish(procs, pstate, weight, latest, {})
+        best: tuple[float, int] | None = None
+        chosen = procs[0]
         # Tentative probing books and rolls back real link slots; keep the
         # decision log to committed work only (counters still accumulate).
         with span("processor_selection"), OBS.bus.quiet():

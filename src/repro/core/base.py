@@ -24,7 +24,7 @@ from repro.procsched.state import ProcessorState
 from repro.taskgraph.graph import CommEdge, TaskGraph
 from repro.taskgraph.priorities import priority_list
 from repro.taskgraph.validate import validate_graph
-from repro.types import TaskId
+from repro.types import TaskId, VertexId
 
 
 class ContentionScheduler(ABC):
@@ -122,33 +122,59 @@ class ContentionScheduler(ABC):
             raise SchedulingError(f"invalid mean link speed {mls}")
         weight = graph.task(tid).weight
         # Each predecessor's placement and remote estimate are the same for
-        # every candidate; compute them once instead of per processor.
+        # every candidate; compute them once.  A processor that hosts no
+        # predecessor sees only remote estimates, so its bound is their
+        # running max from 0.0 (``remote``); only the hosts need a bound of
+        # their own.  ``max`` is exact, so both are the floats a scan of
+        # every (processor, predecessor) pair computes.
         preds = []
+        remote = 0.0
         for e in graph.in_edges(tid):
             src_pl = pstate.placement(e.src)
-            preds.append((src_pl.processor, src_pl.finish, src_pl.finish + e.cost / mls))
-        # ``procs`` is sorted by vid (see ``schedule``), so iterating in order
-        # and keeping the first strict improvement reproduces the
-        # ``(finish, vid)`` tie-break without building a tuple per candidate.
+            est = src_pl.finish + e.cost / mls
+            if est > remote:
+                remote = est
+            preds.append((src_pl.processor, src_pl.finish, est))
+        hosts: dict[VertexId, float] = {}
+        if local_comm_exempt:
+            for host, _, _ in preds:
+                if host in hosts:
+                    continue
+                bound = 0.0
+                for src_proc, local_est, remote_est in preds:
+                    est = local_est if src_proc == host else remote_est
+                    if est > bound:
+                        bound = est
+                hosts[host] = bound
+        return ContentionScheduler._earliest_finish(procs, pstate, weight, remote, hosts)
+
+    @staticmethod
+    def _earliest_finish(
+        procs: list[Vertex],
+        pstate: ProcessorState,
+        weight: float,
+        ready: float,
+        own_ready: dict[VertexId, float],
+    ) -> Vertex:
+        """The processor with the least ``max(r(P), t_f(P)) + weight / s(P)``.
+
+        ``r(P)`` is ``own_ready[P]`` where given, else ``ready``.  ``procs``
+        is sorted by vid (see ``schedule``), so keeping the first strict
+        improvement reproduces the ``(finish, vid)`` tie-break without
+        building a tuple per candidate; of two equal operands the max keeps
+        ``r(P)``, as ``max(r(P), t_f(P))`` does.
+        """
+        finish_of = pstate.finish_times().get
+        ready_of = own_ready.get
         best_finish = float("inf")
         chosen = procs[0]
-        finish_time = pstate.finish_time
         for proc in procs:
             vid = proc.vid
-            comm_bound = 0.0
-            if local_comm_exempt:
-                for src_proc, local_est, remote_est in preds:
-                    est = local_est if src_proc == vid else remote_est
-                    if est > comm_bound:
-                        comm_bound = est
-            else:
-                for _, _, remote_est in preds:
-                    if remote_est > comm_bound:
-                        comm_bound = remote_est
-            ft = finish_time(vid)
-            if ft > comm_bound:
-                comm_bound = ft
-            finish = comm_bound + weight / proc.speed
+            start = ready_of(vid, ready)
+            ft = finish_of(vid, 0.0)
+            if ft > start:
+                start = ft
+            finish = start + weight / proc.speed
             if finish < best_finish:
                 best_finish, chosen = finish, proc
         return chosen

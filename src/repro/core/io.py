@@ -10,6 +10,7 @@ bookings for BBSA.  ``schedule_from_json(schedule_to_json(s))`` passes
 from __future__ import annotations
 
 import json
+from array import array
 from typing import Any
 
 from repro.core.schedule import Schedule
@@ -18,7 +19,6 @@ from repro.linksched.bandwidth import (
     BandwidthLinkState,
     Cumulative,
     TransferBooking,
-    UsageSegment,
 )
 from repro.linksched.commmodel import CommModel
 from repro.linksched.slots import TimeSlot
@@ -200,17 +200,16 @@ def schedule_from_json(text: str) -> Schedule:
                 key = (int(b["src"]), int(b["dst"]))
                 hops = []
                 for hop in b["hops"]:
-                    usage = tuple(
-                        UsageSegment(float(t0), float(t1), float(f))
-                        for t0, t1, f in hop["usage"]
-                    )
                     hops.append(
                         TransferBooking(
                             key,
                             int(hop["lid"]),
                             Cumulative([(float(t), float(v)) for t, v in hop["arrival"]]),
                             Cumulative([(float(t), float(v)) for t, v in hop["departure"]]),
-                            usage,
+                            array(
+                                "d",
+                                [float(x) for t0, t1, f in hop["usage"] for x in (t0, t1, f)],
+                            ),
                         )
                     )
                 bandwidth_state.restore_booking(key, hops)

@@ -55,13 +55,7 @@ class PacketBAScheduler(ContentionScheduler):
             (pstate.placement(p).finish for p in graph.predecessors(tid)),
             default=0.0,
         )
-        best: tuple[float, int] | None = None
-        chosen = procs[0]
-        for proc in procs:
-            finish = max(latest, pstate.finish_time(proc.vid)) + weight / proc.speed
-            key = (finish, proc.vid)
-            if best is None or key < best:
-                best, chosen = key, proc
+        chosen = self._earliest_finish(procs, pstate, weight, latest, {})
         t_dr = 0.0
         for e in sorted(graph.in_edges(tid), key=lambda e: e.src):
             src_pl = pstate.placement(e.src)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from repro.core.schedule import Schedule
 from repro.exceptions import ValidationError
-from repro.linksched.bandwidth import Cumulative
 from repro.linksched.causality import (
     CAUSALITY_EPS,
     check_route_causality,
@@ -190,17 +189,23 @@ def _validate_bandwidth(schedule: Schedule, eps: float) -> None:
         src_finish = schedule.placements[e.src].finish
         tol = max(eps, 1e-6 * e.cost)
         prev_dep = None
+        prev_flat: list[float] = []
         for booking in bookings:
             departure = booking.departure
-            # Volume conservation on every hop.
-            if abs(departure.final_volume - e.cost) > tol:
+            dep_flat = departure.flat()
+            # Volume conservation on every hop (``dep_flat[-1]`` is the
+            # final volume, ``dep_flat[0]`` the start time).
+            if abs(dep_flat[-1] - e.cost) > tol:
                 raise ValidationError(
                     f"edge {e.key} on link {booking.lid}: forwarded "
                     f"{departure.final_volume} of {e.cost}"
                 )
             # Causality: departures never outrun arrivals, checked at every
-            # departure breakpoint.
-            excess = _first_excess(departure.points, booking.arrival, 0.0, tol)
+            # departure breakpoint.  Under cut-through without a hop delay
+            # the arrival is the previous hop's departure, already unpacked.
+            inflow = booking.arrival
+            in_flat = prev_flat if inflow is prev_dep else inflow.flat()
+            excess = _first_excess(dep_flat, in_flat, 0.0, tol)
             if excess is not None:
                 t, v, arrived = excess
                 raise ValidationError(
@@ -213,10 +218,8 @@ def _validate_bandwidth(schedule: Schedule, eps: float) -> None:
                     # departure (shifted by the hop delay).  When the arrival
                     # *is* that departure, unshifted, the pass above already
                     # made exactly these comparisons.
-                    if booking.arrival is not prev_dep or hop_delay:
-                        excess = _first_excess(
-                            departure.points, prev_dep, hop_delay, tol
-                        )
+                    if inflow is not prev_dep or hop_delay:
+                        excess = _first_excess(dep_flat, prev_flat, hop_delay, tol)
                         if excess is not None:
                             t, v, _ = excess
                             raise ValidationError(
@@ -232,7 +235,8 @@ def _validate_bandwidth(schedule: Schedule, eps: float) -> None:
                             f"the previous hop completes at {lower}"
                         )
             prev_dep = departure
-            if departure.start_time < src_finish - eps:
+            prev_flat = dep_flat
+            if dep_flat[0] < src_finish - eps:
                 raise ValidationError(
                     f"edge {e.key} on link {booking.lid}: transfer begins at "
                     f"{departure.start_time}, before the source finishes "
@@ -247,34 +251,46 @@ def _validate_bandwidth(schedule: Schedule, eps: float) -> None:
 
 
 def _first_excess(
-    points: list[tuple[float, float]],
-    bound: Cumulative,
+    flat: list[float],
+    bound: list[float],
     delay: float,
     tol: float,
 ) -> tuple[float, float, float] | None:
-    """First breakpoint ``(t, v)`` with ``v > bound.value(t - delay) + tol``.
+    """First breakpoint ``(t, v)`` with ``v > value(t - delay) + tol``.
 
-    Returns ``(t, v, bound.value(t - delay))``, or ``None`` if there is none.
-    ``points`` are a :class:`Cumulative`'s breakpoints, so their times never
-    decrease; one forward pointer then replaces a bisect per point.  ``i``
-    always equals ``bisect_right`` of ``t - delay`` over ``bound``'s times,
-    and the value is computed by the same expression as
-    :meth:`Cumulative.value`.
+    ``flat`` and ``bound`` are two curves' breakpoints as
+    :meth:`~repro.linksched.bandwidth.Cumulative.flat` gives them
+    (``t0, v0, t1, v1, ...``), and ``value`` is ``bound``'s
+    :meth:`~repro.linksched.bandwidth.Cumulative.value`.  Returns
+    ``(t, v, value(t - delay))``, or ``None`` if there is none.  The
+    breakpoints' times never decrease, so one forward pointer replaces a
+    bisect per point: ``j`` always indexes the time of the first ``bound``
+    point after ``t - delay`` (twice ``bisect_right`` over its times), and
+    the value is computed by the same expression as ``Cumulative.value``.
+    The piece's end points are read only when ``j`` moves; while it stays,
+    only ``x`` changes (and before the first or after the last point the
+    value does not change at all).
     """
-    bpts = bound.points
-    n = len(bpts)
-    i = 0
-    for t, v in points:
+    n = len(bound)
+    j = 0
+    value = 0.0
+    t0 = v0 = t1 = v1 = 0.0
+    it = iter(flat)
+    for t, v in zip(it, it):
         x = t - delay
-        while i < n and bpts[i][0] <= x:
-            i += 1
-        if i == 0:
-            value = 0.0
-        elif i == n:
-            value = bpts[-1][1]
-        else:
-            t0, v0 = bpts[i - 1]
-            t1, v1 = bpts[i]
+        if j < n and bound[j] <= x:
+            j += 2
+            while j < n and bound[j] <= x:
+                j += 2
+            if j == n:
+                value = bound[-1]
+            else:
+                t0 = bound[j - 2]
+                v0 = bound[j - 1]
+                t1 = bound[j]
+                v1 = bound[j + 1]
+                value = v0 + (v1 - v0) * (x - t0) / (t1 - t0)
+        elif 0 < j < n:
             value = v0 + (v1 - v0) * (x - t0) / (t1 - t0)
         if v > value + tol:
             return t, v, value

@@ -24,7 +24,9 @@ the slot-splitting bookkeeping of the paper's presentation.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -36,78 +38,114 @@ from repro.types import EdgeKey, LinkId
 #: Numerical slack for backlog/volume comparisons inside the fluid sweep.
 _FEPS = 1e-9
 
-#: bisect key: a point's time / a profile segment's end
-_TIME = itemgetter(0)
+#: bisect key: a profile segment's end
 _END = itemgetter(1)
 
 
 class Cumulative:
     """A non-decreasing piecewise-linear cumulative-volume function.
 
-    Stored as breakpoints ``(t, v)``; a vertical jump (instantaneous
+    Defined by breakpoints ``(t, v)``; a vertical jump (instantaneous
     availability) is two points with equal ``t``.  Before the first point the
     value is 0.0; after the last it is constant.
+
+    The breakpoints are stored flat in one ``array('d')`` —
+    ``t0, v0, t1, v1, ...`` — at 16 bytes a point and with no Python object
+    per point: BBSA keeps one departure curve per booked hop, tens of
+    breakpoints each, for the lifetime of the schedule.  The constructor
+    copies its input, so a caller's list can change afterwards without
+    touching the curve; :attr:`points` and :meth:`flat` hand out fresh
+    copies.  Every curve built, however it is built, passes the same checks:
+    at least one point, monotone in both coordinates, no negative volume.
     """
 
-    __slots__ = ("points",)
+    __slots__ = ("_flat",)
 
-    def __init__(self, points: list[tuple[float, float]]):
-        if not points:
-            raise SchedulingError("cumulative function needs at least one point")
-        last_t, last_v = -math.inf, -math.inf
+    def __init__(self, points: Iterable[tuple[float, float]]):
+        flat: list[float] = []
         for t, v in points:
-            if t < last_t or v < last_v:
-                raise SchedulingError(f"cumulative points not monotone at ({t}, {v})")
-            if v < -_FEPS:
-                raise SchedulingError(f"negative cumulative volume {v}")
-            last_t, last_v = t, v
-        self.points = points
+            flat.append(t)
+            flat.append(v)
+        self._flat = _curve_storage(flat)
+
+    @classmethod
+    def _from_flat(cls, flat: list[float]) -> "Cumulative":
+        """A curve from breakpoints already flattened to ``t0, v0, t1, ...``."""
+        curve = cls.__new__(cls)
+        curve._flat = _curve_storage(flat)
+        return curve
 
     @staticmethod
     def step(t: float, volume: float) -> "Cumulative":
         """All ``volume`` becomes available instantaneously at time ``t``."""
         if volume < 0:
             raise SchedulingError(f"negative volume {volume}")
-        return Cumulative([(t, 0.0), (t, volume)])
+        return Cumulative._from_flat([t, 0.0, t, volume])
+
+    @property
+    def points(self) -> list[tuple[float, float]]:
+        """The breakpoints as a fresh list of ``(t, v)`` pairs."""
+        it = iter(self._flat)
+        return list(zip(it, it))
+
+    def flat(self) -> list[float]:
+        """The breakpoints as a fresh flat list ``[t0, v0, t1, v1, ...]``."""
+        return self._flat.tolist()
 
     @property
     def start_time(self) -> float:
-        return self.points[0][0]
+        return self._flat[0]
 
     @property
     def final_volume(self) -> float:
-        return self.points[-1][1]
+        return self._flat[-1]
 
     def finish_time(self) -> float:
         """Earliest time the final volume is fully available."""
-        final = self.final_volume
-        t_done = self.points[-1][0]
-        for t, v in reversed(self.points):
-            if v >= final - _FEPS:
-                t_done = t
-            else:
-                break
-        return t_done
+        flat = self._flat
+        # ``i`` indexes the value of the earliest point of the trailing run
+        # whose values are all within ``_FEPS`` of the final volume.
+        i = len(flat) - 1
+        done = flat[i] - _FEPS
+        while i > 1 and flat[i - 2] >= done:
+            i -= 2
+        return flat[i - 1]
 
     def shifted(self, dt: float) -> "Cumulative":
         """The same volume profile delayed by ``dt`` time units."""
         if dt == 0:  # repro-lint: disable=FLT001 (exact zero shift is the identity)
             return self
-        return Cumulative([(t + dt, v) for t, v in self.points])
+        flat = self._flat.tolist()
+        flat[0::2] = [t + dt for t in flat[0::2]]
+        return Cumulative._from_flat(flat)
 
     def value(self, t: float) -> float:
         """Right-continuous value at ``t``."""
-        pts = self.points
-        if t < pts[0][0]:
+        flat = self._flat
+        if t < flat[0]:
             return 0.0
-        if t >= pts[-1][0]:
-            return pts[-1][1]
+        if t >= flat[-2]:
+            return flat[-1]
         # The one pair with ``t0 <= t < t1`` (so ``t1 > t0``); at a jump the
-        # right-most pair wins.
-        i = bisect_right(pts, t, key=_TIME)
-        t0, v0 = pts[i - 1]
-        t1, v1 = pts[i]
+        # right-most pair wins.  ``i`` indexes ``t1``.
+        i = 2 * bisect_right(flat[0::2], t)
+        t0, v0, t1, v1 = flat[i - 2 : i + 2]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+
+def _curve_storage(flat: list[float]) -> array[float]:
+    """Check flat breakpoints ``t0, v0, t1, v1, ...`` and pack them."""
+    if not flat:
+        raise SchedulingError("cumulative function needs at least one point")
+    last_t, last_v = -math.inf, -math.inf
+    it = iter(flat)
+    for t, v in zip(it, it):
+        if t < last_t or v < last_v:
+            raise SchedulingError(f"cumulative points not monotone at ({t}, {v})")
+        if v < -_FEPS:
+            raise SchedulingError(f"negative cumulative volume {v}")
+        last_t, last_v = t, v
+    return array("d", flat)
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,18 +186,24 @@ class BandwidthProfile:
 
     def add_usage(self, usage: list[UsageSegment]) -> None:
         """Overlay ``usage`` onto the profile, splitting segments as needed."""
-        for seg in usage:
-            if seg.fraction < -_FEPS:
-                raise SchedulingError(f"negative usage fraction {seg.fraction}")
+        self._overlay([x for u in usage for x in (u.start, u.finish, u.fraction)])
+
+    def _overlay(self, spans: Iterable[float]) -> None:
+        """:meth:`add_usage` of usage flattened to ``start, finish, fraction, ...``."""
+        it = iter(spans)
+        usage = list(zip(it, it, it))
+        for _, _, fraction in usage:
+            if fraction < -_FEPS:
+                raise SchedulingError(f"negative usage fraction {fraction}")
         events: dict[float, float] = {}
         for t0, t1, used in self.segments:
             events[t0] = events.get(t0, 0.0) + used
             events[t1] = events.get(t1, 0.0) - used
-        for seg in usage:
-            if seg.finish <= seg.start or seg.fraction <= 0:
+        for start, finish, fraction in usage:
+            if finish <= start or fraction <= 0:
                 continue
-            events[seg.start] = events.get(seg.start, 0.0) + seg.fraction
-            events[seg.finish] = events.get(seg.finish, 0.0) - seg.fraction
+            events[start] = events.get(start, 0.0) + fraction
+            events[finish] = events.get(finish, 0.0) - fraction
         new_segments: list[tuple[float, float, float]] = []
         level = 0.0
         prev_t: float | None = None
@@ -193,7 +237,24 @@ def forward_through_link(
     """Greedily forward ``arrival`` through a link of ``speed``.
 
     Returns ``(departure cumulative, usage segments)``.  ``reserve=True``
-    additionally commits the usage onto ``profile``.
+    additionally commits the usage onto ``profile``.  The sweep itself is
+    :func:`_sweep`.
+    """
+    departure, spans = _sweep(profile, arrival, speed)
+    if spans is None:
+        return departure, []
+    if reserve:
+        profile._overlay(spans)
+    it = iter(spans)
+    return departure, [UsageSegment(*seg) for seg in zip(it, it, it)]
+
+
+def _sweep(
+    profile: BandwidthProfile, arrival: Cumulative, speed: float
+) -> tuple[Cumulative, list[float] | None]:
+    """:func:`forward_through_link` without the reservation: returns the
+    departure and the usage flattened to ``start, finish, fraction, ...``,
+    or ``None`` for the usage of an empty transfer, which reserves nothing.
 
     At every instant the forwarding rate is ``free(t) * speed`` while a
     backlog exists, otherwise ``min(arrival rate, free(t) * speed)`` — so the
@@ -203,30 +264,37 @@ def forward_through_link(
     The sweep visits every event time (``t0``, the arrival's breakpoints and
     the profile boundaries after ``t0``) in order, and reads the arrival rate
     and the used bandwidth through forward pointers, because ``t`` never
-    decreases.  The usage is kept in parallel lists and turned into
-    :class:`UsageSegment` objects once at the end.  Each ``min``/``max`` is
+    decreases.  The departure's breakpoints and the usage are built as flat
+    float lists, with no tuple or object per point.  Each ``min``/``max`` is
     spelled as a comparison that must pick the same operand as the builtin
     on ties (the first), so every floating-point operation matches the
     plain formula above.
     """
     if speed <= 0:
         raise SchedulingError(f"non-positive link speed {speed}")
-    volume = arrival.final_volume
-    t0 = arrival.start_time
+    pts = arrival._flat
+    volume = pts[-1]
+    t0 = pts[0]
     if volume <= _FEPS:
-        return Cumulative([(t0, 0.0)]), []
+        return Cumulative._from_flat([t0, 0.0]), None
 
-    # Decompose the arrival into jumps and constant-rate pieces.  The event
-    # set is filled in the order t0, jumps, pieces, profile boundaries: of
-    # two equal times (0.0 and -0.0) the first one added stays.
+    # Decompose the arrival into jumps and constant-rate pieces, reading its
+    # breakpoints pairwise off the flat storage.  The event set is filled in
+    # the order t0, jumps, pieces, profile boundaries: of two equal times
+    # (0.0 and -0.0) the first one added stays.
     jumps: dict[float, float] = {}
     rate_pieces: list[tuple[float, float, float]] = []  # (t0, t1, rate)
-    for (ta, va), (tb, vb) in zip(arrival.points, arrival.points[1:]):
+    it = iter(pts)
+    ta = next(it)
+    va = next(it)
+    for tb, vb in zip(it, it):
         if tb == ta:
             if vb > va:
                 jumps[ta] = jumps.get(ta, 0.0) + (vb - va)
         elif vb > va:
             rate_pieces.append((ta, tb, (vb - va) / (tb - ta)))
+        ta = tb
+        va = vb
     events = {t0}
     events.update(jumps)
     for pa, pb, _ in rate_pieces:
@@ -252,10 +320,9 @@ def forward_through_link(
     forwarded = 0.0
     arrived = 0.0
     t = t0
-    dep_points: list[tuple[float, float]] = [(t0, 0.0)]
-    u_starts: list[float] = []
-    u_finishes: list[float] = []
-    u_fracs: list[float] = []
+    # The departure's breakpoints, flat.  Its last time is always ``t``.
+    dep = [t0, 0.0]
+    spans: list[float] = []
     ei = 0
     ri = 0
     # Consume any jump exactly at t0.
@@ -311,30 +378,27 @@ def forward_through_link(
             if rate > 0:
                 frac = rate / speed
                 # Segments abut exactly: t is copied from the previous finish.
-                if u_finishes and u_finishes[-1] == t and abs(u_fracs[-1] - frac) <= _FEPS:
-                    u_finishes[-1] = t_next
+                if spans and spans[-2] == t and abs(spans[-1] - frac) <= _FEPS:
+                    spans[-2] = t_next
                 else:
-                    u_starts.append(t)
-                    u_finishes.append(t_next)
-                    u_fracs.append(frac)
+                    spans.append(t)
+                    spans.append(t_next)
+                    spans.append(frac)
             # Always record the breakpoint: a zero-rate span must appear in
             # the departure curve or interpolation would invent volume there.
-            point = (t_next, forwarded)
-            if dep_points[-1] != point:
-                dep_points.append(point)
+            # ``t_next > t`` and the last breakpoint is at ``t``, so it is new.
+            dep.append(t_next)
+            dep.append(forwarded)
             t = t_next
         # Apply any jump landing exactly at the new time.
         if t in jumps:
             got = arrived + jumps.pop(t)
             arrived = got if got < volume else volume
 
-    if dep_points[-1][1] < volume:
-        dep_points.append((t, volume))
-    departure = Cumulative(dep_points)
-    usage = [UsageSegment(*seg) for seg in zip(u_starts, u_finishes, u_fracs)]
-    if reserve:
-        profile.add_usage(usage)
-    return departure, usage
+    if dep[-1] < volume:
+        dep.append(t)
+        dep.append(volume)
+    return Cumulative._from_flat(dep), spans
 
 
 def probe_step_finish(
@@ -403,13 +467,23 @@ def probe_step_finish(
 
 @dataclass(frozen=True, slots=True)
 class TransferBooking:
-    """One edge's committed transfer across one link."""
+    """One edge's committed transfer across one link.
+
+    ``spans`` holds the link usage flat, ``start, finish, fraction`` per
+    segment (no object per segment); :attr:`usage` rebuilds the segments.
+    """
 
     edge: EdgeKey
     lid: LinkId
     arrival: Cumulative
     departure: Cumulative
-    usage: tuple[UsageSegment, ...]
+    spans: array[float]
+
+    @property
+    def usage(self) -> tuple[UsageSegment, ...]:
+        """The usage segments, rebuilt from :attr:`spans`."""
+        it = iter(self.spans)
+        return tuple(UsageSegment(*seg) for seg in zip(it, it, it))
 
 
 @dataclass
@@ -495,7 +569,7 @@ class BandwidthLinkState:
             raise SchedulingError(f"edge {edge} already has bookings")
         self._bookings[edge] = list(hops)
         for hop in hops:
-            self._writable_profile(hop.lid).add_usage(list(hop.usage))
+            self._writable_profile(hop.lid)._overlay(hop.spans)
 
     def schedule_edge(
         self,
@@ -533,8 +607,14 @@ class BandwidthLinkState:
         arrival = Cumulative.step(ready_time, cost)
         for link in route:
             prof = self._writable_profile(link.lid)
-            departure, usage = forward_through_link(prof, arrival, link.speed, reserve=True)
-            flows.append(TransferBooking(edge, link.lid, arrival, departure, tuple(usage)))
+            departure, spans = _sweep(prof, arrival, link.speed)
+            if spans is None:
+                spans = []
+            else:
+                prof._overlay(spans)
+            flows.append(
+                TransferBooking(edge, link.lid, arrival, departure, array("d", spans))
+            )
             if comm.mode == "cut-through":
                 arrival = departure.shifted(comm.hop_delay)
             else:

@@ -91,6 +91,23 @@ def _cascade_fits(
     return True
 
 
+def _abut(suffix: list[TimeSlot], start: float) -> None:
+    """Clip the finish of ``suffix[-1]`` back to ``start`` if it overruns it.
+
+    The commit puts each slot at its predecessor's finish, but the two times
+    come out of different roundings.  A new slot's finish can overrun, by a
+    residue within ``EPS``, the start of an unpushed successor it abuts in
+    exact arithmetic (the cascade stops there), and a pushed slot's ``start
+    + delta`` can round below its predecessor's finish.  Clipping that
+    finish keeps the queue strictly disjoint.  Every other time the commit
+    computes (the arrival, the next link's constraints, the cascade's
+    ``prev_finish``) keeps its unclipped value, so no placement changes.
+    """
+    last = suffix[-1]
+    if last.start <= start < last.finish:
+        suffix[-1] = TimeSlot(last.edge, last.start, start)
+
+
 def _rounding_slop(n: int, tail_finish: float, least_finish: float) -> float:
     """Rounding guard of one optimal-insertion scan over ``n`` queued slots.
 
@@ -254,6 +271,8 @@ def schedule_edge_optimal(
             for j in range(best_index, n):
                 s = slots[j]
                 if s.start + EPS >= prev_finish:
+                    if s.start < prev_finish:
+                        _abut(suffix, s.start)
                     suffix.extend(slots[j:])
                     break
                 delta = prev_finish - s.start
@@ -266,6 +285,8 @@ def schedule_edge_optimal(
                         f"{delta:.12g} but its causality slack is only {slack:.12g}"
                     )
                 moved = s.shifted(delta)
+                if moved.start < prev_finish:
+                    _abut(suffix, moved.start)
                 suffix.append(moved)
                 prev_finish = moved.finish
                 if observing:

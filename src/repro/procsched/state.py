@@ -31,6 +31,8 @@ class ProcessorState:
 
     _timelines: dict[VertexId, list[TaskSlot]] = field(default_factory=dict)
     _placements: dict[TaskId, TaskPlacement] = field(default_factory=dict)
+    #: the last slot's finish of every non-empty timeline
+    _finish: dict[VertexId, float] = field(default_factory=dict)
     _txn_timelines: dict[VertexId, list[TaskSlot]] | None = None
     _txn_tasks: list[TaskId] | None = None
 
@@ -53,6 +55,10 @@ class ProcessorState:
             raise SchedulingError("no open processor transaction")
         for vid, original in self._txn_timelines.items():
             self._timelines[vid] = original
+            if original:
+                self._finish[vid] = original[-1].finish
+            else:
+                self._finish.pop(vid, None)
         for task in self._txn_tasks:
             del self._placements[task]
         self._txn_timelines = None
@@ -80,8 +86,14 @@ class ProcessorState:
 
     def finish_time(self, vid: VertexId) -> float:
         """The paper's ``t_f(P)``: when the processor's last task completes."""
-        slots = self._timelines.get(vid)
-        return slots[-1].finish if slots else 0.0
+        return self._finish.get(vid, 0.0)
+
+    def finish_times(self) -> dict[VertexId, float]:
+        """``t_f(P)`` of every processor with a task; absent means 0.0.
+
+        The live map, for loops over every processor (treat as read-only).
+        """
+        return self._finish
 
     def placement(self, task: TaskId) -> TaskPlacement:
         try:
@@ -120,6 +132,7 @@ class ProcessorState:
         slots = self._writable(vid)
         index, start, finish = find_task_gap(slots, duration, est, insertion=insertion)
         insert_task_slot(slots, index, TaskSlot(task, start, finish))
+        self._finish[vid] = slots[-1].finish
         placement = TaskPlacement(task, vid, start, finish)
         self._placements[task] = placement
         if self._txn_tasks is not None:

@@ -34,6 +34,11 @@ complete :func:`repro.core.mapping.simulate_mapping` run.
 ``naive_validate_bandwidth`` is the BBSA schedule check before it walked
 its curves with pointers: one :meth:`Cumulative.value` bisect per departure
 breakpoint, and the hop-to-hop pass never skipped.
+
+``naive_mls_select_processor`` and ``naive_eft_select_processor`` are the
+processor choices of OIHSA/BBSA and of BA before they bounded only the
+processors that host a predecessor: every (processor, predecessor) pair,
+and the least ``(finish, vid)`` key.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from repro.exceptions import RoutingError, SchedulingError, ValidationError
 from repro.linksched.bandwidth import BandwidthProfile, Cumulative, forward_through_link
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.linksched.optimal_insertion import (
+    _abut,
     _cascade_fits,
     _rounding_slop,
     deferrable_time,
@@ -57,8 +63,9 @@ from repro.linksched.slots import TimeSlot, insert_slot
 from repro.linksched.slots import find_gap as linear_find_gap
 from repro.linksched.state import LinkScheduleState, _LinkQueue
 from repro.network.routing import _check_endpoints
-from repro.network.topology import Link, NetworkTopology, Route
+from repro.network.topology import Link, NetworkTopology, Route, Vertex
 from repro.obs import OBS
+from repro.procsched.state import ProcessorState
 from repro.taskgraph.graph import TaskGraph
 from repro.types import EPS, EdgeKey, LinkId, TaskId, VertexId
 
@@ -70,6 +77,8 @@ __all__ = [
     "naive_dijkstra_fluid",
     "naive_dijkstra_indexed",
     "naive_dijkstra_route",
+    "naive_eft_select_processor",
+    "naive_mls_select_processor",
     "naive_schedule_edge_optimal",
     "naive_validate_bandwidth",
 ]
@@ -307,6 +316,7 @@ def _naive_commit_optimal(
     for i in range(index, len(slots)):
         s = slots[i]
         if s.start + EPS >= prev_finish:
+            _abut(suffix, s.start)
             suffix.extend(slots[i:])
             break
         delta = prev_finish - s.start
@@ -317,6 +327,7 @@ def _naive_commit_optimal(
                 f"{delta:.12g} but its causality slack is only {slack:.12g}"
             )
         moved = s.shifted(delta)
+        _abut(suffix, moved.start)
         suffix.append(moved)
         prev_finish = moved.finish
     state.replace_suffix(lid, index, suffix)
@@ -560,6 +571,67 @@ class FullResimulationEvaluator:
         self, mappings: Sequence[Mapping[TaskId, VertexId]]
     ) -> list[float]:
         return [self.evaluate(m) for m in mappings]
+
+
+# ---------------------------------------------------------------------------
+# Processor selection: every (processor, predecessor) pair, (finish, vid) keys.
+# ---------------------------------------------------------------------------
+
+
+def _timeline_finish(pstate: ProcessorState, vid: VertexId) -> float:
+    """``t_f(P)`` read off the processor's timeline."""
+    slots = pstate.timeline(vid)
+    return slots[-1].finish if slots else 0.0
+
+
+def naive_mls_select_processor(
+    graph: TaskGraph,
+    tid: TaskId,
+    procs: list[Vertex],
+    pstate: ProcessorState,
+    mls: float,
+    *,
+    local_comm_exempt: bool = True,
+) -> Vertex:
+    """``ContentionScheduler._mls_select_processor`` as a scan of every
+    (processor, predecessor) pair, keeping the least ``(finish, vid)``."""
+    weight = graph.task(tid).weight
+    best: tuple[float, int] | None = None
+    chosen = procs[0]
+    for proc in procs:
+        comm_bound = 0.0
+        for e in graph.in_edges(tid):
+            src_pl = pstate.placement(e.src)
+            if local_comm_exempt and src_pl.processor == proc.vid:
+                est = src_pl.finish
+            else:
+                est = src_pl.finish + e.cost / mls
+            if est > comm_bound:
+                comm_bound = est
+        ft = _timeline_finish(pstate, proc.vid)
+        if ft > comm_bound:
+            comm_bound = ft
+        key = (comm_bound + weight / proc.speed, proc.vid)
+        if best is None or key < best:
+            best, chosen = key, proc
+    return chosen
+
+
+def naive_eft_select_processor(
+    graph: TaskGraph, tid: TaskId, procs: list[Vertex], pstate: ProcessorState
+) -> Vertex:
+    """BA's blind earliest-finish choice, one ``(finish, vid)`` key each."""
+    weight = graph.task(tid).weight
+    latest = max(
+        (pstate.placement(p).finish for p in graph.predecessors(tid)), default=0.0
+    )
+    best: tuple[float, int] | None = None
+    chosen = procs[0]
+    for proc in procs:
+        key = (max(latest, _timeline_finish(pstate, proc.vid)) + weight / proc.speed, proc.vid)
+        if best is None or key < best:
+            best, chosen = key, proc
+    return chosen
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from repro.core.io import schedule_from_json, schedule_to_json
 from repro.core.oihsa import OIHSAScheduler
 from repro.core.validate import validate_schedule
 from repro.exceptions import SerializationError
-from repro.linksched.commmodel import CommModel
+from repro.linksched.commmodel import CUT_THROUGH, STORE_AND_FORWARD, CommModel
 
 
 @pytest.mark.parametrize(
@@ -56,6 +56,24 @@ class TestCommAndErrors:
         original = BBSAScheduler().schedule(fork8, wan16)
         back = schedule_from_json(schedule_to_json(original))
         validate_schedule(back)
+
+    @pytest.mark.parametrize(
+        "comm", [CUT_THROUGH, CommModel(hop_delay=0.5), STORE_AND_FORWARD]
+    )
+    def test_bbsa_round_trip_keeps_every_curve(self, fork8, wan16, comm):
+        original = BBSAScheduler(comm=comm).schedule(fork8, wan16)
+        back = schedule_from_json(schedule_to_json(original))
+        hops = 0
+        for e in fork8.edges():
+            old = original.bandwidth_state.bookings_of(e.key)
+            new = back.bandwidth_state.bookings_of(e.key)
+            assert [b.lid for b in new] == [b.lid for b in old]
+            for a, b in zip(old, new):
+                assert repr(b.arrival.points) == repr(a.arrival.points)
+                assert repr(b.departure.points) == repr(a.departure.points)
+                assert repr(b.usage) == repr(a.usage)
+                hops += 1
+        assert hops > fork8.num_edges // 2
 
     def test_invalid_json(self):
         with pytest.raises(SerializationError):

@@ -1,10 +1,14 @@
 """Unit tests for repro.linksched.bandwidth (BBSA's fluid link model)."""
 
+import gc
 import math
+from array import array
 
 import pytest
 
+from repro.core.bbsa import BBSAScheduler
 from repro.exceptions import SchedulingError
+from repro.linksched import bandwidth
 from repro.linksched.bandwidth import (
     BandwidthLinkState,
     BandwidthProfile,
@@ -12,6 +16,7 @@ from repro.linksched.bandwidth import (
     UsageSegment,
     forward_through_link,
 )
+from repro.linksched.commmodel import CUT_THROUGH, STORE_AND_FORWARD, CommModel
 from repro.network.builders import linear_array
 from repro.network.routing import bfs_route
 
@@ -50,6 +55,72 @@ class TestCumulative:
     def test_finish_time_of_ramp(self):
         c = Cumulative([(0.0, 0.0), (4.0, 8.0), (9.0, 8.0)])
         assert c.finish_time() == 4.0
+
+    def test_constructor_copies_its_input(self):
+        points = [(0.0, 0.0), (2.0, 4.0)]
+        c = Cumulative(points)
+        # Neither change may reach the curve: the second would have failed
+        # the monotonicity check at construction.
+        points[1] = (3.0, 6.0)
+        points.append((1.0, 1.0))
+        assert c.points == [(0.0, 0.0), (2.0, 4.0)]
+        assert c.value(1.0) == 2.0
+        assert c.finish_time() == 2.0
+
+    def test_views_are_copies(self):
+        c = Cumulative([(0.0, 0.0), (2.0, 4.0)])
+        c.points.append((1.0, 1.0))
+        c.flat().append(9.0)
+        assert c.points == [(0.0, 0.0), (2.0, 4.0)]
+        assert c.flat() == [0.0, 0.0, 2.0, 4.0]
+
+
+def _held(obj):
+    """The objects ``obj`` refers to, bar its type."""
+    return [r for r in gc.get_referents(obj) if not isinstance(r, type)]
+
+
+class TestCompactStorage:
+    """A booked schedule keeps its breakpoints and usage as flat doubles."""
+
+    def test_no_object_per_breakpoint(self, fork8, wan16):
+        s = BBSAScheduler().schedule(fork8, wan16)
+        state = s.bandwidth_state
+        hops = [b for e in fork8.edges() for b in state.bookings_of(e.key)]
+        assert max(len(state.route_of(e.key)) for e in fork8.edges()) >= 2
+        for b in hops:
+            for curve in (b.arrival, b.departure):
+                (storage,) = _held(curve)
+                assert isinstance(storage, array) and storage.typecode == "d"
+                assert _held(storage) == []
+                assert curve.points == list(zip(storage[0::2], storage[1::2]))
+                assert len(storage) == 2 * len(curve.points)
+            assert b.spans.typecode == "d" and _held(b.spans) == []
+            assert b.usage == tuple(
+                UsageSegment(*b.spans[i : i + 3]) for i in range(0, len(b.spans), 3)
+            )
+            assert len(b.usage) >= 1
+
+    @pytest.mark.parametrize(
+        "comm", [CUT_THROUGH, CommModel(hop_delay=0.5), STORE_AND_FORWARD]
+    )
+    def test_every_curve_is_checked(self, fork8, wan16, monkeypatch, comm):
+        # Departures, shifted copies and steps all go through the checks.
+        checked = []
+        real = bandwidth._curve_storage
+
+        def spy(flat):
+            checked.append(real(flat))
+            return checked[-1]
+
+        monkeypatch.setattr(bandwidth, "_curve_storage", spy)
+        s = BBSAScheduler(comm=comm).schedule(fork8, wan16)
+        ids = {id(storage) for storage in checked}
+        for e in fork8.edges():
+            for b in s.bandwidth_state.bookings_of(e.key):
+                for curve in (b.arrival, b.departure):
+                    (storage,) = _held(curve)
+                    assert id(storage) in ids
 
 
 class TestBandwidthProfile:

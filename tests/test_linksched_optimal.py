@@ -205,3 +205,51 @@ class TestScheduleEdgeOptimal:
         # Its slack is now exhausted: a further transfer must append.
         arrival2 = schedule_edge_optimal(state, (4, 5), [route[0]], 1.0, 0.0)
         assert arrival2 == 7.0
+
+    def test_finish_overrunning_unpushed_successor_is_clipped(self):
+        # With this hop delay, edge 2's last-link finish rounds one ulp past
+        # the start of edge 0's slot, which it abuts in exact arithmetic, and
+        # the cascade stops there.  Edge 2's slot is clipped to end where
+        # edge 0's begins; edge 0 does not move and edge 2 arrives as computed.
+        from repro.linksched.commmodel import CommModel
+
+        net, ps = three_procs(link_speed=2.0)
+        route = bfs_route(net, ps[0], ps[2])
+        comm = CommModel(mode="cut-through", hop_delay=3.479165988789807)
+        plans = [(1.0, 13.0), (6.0, 0.0), (20.0, 0.0)]
+        state = LinkScheduleState()
+        arrivals = [
+            schedule_edge_optimal(state, (i, 100 + i), route, cost, ready, comm)
+            for i, (cost, ready) in enumerate(plans)
+        ]
+        last = state.slots(route[-1].lid)
+        assert [s.edge for s in last] == [(1, 101), (2, 102), (0, 100)]
+        assert last[2] == TimeSlot((0, 100), 16.479165988789806, 16.979165988789806)
+        assert last[1].finish == last[2].start
+        assert arrivals[2] == 16.47916598878981
+        for link in route:
+            check_queue_invariants(state.slots(link.lid))
+        for i, (cost, ready) in enumerate(plans):
+            check_route_causality(state, net, (i, 100 + i), cost, ready, comm=comm)
+
+    def test_pushed_start_rounding_below_predecessor_is_clipped(self):
+        net, ps = three_procs()
+        route = bfs_route(net, ps[0], ps[2])
+        lid0, lid1 = route[0].lid, route[1].lid
+        # Pushing the occupant by ``finish - start`` puts it at
+        # ``start + (finish - start)``, which rounds one ulp below ``finish``.
+        start, finish = 41.968035129700695, 633.5786517456671
+        assert start + (finish - start) < finish
+
+        state = LinkScheduleState()
+        edge = (9, 9)
+        state.record_route(edge, (lid0, lid1))
+        state.insert(lid0, 0, TimeSlot(edge, start, start + 4.0))
+        state.insert(lid1, 0, TimeSlot(edge, start + 1000.0, start + 1004.0))
+        arrival = schedule_edge_optimal(state, (0, 1), [route[0]], finish, 0.0)
+        assert arrival == finish
+        new, occ = state.slots(lid0)
+        assert occ.start == start + (finish - start)
+        assert new.finish == occ.start
+        check_queue_invariants(state.slots(lid0))
+        check_route_causality(state, net, edge, 4.0)

@@ -30,6 +30,8 @@ import repro.core.oihsa as oihsa_mod
 import repro.core.packetba as packetba_mod
 from repro import obs
 from repro.core import SCHEDULERS
+from repro.core.ba import BAScheduler
+from repro.core.base import ContentionScheduler
 from repro.linksched.commmodel import CUT_THROUGH, STORE_AND_FORWARD
 from repro.linksched.insertion import schedule_edge_basic
 from repro.linksched.optimal_insertion import schedule_edge_optimal
@@ -42,14 +44,18 @@ from repro.network.builders import (
     switched_cluster,
 )
 from repro.network.routing import bfs_route
-from repro.network.topology import Link
+from repro.network.topology import Link, Vertex
 from repro.obs import OBS
+from repro.procsched.state import ProcessorState
 from repro.taskgraph.generators import random_layered_dag
+from repro.taskgraph.graph import TaskGraph
 from tests.naive_reference import (
     NaiveLinkScheduleState,
     naive_bfs_route,
     naive_dijkstra_fluid,
     naive_dijkstra_indexed,
+    naive_eft_select_processor,
+    naive_mls_select_processor,
     naive_schedule_edge_optimal,
 )
 
@@ -329,6 +335,72 @@ class TestSchedulerDifferential:
         assert _comparable_counters(
             instrumented.stats, probe_counter, booking
         ) == _comparable_counters(reference.stats, probe_counter, booking)
+
+
+# ---------------------------------------------------------------------------
+# Processor selection: bounds for predecessor hosts only vs every pair.
+# ---------------------------------------------------------------------------
+
+#: small values, so finishes tie often
+_small = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def selection_cases(draw):
+    """A task with placed predecessors, on processors with queued work.
+
+    Some placements are made inside a transaction that is rolled back, so
+    the finish times read must be the restored ones.
+    """
+    n_procs = draw(st.integers(1, 6))
+    vids = sorted(draw(st.sets(st.integers(0, 20), min_size=n_procs, max_size=n_procs)))
+    procs = [Vertex(v, "processor", draw(st.sampled_from([0.5, 1.0, 2.0]))) for v in vids]
+    pstate = ProcessorState()
+    graph = TaskGraph()
+    tid = 100
+    graph.add_task(tid, draw(st.sampled_from([1.0, 2.0, 4.0])))
+    next_task = 200
+    for pred in range(draw(st.integers(0, 5))):
+        graph.add_task(pred, 1.0)
+        graph.add_edge(pred, tid, draw(st.sampled_from([0.0, 1.0, 2.5, 4.0])))
+        pstate.place(pred, draw(st.sampled_from(vids)), draw(_small), draw(_small))
+    for _ in range(draw(st.integers(0, 4))):
+        pstate.place(next_task, draw(st.sampled_from(vids)), draw(_small), draw(_small))
+        next_task += 1
+    if draw(st.booleans()):
+        pstate.begin()
+        for _ in range(draw(st.integers(1, 3))):
+            pstate.place(next_task, draw(st.sampled_from(vids)), 5.0, draw(_small))
+            next_task += 1
+        pstate.rollback()
+    return graph, tid, procs, pstate
+
+
+class TestProcessorSelectionDifferential:
+    """The O(P + preds) choices against the pairwise (finish, vid) scans."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=selection_cases(),
+        mls=st.sampled_from([0.5, 1.0, 2.0]),
+        exempt=st.booleans(),
+    )
+    def test_mls_choice_matches_pairwise_scan(self, case, mls, exempt):
+        graph, tid, procs, pstate = case
+        fast = ContentionScheduler._mls_select_processor(
+            graph, tid, procs, pstate, mls, local_comm_exempt=exempt
+        )
+        naive = naive_mls_select_processor(
+            graph, tid, procs, pstate, mls, local_comm_exempt=exempt
+        )
+        assert fast is naive
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=selection_cases())
+    def test_blind_eft_choice_matches_pairwise_scan(self, case):
+        graph, tid, procs, pstate = case
+        fast = BAScheduler()._select_processor(graph, None, tid, procs, pstate)
+        assert fast is naive_eft_select_processor(graph, tid, procs, pstate)
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,18 @@
-"""Fabric routing cost: hierarchical lazy tables on a 1k-processor fabric.
+"""Fabric routing cost: one BA schedule on a 1k-processor leaf-spine.
 
-The datacenter-fabric layer (:mod:`repro.network.fabrics`) claims that a
-1024-processor leaf-spine never builds the full ``(src, dst)`` route table:
-the attached :class:`~repro.network.routing.HierarchicalRouter` materializes
-routes lazily into per-leaf shards, computing each analytically from the
-fabric structure, and the routes are **bit-identical** to flat BFS.  This
-module times three things on the fixed 1k-processor workload:
+Every topology, the datacenter fabrics included, gets its minimal routes
+from one flat :func:`~repro.network.routing.bfs_route` memo
+(:meth:`~repro.network.topology.NetworkTopology.route_table`), filled
+lazily, one ``(src, dst)`` entry per processor pair first routed.  This
+module times a BA schedule on the fixed 1024-processor leaf-spine workload
+and records how many memo entries it fills (``route_table_entries``)
+against the full ordered-pair cross product (``cross_product_entries``),
+asserting strictly fewer.
 
-1. a BA schedule through the hierarchical router (the real consumer),
-2. the same BA schedule with the router detached (flat reference) — the
-   makespans must match exactly, and both go into the checksum,
-3. a raw route-materialization sweep over a deterministic processor-pair
-   sample, hierarchical vs flat.
-
-The instrumented pass records the routing counters — materialized entries,
-shard count, analytic fraction, ``routing.table_hits`` — and asserts the
-laziness acceptance criterion (materialized entries strictly fewer than the
-cross product).  The session writes ``BENCH_fabric_routing.json``; CI
-compares it against the committed baseline with
-``benchmarks/compare_scheduler_cost.py`` (the report shares its layout), so
-any makespan or route-count drift fails the build.
+A run writes ``BENCH_fabric_routing.json``; CI compares it against
+the committed baseline with ``benchmarks/compare_scheduler_cost.py`` (the
+report shares its layout), so a makespan drift fails the build, and checks
+the entry counts exactly.
 """
 
 import hashlib
@@ -33,16 +26,12 @@ from repro import obs
 from repro.core import SCHEDULERS
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.workloads import paper_workload
-from repro.network.routing import bfs_route
 
 #: The fixed 1k-processor leaf-spine bench instance (64 leaves x 16 hosts).
 FABRIC_ROUTING_PARAMS = {"ccr": 2.0, "n_procs": 1024, "rng": 4242}
 
-#: Processor pairs routed by the raw-materialization sweep.
-N_SAMPLE_PAIRS = 2000
-
 _report: dict[str, dict] = {}
-_routing: dict[str, object] = {}
+_routing: dict[str, int] = {}
 
 
 def _workload():
@@ -55,105 +44,37 @@ def workload():
     return _workload()
 
 
-@pytest.fixture(scope="module")
-def flat_workload():
-    w = _workload()
-    w.net.detach_router()
-    return w
-
-
-def _sample_pairs(net, limit=N_SAMPLE_PAIRS):
-    procs = [p.vid for p in net.processors()]
-    pairs = [(s, d) for s in procs for d in procs if s != d]
-    step = max(1, len(pairs) // limit)
-    return pairs[::step]
-
-
-def _instrumented_ba(graph, net) -> dict:
-    """One instrumented BA run: wall time + routing counters."""
-    obs.enable(obs.NullSink())
-    obs.reset()
-    try:
-        t0 = perf_counter()
-        schedule = SCHEDULERS["ba"]().schedule(graph, net)
-        wall = perf_counter() - t0
-        assert schedule.makespan > 0
-        counters = obs.METRICS.snapshot()["counters"]
-    finally:
-        obs.disable()
-    return {"wall_s": wall, "makespan": schedule.makespan, "counters": counters}
-
-
-def test_ba_through_hierarchical_router(benchmark, workload):
+def test_ba_on_leaf_spine(benchmark, workload):
     result = benchmark(
         lambda: SCHEDULERS["ba"]().schedule(workload.graph, workload.net)
     )
     assert result.makespan > 0
-    # Counters come from a fresh workload so repeated benchmark rounds (warm
-    # shard tables) cannot make the numbers process-history-dependent.
+    # Counters come from a fresh workload so repeated benchmark rounds (a
+    # warm route memo) cannot make the numbers process-history-dependent.
     fresh = _workload()
-    run = _instrumented_ba(fresh.graph, fresh.net)
-    router = fresh.net.attached_router
-    stats = router.stats()
-    # The laziness acceptance criterion: strictly fewer materialized entries
-    # than the full (src, dst) cross product, and every route analytic (a
-    # leaf-spine needs no BFS fallback).
-    assert 0 < stats["materialized_entries"] < stats["cross_product_entries"]
-    assert stats["analytic_routes"] == stats["materialized_entries"]
-    assert run["counters"].get("routing.lazy_materialized", 0) == (
-        stats["materialized_entries"]
-    )
-    counters = run.pop("counters")
+    obs.enable(obs.NullSink())
+    obs.reset()
+    try:
+        t0 = perf_counter()
+        schedule = SCHEDULERS["ba"]().schedule(fresh.graph, fresh.net)
+        wall = perf_counter() - t0
+        counters = obs.METRICS.snapshot()["counters"]
+    finally:
+        obs.disable()
+    n_procs = len(fresh.net.processors())
+    entries = len(fresh.net.route_table())
+    cross = n_procs * (n_procs - 1)
+    # The laziness criterion: one memo entry per pair routed, strictly
+    # fewer than the full (src, dst) cross product.
+    assert 0 < entries < cross
+    assert counters.get("routing.bfs_routes", 0) == entries
     _report["ba"] = {
-        **run,
-        "routing_stats": stats,
+        "makespan": schedule.makespan,
         "route_table_hits": counters.get("routing.table_hits", 0),
+        "wall_s": wall,
     }
-
-
-def test_ba_flat_reference(benchmark, flat_workload):
-    result = benchmark(
-        lambda: SCHEDULERS["ba"]().schedule(flat_workload.graph, flat_workload.net)
-    )
-    assert result.makespan > 0
-    fresh = _workload()
-    fresh.net.detach_router()
-    run = _instrumented_ba(fresh.graph, fresh.net)
-    run.pop("counters")
-    _report["ba_flat"] = run
-
-
-def test_route_materialization_sweep(benchmark, workload):
-    pairs = _sample_pairs(workload.net)
-
-    def _route_all():
-        net = _workload().net  # cold shard tables every round
-        return sum(len(bfs_route(net, s, d)) for s, d in pairs)
-
-    total_hops = benchmark(_route_all)
-    assert total_hops > 0
-    net = _workload().net
-    t0 = perf_counter()
-    hier_hops = sum(len(bfs_route(net, s, d)) for s, d in pairs)
-    hier_wall = perf_counter() - t0
-    stats = net.attached_router.stats()
-    assert stats["materialized_entries"] == len(pairs)
-    flat = _workload().net
-    flat.detach_router()
-    t0 = perf_counter()
-    flat_hops = sum(len(bfs_route(flat, s, d)) for s, d in pairs)
-    flat_wall = perf_counter() - t0
-    assert hier_hops == flat_hops  # identical routes, pair for pair
     _routing.update(
-        {
-            "sampled_pairs": len(pairs),
-            "total_hops": hier_hops,
-            "hierarchical_wall_s": hier_wall,
-            "flat_wall_s": flat_wall,
-            "materialized_entries": stats["materialized_entries"],
-            "cross_product_entries": stats["cross_product_entries"],
-            "shards": stats["shards"],
-        }
+        {"route_table_entries": entries, "cross_product_entries": cross}
     )
 
 
@@ -166,30 +87,23 @@ def makespan_checksum(report: dict[str, dict]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _finalize(report: dict[str, dict]) -> dict:
-    hier = report.get("ba")
-    flat = report.get("ba_flat")
-    if hier is not None and flat is not None:
-        # Bit-identity between routed and flat scheduling is the fabric
-        # layer's core claim: fail loudly, don't just record drift.
-        assert hier["makespan"] == flat["makespan"], (
-            f"hierarchical makespan {hier['makespan']!r} != "
-            f"flat {flat['makespan']!r}"
-        )
-    return {
-        "algorithms": report,
-        "makespan_checksum": makespan_checksum(report),
-        "params": FABRIC_ROUTING_PARAMS,
-        "routing": _routing,
-    }
-
-
 @pytest.fixture(scope="module", autouse=True)
 def _write_report():
-    """After the module's benchmarks, dump the instrumented comparison."""
+    """After the module's benchmark, dump the instrumented run."""
     yield
     if not _report:
         return
     out = Path("BENCH_fabric_routing.json")
-    out.write_text(json.dumps(_finalize(_report), indent=1, sort_keys=True))
-    print(f"\nwrote fabric-routing cost comparison to {out.resolve()}")
+    out.write_text(
+        json.dumps(
+            {
+                "algorithms": _report,
+                "makespan_checksum": makespan_checksum(_report),
+                "params": FABRIC_ROUTING_PARAMS,
+                "routing": _routing,
+            },
+            indent=1,
+            sort_keys=True,
+        )
+    )
+    print(f"\nwrote fabric-routing cost report to {out.resolve()}")

@@ -20,8 +20,7 @@ Commands:
   bench invocation appends a record under ``.repro-runs/``,
 - ``topo``     — datacenter fabric generators (``build`` / ``info`` /
   ``validate``): emit a fat-tree / leaf-spine / torus topology as JSON,
-  describe its closed-form structure, or check every structural invariant
-  plus route identity against the flat reference search,
+  describe its closed-form structure, or check every structural invariant,
 - ``lint``     — run the repo-specific static-analysis rules (determinism,
   float discipline, obs guards, transaction safety; see
   ``docs/static_analysis.md``),
@@ -38,20 +37,22 @@ from typing import IO
 from repro import __version__
 
 
-class _OutputError(Exception):
-    """An output file named on the command line cannot be written."""
+class _PathError(Exception):
+    """A file named on the command line cannot be opened."""
 
 
-def _open_output(path: str) -> IO[str]:
-    """Open ``path`` for writing, or raise :class:`_OutputError`.
+def _open_path(path: str, mode: str = "w") -> IO[str]:
+    """Open ``path`` for writing (or reading, ``mode="r"``), or raise
+    :class:`_PathError`.
 
     Commands that write a file call this before they schedule anything, so
     an unwritable path fails at once instead of after the whole run.
     """
     try:
-        return open(path, "w")
+        return open(path, mode)
     except OSError as exc:
-        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+        verb = "read" if mode == "r" else "write"
+        raise _PathError(f"cannot {verb} {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -114,22 +115,45 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_workload_arguments(p: argparse.ArgumentParser) -> None:
+    """The algorithm and workload flags of ``schedule``/``explain``/``export``."""
+    from repro.core import SCHEDULERS
+    from repro.network.builders import TOPOLOGY_BUILDERS
+    from repro.taskgraph.kernels import KERNELS
+
+    p.add_argument("--algorithm", choices=sorted(SCHEDULERS), default="oihsa")
+    p.add_argument("--tasks", type=int, default=30, help="random layered DAG size")
+    p.add_argument("--kernel", choices=sorted(KERNELS), default=None,
+                   help="use a named kernel instead")
+    p.add_argument("--size", type=int, default=5, help="kernel size parameter")
+    p.add_argument("--ccr", type=float, default=None)
+    p.add_argument(
+        "--topology", choices=sorted(TOPOLOGY_BUILDERS), default="random_wan",
+        help="network builder; mesh2d and torus2d take --procs per side, "
+        "torus3d is a cube of side --procs",
+    )
+    p.add_argument("--procs", type=int, default=8)
+    p.add_argument("--seed", type=int, default=1)
+
+
 def _workload_from_args(args: argparse.Namespace):
-    """Build the (graph, net) pair the ``schedule``/``explain`` flags describe."""
+    """Build the (graph, net) pair :func:`_add_workload_arguments` describes."""
     from repro.network.builders import TOPOLOGY_BUILDERS
     from repro.taskgraph.ccr import scale_to_ccr
     from repro.taskgraph.generators import random_layered_dag
     from repro.taskgraph.kernels import KERNELS
 
-    if getattr(args, "kernel", None):
+    if args.kernel:
         graph = KERNELS[args.kernel](args.size, rng=args.seed)
     else:
         graph = random_layered_dag(args.tasks, rng=args.seed)
     if args.ccr is not None:
         graph = scale_to_ccr(graph, args.ccr)
     builder = TOPOLOGY_BUILDERS[args.topology]
-    if args.topology == "mesh2d":
+    if args.topology in ("mesh2d", "torus2d"):
         net = builder(args.procs, args.procs, rng=args.seed + 1)
+    elif args.topology == "torus3d":
+        net = builder((args.procs,) * 3, rng=args.seed + 1)
     else:
         net = builder(args.procs, rng=args.seed + 1)
     return graph, net
@@ -141,8 +165,8 @@ def _workload_fingerprint_doc(args: argparse.Namespace, command: str) -> dict:
         "command": command,
         "algorithm": args.algorithm,
         "tasks": args.tasks,
-        "kernel": getattr(args, "kernel", None),
-        "size": getattr(args, "size", None),
+        "kernel": args.kernel,
+        "size": args.size,
         "ccr": args.ccr,
         "topology": args.topology,
         "procs": args.procs,
@@ -177,7 +201,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     # The ledger wants the run's counters even when the user didn't ask for
     # --stats, so observability is on unless the ledger is off too.
     observing = want_stats or not args.no_runlog
-    trace_fh = _open_output(args.trace_out) if args.trace_out else None
+    trace_fh = _open_path(args.trace_out) if args.trace_out else None
     if observing:
         obs.enable(obs.JsonlSink(trace_fh) if trace_fh else obs.ListSink())
     t0 = perf_counter()
@@ -237,7 +261,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     graph, net = _workload_from_args(args)
     observing = not args.no_runlog
-    with _open_output(args.trace_out) if args.trace_out else nullcontext() as trace_fh:
+    with _open_path(args.trace_out) if args.trace_out else nullcontext() as trace_fh:
         if observing:
             obs.enable(obs.ListSink())
         t0 = perf_counter()
@@ -423,7 +447,7 @@ def _cmd_runs_compare(args: argparse.Namespace) -> int:
     from repro.obs import runlog
     from repro.obs.runlog import RunLedger, compare_to_baseline
 
-    with open(args.baseline) as fh:
+    with _open_path(args.baseline, "r") as fh:
         baseline = json.load(fh)
     ledger = RunLedger(args.runs_dir)
     record = None if args.fresh else ledger.latest(kind="bench")
@@ -492,7 +516,6 @@ def _fabric_from_args(args: argparse.Namespace):
 
 def _cmd_topo_build(args: argparse.Namespace) -> int:
     from repro.exceptions import TopologyError
-    from repro.network.fabrics import fabric_plan
     from repro.network.io import topology_to_json
 
     try:
@@ -502,16 +525,13 @@ def _cmd_topo_build(args: argparse.Namespace) -> int:
         return 2
     doc = topology_to_json(net)
     if args.output:
-        with open(args.output, "w") as fh:
+        with _open_path(args.output) as fh:
             fh.write(doc + "\n")
-        plan = fabric_plan(net)
-        counts = plan.expected_counts() if plan is not None else None
+        counts = net.fabric_plan.expected_counts()
         print(
             f"wrote {net.name}: {counts.processors} processors, "
             f"{counts.switches} switches, {counts.cables} cables "
             f"to {args.output}"
-            if counts is not None
-            else f"wrote {net.name} to {args.output}"
         )
     else:
         print(doc)
@@ -520,15 +540,13 @@ def _cmd_topo_build(args: argparse.Namespace) -> int:
 
 def _cmd_topo_info(args: argparse.Namespace) -> int:
     from repro.exceptions import TopologyError
-    from repro.network.fabrics import fabric_plan
 
     try:
         net = _fabric_from_args(args)
     except TopologyError as exc:
         print(exc, file=sys.stderr)
         return 2
-    plan = fabric_plan(net)
-    assert plan is not None  # every fabric builder attaches its plan
+    plan = net.fabric_plan
     counts = plan.expected_counts()
     params = ", ".join(
         f"{key}={value}"
@@ -541,17 +559,13 @@ def _cmd_topo_info(args: argparse.Namespace) -> int:
     print(f"switches:   {counts.switches}")
     print(f"cables:     {counts.cables} (full duplex: {2 * counts.cables} links)")
     print(f"diameter:   <= {counts.diameter} hops processor-to-processor")
-    print(f"ecmp width: up to {counts.ecmp_width} equal-cost paths")
-    print("routing:    hierarchical (per-shard lazy tables, "
-          "bit-identical to flat BFS)")
     return 0
 
 
 def _cmd_topo_validate(args: argparse.Namespace) -> int:
-    from repro.exceptions import RoutingError, TopologyError
+    from repro.exceptions import TopologyError
     from repro.network.fabrics import validate_fabric
     from repro.network.io import topology_to_json
-    from repro.network.routing import bfs_route, equal_cost_routes
 
     try:
         net = _fabric_from_args(args)
@@ -559,38 +573,13 @@ def _cmd_topo_validate(args: argparse.Namespace) -> int:
     except TopologyError as exc:
         print(f"FAIL: {exc}")
         return 1
-    # Differential check: the attached hierarchical router must reproduce
-    # the flat reference search on a deterministic sample of processor
-    # pairs (all pairs on small fabrics).
-    flat = _fabric_from_args(args)
-    flat.detach_router()
-    procs = [p.vid for p in net.processors()]
-    pairs = [(s, d) for s in procs for d in procs if s != d]
-    step = max(1, len(pairs) // args.sample)
-    checked = 0
-    try:
-        for s, d in pairs[::step]:
-            hier = [l.lid for l in bfs_route(net, s, d)]
-            ref = [l.lid for l in bfs_route(flat, s, d)]
-            if hier != ref:
-                print(f"FAIL: route {s}->{d} differs: {hier} vs flat {ref}")
-                return 1
-            ecmp = equal_cost_routes(flat, s, d, max_paths=64)
-            if any(len(r) != len(hier) for r in ecmp):
-                print(f"FAIL: ECMP set {s}->{d} is not equal-cost")
-                return 1
-            checked += 1
-    except RoutingError as exc:
-        print(f"FAIL: {exc}")
-        return 1
     if args.file:
-        with open(args.file) as fh:
+        with _open_path(args.file, "r") as fh:
             if fh.read().rstrip("\n") != topology_to_json(net):
                 print(f"FAIL: {args.file} differs from a fresh "
                       f"{net.name} build")
                 return 1
-    print(f"OK: {net.name} valid; {checked} sampled routes identical to "
-          "flat BFS, ECMP sets equal-cost"
+    print(f"OK: {net.name} valid"
           + (f"; {args.file} matches" if args.file else ""))
     return 0
 
@@ -683,9 +672,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     from repro.core import SCHEDULERS
     from repro.core.io import schedule_to_json
     from repro.core.validate import validate_schedule
-    from repro.network.builders import TOPOLOGY_BUILDERS
-    from repro.taskgraph.ccr import scale_to_ccr
-    from repro.taskgraph.generators import random_layered_dag
     from repro.viz.svg import schedule_to_svg
     from repro.viz.trace import schedule_to_trace
 
@@ -694,11 +680,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
         "trace": schedule_to_trace,
         "json": schedule_to_json,
     }
-    with _open_output(args.output) as fh:
-        graph = random_layered_dag(args.tasks, rng=args.seed)
-        if args.ccr is not None:
-            graph = scale_to_ccr(graph, args.ccr)
-        net = TOPOLOGY_BUILDERS[args.topology](args.procs, rng=args.seed + 1)
+    with _open_path(args.output) as fh:
+        graph, net = _workload_from_args(args)
         schedule = SCHEDULERS[args.algorithm]().schedule(graph, net)
         validate_schedule(schedule)
         fh.write(renderers[args.format](schedule))
@@ -767,17 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runlog_arguments(p)
     p.set_defaults(fn=_cmd_figures)
 
-    from repro.core import SCHEDULERS
-
     p = sub.add_parser("schedule", help="schedule a generated workload")
-    p.add_argument("--algorithm", choices=sorted(SCHEDULERS), default="oihsa")
-    p.add_argument("--tasks", type=int, default=30, help="random layered DAG size")
-    p.add_argument("--kernel", default=None, help="use a named kernel instead")
-    p.add_argument("--size", type=int, default=5, help="kernel size parameter")
-    p.add_argument("--ccr", type=float, default=None)
-    p.add_argument("--topology", default="random_wan")
-    p.add_argument("--procs", type=int, default=8)
-    p.add_argument("--seed", type=int, default=1)
+    _add_workload_arguments(p)
     p.add_argument("--no-gantt", action="store_true")
     p.add_argument(
         "--stats", action="store_true",
@@ -802,14 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="schedule a workload and attribute its makespan to resources",
     )
-    p.add_argument("--algorithm", choices=sorted(SCHEDULERS), default="oihsa")
-    p.add_argument("--tasks", type=int, default=30, help="random layered DAG size")
-    p.add_argument("--kernel", default=None, help="use a named kernel instead")
-    p.add_argument("--size", type=int, default=5, help="kernel size parameter")
-    p.add_argument("--ccr", type=float, default=None)
-    p.add_argument("--topology", default="random_wan")
-    p.add_argument("--procs", type=int, default=8)
-    p.add_argument("--seed", type=int, default=1)
+    _add_workload_arguments(p)
     p.add_argument("--json", action="store_true",
                    help="emit the attribution as JSON instead of tables")
     p.add_argument("--no-chain", action="store_true",
@@ -877,11 +844,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     topo_sub = p.add_subparsers(dest="topo_command", required=True)
 
+    from repro.network.fabrics import FABRIC_KINDS
+
     def _add_fabric_arguments(q: argparse.ArgumentParser) -> None:
-        q.add_argument(
-            "kind", choices=("fat_tree", "leaf_spine", "torus"),
-            help="fabric family",
-        )
+        q.add_argument("kind", choices=FABRIC_KINDS, help="fabric family")
         q.add_argument("--k", type=int, default=None,
                        help="fat-tree arity (even; k pods, k^3/4 hosts)")
         q.add_argument("--hosts-per-edge", type=int, default=None,
@@ -914,12 +880,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = topo_sub.add_parser(
         "validate",
-        help="check structural invariants + route identity vs flat BFS "
-        "(exit 1 on any violation)",
+        help="check structural invariants (exit 1 on any violation)",
     )
     _add_fabric_arguments(q)
-    q.add_argument("--sample", type=int, default=200, metavar="N",
-                   help="max processor pairs to route-check (default 200)")
     q.add_argument("--file", default=None, metavar="PATH",
                    help="also check this JSON file is byte-identical to a "
                    "fresh build")
@@ -953,12 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="schedule a workload and export it")
     p.add_argument("output", help="output file path")
     p.add_argument("--format", choices=("svg", "trace", "json"), default="svg")
-    p.add_argument("--algorithm", choices=sorted(SCHEDULERS), default="oihsa")
-    p.add_argument("--tasks", type=int, default=30)
-    p.add_argument("--ccr", type=float, default=None)
-    p.add_argument("--topology", default="random_wan")
-    p.add_argument("--procs", type=int, default=8)
-    p.add_argument("--seed", type=int, default=1)
+    _add_workload_arguments(p)
     p.set_defaults(fn=_cmd_export)
 
     p = sub.add_parser("lint", help="run the repo's static-analysis rules")
@@ -979,7 +937,7 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = list(argv) if argv is not None else sys.argv[1:]
     try:
         return args.fn(args)
-    except _OutputError as exc:
+    except _PathError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

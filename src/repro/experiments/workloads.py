@@ -78,8 +78,7 @@ def paper_workload(
         )
     else:
         # Datacenter fabric sized for the sweep point's exact processor
-        # count; routes come from the attached hierarchical router (lazy,
-        # sharded) and are bit-identical to flat BFS on the same topology.
+        # count; it routes through the same flat BFS memo as the random WAN.
         net = fabric_for_procs(
             config.topology,
             n_procs,

@@ -21,17 +21,10 @@ from repro.network.builders import (
     torus3d,
     dragonfly,
 )
-from repro.network.routing import (
-    HierarchicalRouter,
-    bfs_route,
-    equal_cost_routes,
-)
+from repro.network.routing import bfs_route
 from repro.network.fabrics import (
     FabricCounts,
-    FABRIC_BUILDERS,
-    build_fabric,
     fabric_for_procs,
-    fabric_plan,
     kary_fat_tree,
     leaf_spine,
     torus_fabric,
@@ -58,13 +51,8 @@ __all__ = [
     "torus3d",
     "dragonfly",
     "bfs_route",
-    "equal_cost_routes",
-    "HierarchicalRouter",
     "FabricCounts",
-    "FABRIC_BUILDERS",
-    "build_fabric",
     "fabric_for_procs",
-    "fabric_plan",
     "kary_fat_tree",
     "leaf_spine",
     "torus_fabric",

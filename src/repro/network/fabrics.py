@@ -1,30 +1,17 @@
 """Datacenter fabric generators: k-ary fat-tree, leaf-spine, 2D/3D torus.
 
-The paper evaluates on random WAN-like switch graphs; production scheduling
-happens on *regular* fabrics whose structure routing can exploit.  Each
-builder here emits an ordinary :class:`~repro.network.topology
-.NetworkTopology` (switch + processor vertices, full-duplex point-to-point
-cables) **plus** a :class:`FabricPlan` describing the structure — pod
-membership, tier switch ids, the link between any wired vertex pair — and
-attaches a :class:`~repro.network.routing.HierarchicalRouter` built from
-that plan, so every engine's ``bfs_route`` call is transparently served
-from sharded, lazily materialized per-pod route tables.
+The paper evaluates on random WAN-like switch graphs; these builders add
+the *regular* fabrics clusters run on.  Each emits an ordinary
+:class:`~repro.network.topology.NetworkTopology` (switch + processor
+vertices, full-duplex point-to-point cables) and records a plan of its
+structure — tier switch ids, host locations — in the topology's
+``fabric_plan`` field, which :func:`validate_fabric` checks against closed
+forms.  Routing sees a plain topology: BA's minimal routes come from the
+same :func:`~repro.network.routing.bfs_route` memo as on any other network.
 
-Route identity contract
------------------------
-
-The canonical route between two processors is *defined* as the route flat
-BFS (link-id tie-break) returns on the same topology.  Fat-tree and
-leaf-spine plans reproduce it analytically in O(route length): cables are
-created hosts-before-uplinks per switch and pod-major across tiers, so the
-BFS expansion always discovers the lowest-indexed aggregation/spine/core
-choice first, and the analytic "smallest-id up-path, forced down-path"
-selection coincides with the BFS parent chain.  The torus has no such
-tree-shaped argument, so its plan lets the router fall back to the exact
-shared BFS — regularity is still exploited for the ECMP set enumeration,
-the closed-form invariants, and the per-slab sharding.
-``tests/test_routing_equivalence.py`` checks the identity pairwise against
-a router-less clone for every fabric family.
+Cable order is part of each builder's output: it fixes the link ids, and
+with them every BFS tie-break, every route and every makespan.  Builders
+lay cables hosts-before-uplinks per switch and pod-major across tiers.
 
 Determinism: with scalar speeds a builder is a pure function of its
 parameters — two calls yield byte-identical
@@ -36,19 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from repro.exceptions import RoutingError, TopologyError
+from repro.exceptions import TopologyError
 from repro.network.builders import SpeedSpec, TOPOLOGY_BUILDERS, _speed_sampler
-from repro.network.routing import HierarchicalRouter, equal_cost_routes
-from repro.network.topology import Link, NetworkTopology, Route, Vertex
+from repro.network.topology import NetworkTopology, Vertex
 from repro.network.validate import validate_topology
 from repro.types import VertexId
 from repro.utils.rng import as_rng
 
 __all__ = [
+    "FABRIC_KINDS",
     "FabricCounts",
     "FatTreePlan",
     "LeafSpinePlan",
@@ -56,44 +43,26 @@ __all__ = [
     "kary_fat_tree",
     "leaf_spine",
     "torus_fabric",
-    "FABRIC_BUILDERS",
-    "build_fabric",
-    "fabric_plan",
     "validate_fabric",
     "fabric_for_procs",
 ]
 
-#: link map: ``(u, v) -> the directed link u->v`` recorded at cable creation
-LinkOf = dict[tuple[VertexId, VertexId], Link]
+#: the fabric families, as ``fabric_for_procs`` and ``repro topo`` name them
+FABRIC_KINDS = ("fat_tree", "leaf_spine", "torus")
 
 
 @dataclass(frozen=True)
 class FabricCounts:
     """Closed-form structural expectations of a fabric instance.
 
-    ``diameter`` is the canonical-route hop bound between any two distinct
-    processors of the *uncapped* fabric; ``ecmp_width`` the maximum
-    equal-cost path multiplicity over processor pairs.
+    ``diameter`` is the minimal-route hop bound between any two distinct
+    processors of the *uncapped* fabric.
     """
 
     processors: int
     switches: int
     cables: int
     diameter: int
-    ecmp_width: int
-
-
-def _cable(
-    net: NetworkTopology,
-    link_of: LinkOf,
-    u: Vertex,
-    v: Vertex,
-    speed: float,
-) -> None:
-    """Create one full-duplex cable and record both directed links."""
-    fwd, bwd = net.connect(u, v, speed)
-    link_of[(u.vid, v.vid)] = fwd
-    link_of[(v.vid, u.vid)] = bwd
 
 
 def _check_degree(
@@ -104,19 +73,6 @@ def _check_degree(
         raise TopologyError(
             f"{role} {vid} has {actual} cable(s), expected {expected}"
         )
-
-
-def _check_link_map(net: NetworkTopology, link_of: LinkOf) -> None:
-    for (u, v), link in link_of.items():
-        if net.link(link.lid) is not link:
-            raise TopologyError(
-                f"link map entry ({u}, {v}) references unregistered link {link.lid}"
-            )
-        if link.src != u or link.dst != v:
-            raise TopologyError(
-                f"link map entry ({u}, {v}) points at link {link.lid} "
-                f"({link.src} -> {link.dst})"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +86,7 @@ class FatTreePlan:
     Pod ``p`` holds ``k/2`` edge and ``k/2`` aggregation switches; edge
     switch ``e`` hosts up to ``hosts_per_edge`` processors; aggregation
     switch ``a`` uplinks to cores ``a*(k/2) .. (a+1)*(k/2)-1``, so every
-    core reaches exactly one aggregation switch per pod.  Shard key = pod.
+    core reaches exactly one aggregation switch per pod.
     """
 
     kind = "fat_tree"
@@ -143,7 +99,6 @@ class FatTreePlan:
         edge_sw: list[list[VertexId]],
         agg_sw: list[list[VertexId]],
         core_sw: list[VertexId],
-        link_of: LinkOf,
     ) -> None:
         self.k = k
         self.hosts_per_edge = hosts_per_edge
@@ -151,80 +106,6 @@ class FatTreePlan:
         self.edge_sw = edge_sw
         self.agg_sw = agg_sw
         self.core_sw = core_sw
-        self.link_of = link_of
-
-    def _loc(self, vid: VertexId) -> tuple[int, int, int]:
-        try:
-            return self.host_loc[vid]
-        except KeyError:
-            raise RoutingError(
-                f"vertex {vid} is not a fat-tree host processor"
-            ) from None
-
-    def shard_of(self, vid: VertexId) -> int:
-        return self._loc(vid)[0]
-
-    def canonical_route(
-        self, net: NetworkTopology, src: VertexId, dst: VertexId
-    ) -> Route | None:
-        ps, es, _ = self._loc(src)
-        pd, ed, _ = self._loc(dst)
-        lo = self.link_of
-        e_s = self.edge_sw[ps][es]
-        e_d = self.edge_sw[pd][ed]
-        if e_s == e_d:
-            return [lo[(src, e_s)], lo[(e_s, dst)]]
-        # The BFS tie-break always climbs through the lowest-indexed
-        # aggregation switch of the source pod (its uplink ids are smallest)
-        # and, across pods, through that switch's lowest core; the way back
-        # down is structurally forced (one core<->agg choice per pod, one
-        # edge switch per destination host).
-        a_up = self.agg_sw[ps][0]
-        if ps == pd:
-            return [
-                lo[(src, e_s)], lo[(e_s, a_up)], lo[(a_up, e_d)], lo[(e_d, dst)],
-            ]
-        core = self.core_sw[0]
-        a_down = self.agg_sw[pd][0]
-        return [
-            lo[(src, e_s)], lo[(e_s, a_up)], lo[(a_up, core)],
-            lo[(core, a_down)], lo[(a_down, e_d)], lo[(e_d, dst)],
-        ]
-
-    def equal_cost_routes(
-        self,
-        net: NetworkTopology,
-        src: VertexId,
-        dst: VertexId,
-        max_paths: int,
-    ) -> list[Route]:
-        ps, es, _ = self._loc(src)
-        pd, ed, _ = self._loc(dst)
-        lo = self.link_of
-        e_s = self.edge_sw[ps][es]
-        e_d = self.edge_sw[pd][ed]
-        if e_s == e_d:
-            return [[lo[(src, e_s)], lo[(e_s, dst)]]]
-        routes: list[Route] = []
-        if ps == pd:
-            # One 4-hop path per aggregation switch of the pod.
-            for agg in self.agg_sw[ps][:max_paths]:
-                routes.append(
-                    [lo[(src, e_s)], lo[(e_s, agg)], lo[(agg, e_d)], lo[(e_d, dst)]]
-                )
-            return routes
-        # One 6-hop path per core switch, in core-index order.
-        half = self.k // 2
-        for c_idx, core in enumerate(self.core_sw[:max_paths]):
-            a_up = self.agg_sw[ps][c_idx // half]
-            a_down = self.agg_sw[pd][c_idx // half]
-            routes.append(
-                [
-                    lo[(src, e_s)], lo[(e_s, a_up)], lo[(a_up, core)],
-                    lo[(core, a_down)], lo[(a_down, e_d)], lo[(e_d, dst)],
-                ]
-            )
-        return routes
 
     def expected_counts(self) -> FabricCounts:
         k = self.k
@@ -235,7 +116,6 @@ class FatTreePlan:
             switches=k * k + half * half,
             cables=n_procs + k * half * half + k * half * half,
             diameter=6 if k >= 2 else 0,
-            ecmp_width=half * half,
         )
 
     def describe(self) -> dict[str, object]:
@@ -253,7 +133,6 @@ class FatTreePlan:
     def validate(self, net: NetworkTopology) -> None:
         """Fabric-specific structural invariants (raises TopologyError)."""
         validate_topology(net)
-        _check_link_map(net, self.link_of)
         k, half = self.k, self.k // 2
         counts = self.expected_counts()
         if len(net.processors()) != counts.processors:
@@ -327,8 +206,8 @@ def kary_fat_tree(
     lspeed = _speed_sampler(link_speed, gen)
 
     # Tier order matters: hosts, then edge/agg/core switches, then cables
-    # hosts-before-uplinks and pod-major — the route identity contract in
-    # the module docstring hangs off this ordering.
+    # hosts-before-uplinks and pod-major — the link ids, and so every route,
+    # hang off this ordering.
     host_loc: dict[VertexId, tuple[int, int, int]] = {}
     hosts: dict[tuple[int, int], list[Vertex]] = {}
     remaining = cap
@@ -348,29 +227,26 @@ def kary_fat_tree(
     ]
     core_sw = [net.add_switch(f"c{j}") for j in range(half * half)]
 
-    link_of: LinkOf = {}
     for pod in range(k):
         for edge in range(half):
             sw = edge_sw[pod][edge]
             for p in hosts[(pod, edge)]:
-                _cable(net, link_of, p, sw, lspeed())
+                net.connect(p, sw, lspeed())
             for agg in agg_sw[pod]:
-                _cable(net, link_of, sw, agg, lspeed())
+                net.connect(sw, agg, lspeed())
     for pod in range(k):
         for a, agg in enumerate(agg_sw[pod]):
             for j in range(half):
-                _cable(net, link_of, agg, core_sw[a * half + j], lspeed())
+                net.connect(agg, core_sw[a * half + j], lspeed())
 
-    plan = FatTreePlan(
+    net.fabric_plan = FatTreePlan(
         k=k,
         hosts_per_edge=hpe,
         host_loc=host_loc,
         edge_sw=[[sw.vid for sw in row] for row in edge_sw],
         agg_sw=[[sw.vid for sw in row] for row in agg_sw],
         core_sw=[sw.vid for sw in core_sw],
-        link_of=link_of,
     )
-    net.attach_router(HierarchicalRouter(net, plan))
     return net
 
 
@@ -383,7 +259,7 @@ class LeafSpinePlan:
     """Structure of a two-tier leaf-spine fabric.
 
     Every leaf switch cables to every spine switch; processors hang off
-    leaves.  Shard key = leaf index.
+    leaves.
     """
 
     kind = "leaf_spine"
@@ -396,7 +272,6 @@ class LeafSpinePlan:
         host_loc: dict[VertexId, tuple[int, int]],
         leaf_sw: list[VertexId],
         spine_sw: list[VertexId],
-        link_of: LinkOf,
     ) -> None:
         self.leaves = leaves
         self.spines = spines
@@ -404,59 +279,6 @@ class LeafSpinePlan:
         self.host_loc = host_loc
         self.leaf_sw = leaf_sw
         self.spine_sw = spine_sw
-        self.link_of = link_of
-
-    def _loc(self, vid: VertexId) -> tuple[int, int]:
-        try:
-            return self.host_loc[vid]
-        except KeyError:
-            raise RoutingError(
-                f"vertex {vid} is not a leaf-spine host processor"
-            ) from None
-
-    def shard_of(self, vid: VertexId) -> int:
-        return self._loc(vid)[0]
-
-    def canonical_route(
-        self, net: NetworkTopology, src: VertexId, dst: VertexId
-    ) -> Route | None:
-        ls, _ = self._loc(src)
-        ld, _ = self._loc(dst)
-        lo = self.link_of
-        leaf_s = self.leaf_sw[ls]
-        if ls == ld:
-            return [lo[(src, leaf_s)], lo[(leaf_s, dst)]]
-        # Flat BFS always crosses through spine 0: each leaf's uplinks are
-        # created in spine order, so spine 0 is both the first level-2
-        # vertex expanded and the first to discover every other leaf.
-        spine = self.spine_sw[0]
-        leaf_d = self.leaf_sw[ld]
-        return [
-            lo[(src, leaf_s)], lo[(leaf_s, spine)],
-            lo[(spine, leaf_d)], lo[(leaf_d, dst)],
-        ]
-
-    def equal_cost_routes(
-        self,
-        net: NetworkTopology,
-        src: VertexId,
-        dst: VertexId,
-        max_paths: int,
-    ) -> list[Route]:
-        ls, _ = self._loc(src)
-        ld, _ = self._loc(dst)
-        lo = self.link_of
-        leaf_s = self.leaf_sw[ls]
-        if ls == ld:
-            return [[lo[(src, leaf_s)], lo[(leaf_s, dst)]]]
-        leaf_d = self.leaf_sw[ld]
-        return [
-            [
-                lo[(src, leaf_s)], lo[(leaf_s, spine)],
-                lo[(spine, leaf_d)], lo[(leaf_d, dst)],
-            ]
-            for spine in self.spine_sw[:max_paths]
-        ]
 
     def expected_counts(self) -> FabricCounts:
         n_procs = len(self.host_loc)
@@ -466,7 +288,6 @@ class LeafSpinePlan:
             switches=self.leaves + self.spines,
             cables=n_procs + self.leaves * self.spines,
             diameter=4 if multi_leaf else 2,
-            ecmp_width=self.spines if multi_leaf else 1,
         )
 
     def describe(self) -> dict[str, object]:
@@ -480,7 +301,6 @@ class LeafSpinePlan:
 
     def validate(self, net: NetworkTopology) -> None:
         validate_topology(net)
-        _check_link_map(net, self.link_of)
         counts = self.expected_counts()
         if len(net.processors()) != counts.processors:
             raise TopologyError(
@@ -561,24 +381,21 @@ def leaf_spine(
     leaf_sw = [net.add_switch(f"l{i}") for i in range(leaves)]
     spine_sw = [net.add_switch(f"s{i}") for i in range(spines)]
 
-    link_of: LinkOf = {}
     for leaf in range(leaves):
         sw = leaf_sw[leaf]
         for p in hosts[leaf]:
-            _cable(net, link_of, p, sw, lspeed())
+            net.connect(p, sw, lspeed())
         for spine in spine_sw:
-            _cable(net, link_of, sw, spine, lspeed() * spine_factor)
+            net.connect(sw, spine, lspeed() * spine_factor)
 
-    plan = LeafSpinePlan(
+    net.fabric_plan = LeafSpinePlan(
         leaves=leaves,
         spines=spines,
         hosts_per_leaf=hosts_per_leaf,
         host_loc=host_loc,
         leaf_sw=[sw.vid for sw in leaf_sw],
         spine_sw=[sw.vid for sw in spine_sw],
-        link_of=link_of,
     )
-    net.attach_router(HierarchicalRouter(net, plan))
     return net
 
 
@@ -596,11 +413,6 @@ class TorusPlan:
     """Structure of a wrap-around 2D/3D switch torus with attached hosts.
 
     Each grid node is one switch with up to ``hosts_per_node`` processors.
-    The torus has no tree decomposition that pins down the flat-BFS
-    tie-break analytically, so :meth:`canonical_route` declines and the
-    router materializes routes through the exact shared BFS; the plan still
-    supplies closed-form invariants, dimension-ordered ECMP enumeration,
-    and per-slab (first coordinate) sharding.  Shard key = x-coordinate.
     """
 
     kind = "torus"
@@ -611,21 +423,11 @@ class TorusPlan:
         hosts_per_node: int,
         host_loc: dict[VertexId, tuple[tuple[int, ...], int]],
         node_sw: list[VertexId],
-        link_of: LinkOf,
     ) -> None:
         self.dims = dims
         self.hosts_per_node = hosts_per_node
         self.host_loc = host_loc
         self.node_sw = node_sw
-        self.link_of = link_of
-
-    def _loc(self, vid: VertexId) -> tuple[tuple[int, ...], int]:
-        try:
-            return self.host_loc[vid]
-        except KeyError:
-            raise RoutingError(
-                f"vertex {vid} is not a torus host processor"
-            ) from None
 
     def node_index(self, coords: tuple[int, ...]) -> int:
         idx = 0
@@ -633,12 +435,9 @@ class TorusPlan:
             idx = idx * size + c
         return idx
 
-    def shard_of(self, vid: VertexId) -> int:
-        return self._loc(vid)[0][0]
-
     def min_hops(self, src: VertexId, dst: VertexId) -> int:
-        """Closed-form canonical route length between two hosts."""
-        (cs, _), (cd, _) = self._loc(src), self._loc(dst)
+        """Closed-form minimal route length between two hosts."""
+        (cs, _), (cd, _) = self.host_loc[src], self.host_loc[dst]
         if cs == cd:
             return 2 if src != dst else 0
         manhattan = sum(
@@ -646,45 +445,6 @@ class TorusPlan:
             for a, b, size in zip(cs, cd, self.dims)
         )
         return manhattan + 2
-
-    def path_multiplicity(self, src: VertexId, dst: VertexId) -> int:
-        """Closed-form ECMP set size between two hosts.
-
-        Multinomial over the per-dimension step counts, doubled once per
-        dimension whose wrap distance ties both directions (even size >= 4,
-        offset exactly size/2 — on a size-2 dimension both "directions" are
-        the same physical cable, so no doubling).
-        """
-        (cs, _), (cd, _) = self._loc(src), self._loc(dst)
-        if cs == cd:
-            return 1
-        steps = [
-            _wrap_distance(a, b, size)
-            for a, b, size in zip(cs, cd, self.dims)
-        ]
-        ties = sum(
-            1
-            for a, b, size in zip(cs, cd, self.dims)
-            if size >= 4 and abs(a - b) * 2 == size
-        )
-        count = math.factorial(sum(steps))
-        for s in steps:
-            count //= math.factorial(s)
-        return count * (2 ** ties)
-
-    def canonical_route(
-        self, net: NetworkTopology, src: VertexId, dst: VertexId
-    ) -> Route | None:
-        return None  # defer to the exact shared BFS (see class docstring)
-
-    def equal_cost_routes(
-        self,
-        net: NetworkTopology,
-        src: VertexId,
-        dst: VertexId,
-        max_paths: int,
-    ) -> list[Route]:
-        return equal_cost_routes(net, src, dst, max_paths=max_paths)
 
     def expected_counts(self) -> FabricCounts:
         nodes = 1
@@ -697,17 +457,11 @@ class TorusPlan:
                 cables += lines * size
             elif size == 2:
                 cables += lines
-        radius = [size // 2 for size in self.dims]
-        width = math.factorial(sum(radius))
-        for r in radius:
-            width //= math.factorial(r)
-        width *= 2 ** sum(1 for size in self.dims if size >= 4 and size % 2 == 0)
         return FabricCounts(
             processors=len(self.host_loc),
             switches=nodes,
             cables=cables,
-            diameter=sum(radius) + 2,
-            ecmp_width=width,
+            diameter=sum(size // 2 for size in self.dims) + 2,
         )
 
     def describe(self) -> dict[str, object]:
@@ -721,7 +475,6 @@ class TorusPlan:
 
     def validate(self, net: NetworkTopology) -> None:
         validate_topology(net)
-        _check_link_map(net, self.link_of)
         counts = self.expected_counts()
         if len(net.processors()) != counts.processors:
             raise TopologyError(
@@ -814,11 +567,10 @@ def torus_fabric(
         for coords in coords_iter()
     }
 
-    link_of: LinkOf = {}
     for coords in coords_iter():
         sw = switches[coords]
         for p in hosts[coords]:
-            _cable(net, link_of, p, sw, lspeed())
+            net.connect(p, sw, lspeed())
         for d, size in enumerate(dims):
             if size < 2:
                 continue
@@ -826,16 +578,14 @@ def torus_fabric(
                 continue  # the +1 neighbour wraps onto an existing cable
             nbr = list(coords)
             nbr[d] = (coords[d] + 1) % size
-            _cable(net, link_of, sw, switches[tuple(nbr)], lspeed())
+            net.connect(sw, switches[tuple(nbr)], lspeed())
 
-    plan = TorusPlan(
+    net.fabric_plan = TorusPlan(
         dims=tuple(dims),
         hosts_per_node=hosts_per_node,
         host_loc=host_loc,
         node_sw=[switches[coords].vid for coords in coords_iter()],
-        link_of=link_of,
     )
-    net.attach_router(HierarchicalRouter(net, plan))
     return net
 
 
@@ -843,48 +593,19 @@ def torus_fabric(
 # registry + helpers
 # ---------------------------------------------------------------------------
 
-FABRIC_BUILDERS: dict[str, Callable[..., NetworkTopology]] = {
-    "fat_tree": kary_fat_tree,
-    "leaf_spine": leaf_spine,
-    "torus": torus_fabric,
-}
-
-
-def build_fabric(kind: str, /, *args: object, **kwargs: object) -> NetworkTopology:
-    """Dispatch to a registered fabric builder by name."""
-    try:
-        builder = FABRIC_BUILDERS[kind]
-    except KeyError:
-        raise TopologyError(
-            f"unknown fabric {kind!r}; known: {sorted(FABRIC_BUILDERS)}"
-        ) from None
-    return builder(*args, **kwargs)
-
-
-def fabric_plan(
-    net: NetworkTopology,
-) -> FatTreePlan | LeafSpinePlan | TorusPlan | None:
-    """The structural plan of a fabric-built topology, if one is attached."""
-    router = net.attached_router
-    if isinstance(router, HierarchicalRouter):
-        fabric = router.fabric
-        if isinstance(fabric, (FatTreePlan, LeafSpinePlan, TorusPlan)):
-            return fabric
-    return None
-
 
 def validate_fabric(net: NetworkTopology) -> None:
     """Validate a fabric topology against its own structural plan.
 
-    Raises :class:`TopologyError` when no plan is attached (the topology
-    was mutated after construction, or never was a fabric) or when any
+    Raises :class:`TopologyError` when the topology has no plan (it was
+    mutated after construction, or never was a fabric) or when any
     closed-form invariant — tier counts, cable counts, port/degree per
-    switch role, link-map consistency, connectivity — fails.
+    switch role, connectivity — fails.
     """
-    plan = fabric_plan(net)
+    plan = net.fabric_plan
     if plan is None:
         raise TopologyError(
-            f"topology {net.name!r} has no attached fabric plan "
+            f"topology {net.name!r} has no fabric plan "
             "(not fabric-built, or mutated since construction)"
         )
     plan.validate(net)
@@ -932,9 +653,7 @@ def fabric_for_procs(
             (rows, cols), n_procs=n_procs,
             proc_speed=proc_speed, link_speed=link_speed, rng=rng,
         )
-    raise TopologyError(
-        f"unknown fabric {kind!r}; known: {sorted(FABRIC_BUILDERS)}"
-    )
+    raise TopologyError(f"unknown fabric {kind!r}; known: {list(FABRIC_KINDS)}")
 
 
 # Register processor-count-sized wrappers so ``repro schedule --topology``
@@ -954,5 +673,5 @@ def _register_sized(kind: str) -> None:
     TOPOLOGY_BUILDERS[f"fabric_{kind}"] = sized
 
 
-for _kind in ("fat_tree", "leaf_spine", "torus"):
+for _kind in FABRIC_KINDS:
     _register_sized(_kind)

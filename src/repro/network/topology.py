@@ -16,7 +16,7 @@ edge-scheduling engine books time slots on each of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Literal, Protocol, Sequence, TypeAlias
+from typing import TYPE_CHECKING, Iterator, Literal, Sequence, TypeAlias
 
 from repro.exceptions import TopologyError
 from repro.types import LinkId, VertexId
@@ -25,6 +25,9 @@ if TYPE_CHECKING:
     # Interop only: ``to_networkx`` imports it when called, so neither
     # ``import repro`` nor any scheduling, validation or sweep loads it.
     import networkx as nx
+
+    # Annotations only: the fabrics module imports this one.
+    from repro.network.fabrics import FatTreePlan, LeafSpinePlan, TorusPlan
 
 VertexKind = Literal["processor", "switch"]
 LinkKind = Literal["ptp", "bus"]
@@ -75,27 +78,6 @@ class Link:
 Route: TypeAlias = list[Link]
 
 
-class MinimalRouter(Protocol):
-    """A topology-attached minimal-routing provider.
-
-    Regular fabrics (see :mod:`repro.network.fabrics`) attach a
-    :class:`repro.network.routing.HierarchicalRouter` so
-    :func:`repro.network.routing.bfs_route` can serve routes from sharded,
-    lazily materialized per-pod tables instead of the flat
-    :meth:`NetworkTopology.route_table`.  The contract mirrors
-    ``bfs_route``: same endpoints-are-processors precondition, same
-    deterministic BFS tie-break, read-only returned routes.
-    """
-
-    def minimal_route(self, src: VertexId, dst: VertexId) -> Route:
-        """The canonical minimal route from processor ``src`` to ``dst``."""
-        ...
-
-    def materialized_entries(self) -> int:
-        """How many ``(src, dst)`` routes have been materialized so far."""
-        ...
-
-
 @dataclass
 class NetworkTopology:
     """Mutable-by-construction network graph; schedulers treat it as frozen."""
@@ -121,10 +103,12 @@ class NetworkTopology:
     _route_table: dict[tuple[VertexId, VertexId], Route] | None = field(
         default=None, repr=False
     )
-    #: optional fabric-aware router (see :class:`MinimalRouter`); detached —
-    #: not merely invalidated — by any mutation, because a structural change
-    #: voids the regularity assumptions the router's analytic paths rely on
-    _router: MinimalRouter | None = field(default=None, repr=False)
+    #: the structure a fabric builder (:mod:`repro.network.fabrics`) laid
+    #: out; dropped by any mutation, because a structural change voids the
+    #: closed forms the plan describes
+    fabric_plan: FatTreePlan | LeafSpinePlan | TorusPlan | None = field(
+        default=None, repr=False
+    )
     _next_vid: int = 0
     _next_lid: int = 0
 
@@ -134,15 +118,13 @@ class NetworkTopology:
         """Drop every route-derived cache after a topology mutation.
 
         This is the single seam all mutators go through: the sorted
-        adjacency, the sole-neighbour table, the flat ``(src, dst)`` route
-        table, *and* any attached hierarchical router (whose sharded, lazily
-        materialized tables would otherwise keep serving routes for the
-        pre-mutation structure).
+        adjacency, the sole-neighbour table, the ``(src, dst)`` route table
+        and any fabric plan.
         """
         self._sorted_adj = None
         self._sole_nbr = None
         self._route_table = None
-        self._router = None
+        self.fabric_plan = None
 
     def add_processor(self, speed: float = 1.0, name: str = "") -> Vertex:
         v = Vertex(self._next_vid, "processor", float(speed), name or f"P{self._next_vid}")
@@ -316,25 +298,6 @@ class NetworkTopology:
             table = {}
             self._route_table = table
         return table
-
-    def attach_router(self, router: MinimalRouter) -> None:
-        """Install a fabric-aware minimal router (see :class:`MinimalRouter`).
-
-        :func:`repro.network.routing.bfs_route` prefers the attached router
-        over the flat route table.  Any subsequent topology mutation detaches
-        it again — the fabric's structural guarantees no longer hold.
-        """
-        self._router = router
-
-    def detach_router(self) -> MinimalRouter | None:
-        """Remove and return the attached router (flat routing resumes)."""
-        router = self._router
-        self._router = None
-        return router
-
-    @property
-    def attached_router(self) -> MinimalRouter | None:
-        return self._router
 
     def mean_link_speed(self) -> float:
         """The paper's ``MLS``: average transfer speed over all links."""

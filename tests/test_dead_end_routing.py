@@ -1,8 +1,8 @@
-"""Dead-end skipping in the contention-aware route search.
+"""Dead-end skipping in the route searches.
 
-OIHSA's and BBSA's modified routing never relax a vertex whose every
-out-link leads back to the settled vertex it is reached from (a leaf
-processor, a 2-member bus, a degree-1 switch).  The claim is that this
+OIHSA's and BBSA's modified routing and BA's minimal routing never relax a
+vertex whose every out-link leads back to the vertex it is reached from (a
+leaf processor, a 2-member bus, a degree-1 switch).  The claim is that this
 changes nothing but the work done, so this module checks, exactly:
 
 1. the sole-neighbour table the skip reads, and its invalidation;
@@ -13,7 +13,11 @@ changes nothing but the work done, so this module checks, exactly:
    gap scan (OIHSA) or the general fluid sweep (BBSA);
 3. the only relaxations the fused search skips are dead ends: its
    ``routing.relaxations`` equals the reference's relaxations less the
-   reference's ``routing.dead_end_relaxations``.
+   reference's ``routing.dead_end_relaxations``;
+4. for every ordered processor pair, :func:`~repro.network.routing
+   .bfs_route` returns the route of the unpruned
+   :func:`tests.naive_reference.naive_bfs_route`, on the datacenter fabrics
+   as well.
 """
 
 from __future__ import annotations
@@ -35,9 +39,15 @@ from repro.network.builders import (
     shared_bus,
     switched_cluster,
 )
+from repro.network.fabrics import FABRIC_KINDS, fabric_for_procs
+from repro.network.routing import bfs_route
 from repro.network.topology import NetworkTopology
 from repro.taskgraph.generators import random_layered_dag
-from tests.naive_reference import naive_dijkstra_fluid, naive_dijkstra_indexed
+from tests.naive_reference import (
+    naive_bfs_route,
+    naive_dijkstra_fluid,
+    naive_dijkstra_indexed,
+)
 
 ROUTES = settings(
     max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -82,6 +92,12 @@ topologies = st.one_of(
     ),
     st.builds(lambda s: shared_bus(2, rng=s), st.integers(0, 999)),
     st.builds(stub_network, st.integers(0, 999)),
+)
+
+#: the Dijkstra inputs plus every fabric family, sized to 1..40 processors
+bfs_topologies = st.one_of(
+    topologies,
+    st.builds(fabric_for_procs, st.sampled_from(FABRIC_KINDS), st.integers(1, 40)),
 )
 
 graphs = st.builds(
@@ -216,6 +232,19 @@ class TestPrunedMatchesNaive:
                 net, src, dst, ready, cost, profiles, cost <= _FEPS
             ),
         )
+
+
+class TestBfsMatchesNaive:
+    @ROUTES
+    @given(net=bfs_topologies)
+    def test_every_pair(self, net):
+        procs = [p.vid for p in net.processors()]
+        for src in procs:
+            for dst in procs:
+                route = [l.lid for l in bfs_route(net, src, dst)]
+                assert route == [l.lid for l in naive_bfs_route(net, src, dst)], (
+                    src, dst,
+                )
 
 
 @pytest.mark.parametrize("src_end", [True, False])

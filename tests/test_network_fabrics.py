@@ -2,33 +2,36 @@
 
 For Hypothesis-generated fat-tree / leaf-spine / torus instances:
 
-- every route the attached hierarchical router emits is a valid connected
-  path over links that exist in the topology;
-- ECMP path sets are truly equal-cost, duplicate-free, contain the
-  canonical route, and match the closed-form multiplicity;
+- every route ``bfs_route`` returns is a valid connected path over links
+  that exist in the topology;
 - path lengths match the fabric's closed form (2/4/6 hops in a fat-tree,
   2/4 in a leaf-spine, wrap-Manhattan + 2 in a torus);
-- degree / port counts match the spec (via ``validate_fabric``);
-- generation is byte-identical across two calls with the same parameters.
+- degree / port counts match the spec (via ``validate_fabric``), and
+  ``validate_fabric`` rejects topologies that are not intact fabrics;
+- generation is byte-identical across two calls with the same parameters,
+  and pinned digests keep the cable order — hence link ids, routes and
+  makespans — from drifting between versions.
 """
+
+import hashlib
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.exceptions import TopologyError
 from repro.linksched.causality import check_route_connectivity
+from repro.network.builders import random_wan
 from repro.network.fabrics import (
     FatTreePlan,
     LeafSpinePlan,
     TorusPlan,
     fabric_for_procs,
-    fabric_plan,
     kary_fat_tree,
     leaf_spine,
     torus_fabric,
     validate_fabric,
 )
 from repro.network.io import topology_to_json
-from repro.network.routing import bfs_route, equal_cost_routes
+from repro.network.routing import bfs_route
 
 import pytest
 
@@ -108,10 +111,9 @@ def _pairs(net, limit=60):
 
 
 def _check_fabric(net, expected_hops):
-    """The shared invariant bundle: structure, routes, ECMP sets."""
+    """The shared invariant bundle: structure and routes."""
     validate_fabric(net)
-    plan = fabric_plan(net)
-    router = net.attached_router
+    plan = net.fabric_plan
     for s, d in _pairs(net):
         route = bfs_route(net, s, d)
         # Valid connected path over links registered in the topology.
@@ -119,20 +121,6 @@ def _check_fabric(net, expected_hops):
         for link in route:
             assert net.link(link.lid) is link
         assert len(route) == expected_hops(plan, s, d)
-        # ECMP set: equal-cost, duplicate-free, canonical route included,
-        # closed-form multiplicity (cap chosen to never truncate here).
-        ecmp = router.ecmp_routes(s, d, max_paths=4096)
-        assert all(len(r) == len(route) for r in ecmp)
-        ids = [tuple(l.lid for l in r) for r in ecmp]
-        assert len(set(ids)) == len(ids)
-        assert tuple(l.lid for l in route) in ids
-        for r in ecmp:
-            check_route_connectivity(net, tuple(l.lid for l in r), s, d)
-        if isinstance(plan, TorusPlan):
-            assert len(ecmp) == plan.path_multiplicity(s, d)
-    stats = router.stats()
-    assert stats["materialized_entries"] <= stats["cross_product_entries"]
-    assert stats["shards"] >= 1 or len(net.processors()) < 2
 
 
 def _fat_tree_hops(plan, s, d):
@@ -152,12 +140,10 @@ class TestFatTreeProperties:
     @given(params=fat_tree_params)
     def test_invariants(self, params):
         net = _build_fat_tree(params)
-        plan = fabric_plan(net)
+        plan = net.fabric_plan
         assert isinstance(plan, FatTreePlan)
         _check_fabric(net, _fat_tree_hops)
-        counts = plan.expected_counts()
-        assert counts.diameter == 6
-        assert counts.ecmp_width == (params["k"] // 2) ** 2
+        assert plan.expected_counts().diameter == 6
 
     @FABRIC
     @given(params=fat_tree_params)
@@ -166,26 +152,24 @@ class TestFatTreeProperties:
             _build_fat_tree(params)
         )
 
-    def test_ecmp_set_matches_core_count(self):
+    def test_cross_pod_route_climbs_through_the_first_agg_and_core(self):
+        # Uplinks are cabled lowest index first, so their link ids — and
+        # with them the BFS tie-break — favour aggregation switch 0 and
+        # core 0, and the way down is forced.
         net = kary_fat_tree(4)
-        plan = fabric_plan(net)
+        plan = net.fabric_plan
         procs = [p.vid for p in net.processors()]
-        # First host of pod 0 to first host of pod 1: one path per core.
         s = next(p for p in procs if plan.host_loc[p][0] == 0)
         d = next(p for p in procs if plan.host_loc[p][0] == 1)
-        ecmp = net.attached_router.ecmp_routes(s, d)
-        assert len(ecmp) == 4  # (k/2)^2 cores
-        # Intra-pod, cross-edge: one path per aggregation switch.
-        d2 = next(
-            p
-            for p in procs
-            if plan.host_loc[p][0] == 0 and plan.host_loc[p][1] == 1
-        )
-        assert len(net.attached_router.ecmp_routes(s, d2)) == 2
+        hops = [l.dst for l in bfs_route(net, s, d)]
+        assert hops == [
+            plan.edge_sw[0][0], plan.agg_sw[0][0], plan.core_sw[0],
+            plan.agg_sw[1][0], plan.edge_sw[1][0], d,
+        ]
 
     def test_port_counts(self):
         net = kary_fat_tree(4)
-        plan = fabric_plan(net)
+        plan = net.fabric_plan
         k = 4
         for row in plan.edge_sw:
             for sw in row:
@@ -202,8 +186,7 @@ class TestLeafSpineProperties:
     @given(params=leaf_spine_params)
     def test_invariants(self, params):
         net = _build_leaf_spine(params)
-        plan = fabric_plan(net)
-        assert isinstance(plan, LeafSpinePlan)
+        assert isinstance(net.fabric_plan, LeafSpinePlan)
         _check_fabric(net, _leaf_spine_hops)
 
     @FABRIC
@@ -213,21 +196,20 @@ class TestLeafSpineProperties:
             _build_leaf_spine(params)
         )
 
-    def test_cross_leaf_ecmp_one_route_per_spine(self):
+    def test_cross_leaf_route_climbs_spine_zero(self):
+        # Each leaf's uplinks are cabled in spine order, so spine 0 wins
+        # the BFS tie-break for every cross-leaf pair.
         net = leaf_spine(3, 4, 2)
-        plan = fabric_plan(net)
+        plan = net.fabric_plan
         procs = [p.vid for p in net.processors()]
-        s = next(p for p in procs if plan.host_loc[p][0] == 0)
-        d = next(p for p in procs if plan.host_loc[p][0] == 2)
-        ecmp = net.attached_router.ecmp_routes(s, d)
-        assert len(ecmp) == 4
-        # Routes are ordered by spine index: middle hop climbs spine 0, 1, ...
-        spine_hops = [r[1].dst for r in ecmp]
-        assert spine_hops == plan.spine_sw
+        for s in procs:
+            for d in procs:
+                if plan.host_loc[s][0] != plan.host_loc[d][0]:
+                    assert bfs_route(net, s, d)[1].dst == plan.spine_sw[0]
 
     def test_port_counts(self):
         net = leaf_spine(3, 2, 4)
-        plan = fabric_plan(net)
+        plan = net.fabric_plan
         for sw in plan.leaf_sw:
             assert len(net.out_links(sw)) == 4 + 2
         for sw in plan.spine_sw:
@@ -239,8 +221,7 @@ class TestTorusProperties:
     @given(params=torus_params)
     def test_invariants(self, params):
         net = _build_torus(params)
-        plan = fabric_plan(net)
-        assert isinstance(plan, TorusPlan)
+        assert isinstance(net.fabric_plan, TorusPlan)
         _check_fabric(net, lambda p, s, d: p.min_hops(s, d))
 
     @FABRIC
@@ -252,7 +233,7 @@ class TestTorusProperties:
 
     def test_wrap_links_present(self):
         net = torus_fabric((4, 3))
-        plan = fabric_plan(net)
+        plan = net.fabric_plan
         # (0, y) and (3, y) are wrap neighbours: 1 switch hop, 3 total.
         procs = [p.vid for p in net.processors()]
         s = next(p for p in procs if plan.host_loc[p][0] == (0, 0))
@@ -261,15 +242,17 @@ class TestTorusProperties:
         assert plan.min_hops(s, d) == 3
 
     def test_size_two_dim_has_single_cable(self):
-        # Both "directions" around a size-2 ring are the same cable: the
-        # ECMP multiplicity must not double.
+        # Both "directions" around a size-2 ring are the same cable, so
+        # only one is laid.
         net = torus_fabric((2, 3))
-        plan = fabric_plan(net)
+        plan = net.fabric_plan
+        a = plan.node_sw[plan.node_index((0, 0))]
+        b = plan.node_sw[plan.node_index((1, 0))]
+        assert [v for _, v in net.out_links(a)].count(b) == 1
         procs = [p.vid for p in net.processors()]
         s = next(p for p in procs if plan.host_loc[p][0] == (0, 0))
         d = next(p for p in procs if plan.host_loc[p][0] == (1, 0))
-        assert plan.path_multiplicity(s, d) == 1
-        assert len(equal_cost_routes(net, s, d)) == 1
+        assert len(bfs_route(net, s, d)) == plan.min_hops(s, d) == 3
 
 
 class TestSizedFabrics:
@@ -290,7 +273,7 @@ class TestSizedFabrics:
             builder = TOPOLOGY_BUILDERS[f"fabric_{kind}"]
             net = builder(9, rng=3)
             assert len(net.processors()) == 9
-            assert net.attached_router is not None
+            assert net.fabric_plan is not None
 
 
 class TestParameterValidation:
@@ -318,3 +301,74 @@ class TestParameterValidation:
         a = leaf_spine(2, 2, 3, proc_speed=(1, 10), link_speed=(1, 10), rng=7)
         b = leaf_spine(2, 2, 3, proc_speed=(1, 10), link_speed=(1, 10), rng=7)
         assert topology_to_json(a) == topology_to_json(b)
+
+
+class TestValidateFabricRejects:
+    """``validate_fabric`` accepts only an intact fabric."""
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda net, procs: net.connect(procs[0], procs[-1]),
+            lambda net, procs: net.add_processor(),
+            lambda net, procs: net.add_switch(),
+            lambda net, procs: net.add_bus(procs),
+        ],
+        ids=["connect", "add_processor", "add_switch", "add_bus"],
+    )
+    def test_mutated_fabric(self, mutate):
+        net = leaf_spine(2, 2, 3)
+        validate_fabric(net)
+        mutate(net, [p.vid for p in net.processors()])
+        assert net.fabric_plan is None
+        with pytest.raises(TopologyError, match="no fabric plan"):
+            validate_fabric(net)
+
+    def test_plan_catches_an_extra_cable(self):
+        net = kary_fat_tree(4)
+        plan = net.fabric_plan
+        net.connect(plan.core_sw[0], plan.core_sw[1])
+        net.fabric_plan = plan  # put it back: the closed forms must object
+        with pytest.raises(TopologyError, match="directed links"):
+            validate_fabric(net)
+
+    def test_random_wan(self):
+        with pytest.raises(TopologyError, match="no fabric plan"):
+            validate_fabric(random_wan(8, rng=1))
+
+
+_HETERO = {"proc_speed": (1, 10), "link_speed": (1, 10)}
+
+#: sha256 of ``topology_to_json`` per build.  A builder must lay vertices
+#: and cables, and draw speeds, in exactly this order: cable order fixes
+#: the link ids, and with them every route and every makespan.
+PINNED_DIGESTS = [
+    ("fat_tree_k4", lambda: kary_fat_tree(4),
+     "10019c3cc2bbda3a9e78f681081b75d07ef3236dcebdfda72764b4c232cd4203"),
+    ("fat_tree_k6_capped_hetero",
+     lambda: kary_fat_tree(6, hosts_per_edge=2, n_procs=31, rng=7, **_HETERO),
+     "f09e9dbdee9932c91bb267d7b8a7460d34054d0b52b9f92756e3a66d60ccd5eb"),
+    ("leaf_spine_4x3", lambda: leaf_spine(4, 3, 4),
+     "41fc42f7b01822a465c1cd97fd26285f4e70f274cd88b5f80d599cc2165a9a40"),
+    ("leaf_spine_hetero",
+     lambda: leaf_spine(3, 2, 5, n_procs=13, spine_factor=2.5, rng=11, **_HETERO),
+     "81d6658b6b56c160a8edc5cf4f28432784a104b42fa7bc8c0e0d5eff72c0cab0"),
+    ("torus_3x4", lambda: torus_fabric((3, 4), hosts_per_node=2),
+     "f2b9ede1cc33108b3256b2fe90f71d924fa2c0f7e02b0df2dbf558af4ab62a65"),
+    ("torus_2x3x2_hetero",
+     lambda: torus_fabric((2, 3, 2), n_procs=10, rng=3, **_HETERO),
+     "8e1849f4c49095b0c8ab66a47878d09603ab2c69c9488342634ad137a75e6cff"),
+    ("sized_leaf_spine_128", lambda: fabric_for_procs("leaf_spine", 128),
+     "6fefb0023df1f5ee179482e7ca92c93998e343fa9531315faa94799380de3673"),
+    ("sized_fat_tree_50_hetero", lambda: fabric_for_procs("fat_tree", 50, 5, **_HETERO),
+     "3d82185fa7ff0d7c776e14d0b710b268360aeffdf2ce1c5790c3cd536281d13b"),
+    ("sized_torus_40_hetero", lambda: fabric_for_procs("torus", 40, 9, **_HETERO),
+     "35e55c3344a1294a98084038e364a92ae9dfbf068558db53631b4b11464ba572"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,digest", [c[1:] for c in PINNED_DIGESTS], ids=[c[0] for c in PINNED_DIGESTS]
+)
+def test_topology_json_digest_is_pinned(build, digest):
+    assert hashlib.sha256(topology_to_json(build()).encode()).hexdigest() == digest

@@ -19,7 +19,6 @@ CLI: ``python -m repro lint [paths ...]`` — see ``docs/static_analysis.md``.
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline, BaselineEntry, BaselineMatch
 from repro.analysis.engine import (
     RULES,
     LintContext,
@@ -34,9 +33,6 @@ from repro.analysis.engine import (
 from repro.analysis.findings import Finding
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "BaselineMatch",
     "Finding",
     "LintContext",
     "LintResult",

@@ -1,12 +1,11 @@
 """Module-local call graph so flow rules can reason across helper boundaries.
 
-The flow rules care about *transitive* properties: a worker entry point is
-only pure if every helper it calls is, and a compilable kernel loop stays
-compilable only if the module-local functions it dispatches into do.  This
-module builds the conservative call graph of one parsed file:
+The worker-purity rules care about a *transitive* property: a worker entry
+point is only pure if every helper it calls is.  This module builds the
+conservative call graph of one parsed file:
 
 - **Nodes** are the module's function definitions, keyed by dotted
-  qualname (``run_unit``, ``BatchMappingEvaluator._resimulate``,
+  qualname (``run_unit``, ``PyKernel._resimulate``,
   ``outer.inner`` for nested defs).
 - **Edges** resolve three call shapes, all module-local: a bare name call
   resolved through the lexical *function* chain (sibling nested defs, then

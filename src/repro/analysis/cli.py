@@ -5,19 +5,19 @@ Editor-friendly by construction: findings go to stdout as stable
 work), summaries and diagnostics go to stderr, and the exit code is 0 only
 when the tree is clean.  ``--format json`` emits the full machine report.
 
-Exit codes: 0 clean · 1 findings (or stale baseline entries, or matched
-baseline entries under ``--fail-on-baseline``) · 2 usage error.
+Exit codes: 0 clean · 1 findings · 2 usage error (unknown rule id, empty
+selection, a missing path, an unwritable ``--output``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 
-from repro.analysis.baseline import DEFAULT_BASELINE, Baseline, BaselineMatch
 from repro.analysis.engine import LintResult, lint_paths, select_rules
-from repro.analysis.findings import Finding
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -37,30 +37,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format (text: file:line:col RULE message)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"baseline of documented suppressions (default: {DEFAULT_BASELINE} "
-        "when present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current findings to the baseline file and exit 0 "
-        "(fill in each entry's `reason` before committing)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="prune stale baseline entries (orphaned files, shrunk budgets) "
-        "in place instead of failing on them",
-    )
-    parser.add_argument(
-        "--fail-on-baseline", action="store_true",
-        help="exit non-zero even when findings are covered by the baseline "
-        "(burn-down mode)",
     )
     parser.add_argument(
         "--output", default=None, metavar="FILE",
@@ -93,38 +69,21 @@ def _print_rules() -> None:
         print(f"    {rule.summary}")
 
 
-#: JSON report layout version.  2 added ``schema_version`` itself, the
-#: active ``rules`` list, per-entry ``status`` on stale baseline entries,
-#: and the ``unchecked_baseline`` section.
-_SCHEMA_VERSION = 2
+#: JSON report layout version.  2 added ``schema_version`` itself and the
+#: active ``rules`` list; 3 dropped the baseline sections.
+_SCHEMA_VERSION = 3
 
 
-def _json_report(
-    result: LintResult,
-    match: BaselineMatch,
-    new: list[Finding],
-    rule_ids: list[str],
-) -> dict[str, object]:
-    stale = [
-        dict(e.to_dict(), status=status)
-        for status, entries in (("changed", match.changed), ("orphaned", match.orphaned))
-        for e in entries
-    ]
+def _json_report(result: LintResult, rule_ids: list[str]) -> dict[str, object]:
     return {
         "schema_version": _SCHEMA_VERSION,
         "rules": rule_ids,
-        "findings": [f.to_dict() for f in new],
-        "baselined": [f.to_dict() for f in match.baselined],
+        "findings": [f.to_dict() for f in result.findings],
         "suppressed": [f.to_dict() for f in result.suppressed],
-        "stale_baseline": stale,
-        "unchecked_baseline": [e.to_dict() for e in match.unchecked],
         "summary": {
             "files": result.files,
-            "findings": len(new),
-            "baselined": len(match.baselined),
+            "findings": len(result.findings),
             "suppressed": len(result.suppressed),
-            "stale_baseline": len(stale),
-            "unchecked_baseline": len(match.unchecked),
         },
     }
 
@@ -141,85 +100,36 @@ def run(args: argparse.Namespace) -> int:
     if not rules:
         print("repro lint: no rules selected", file=sys.stderr)
         return 2
+    for path in args.paths:
+        if not os.path.exists(path):
+            print(f"repro lint: no such file or directory: {path}", file=sys.stderr)
+            return 2
     try:
-        result = lint_paths(args.paths, rules)
+        output = open(args.output, "w", encoding="utf-8") if args.output else None
     except OSError as exc:
+        print(
+            f"repro lint: cannot write {args.output}: {exc.strerror or exc}",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        with output or nullcontext():
+            result = lint_paths(args.paths, rules)
+            report = _json_report(result, [r.rule_id for r in rules])
+            if output is not None:
+                json.dump(report, output, indent=2, sort_keys=True)
+                output.write("\n")
+    except OSError as exc:  # an unreadable source file, or a failed report write
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-
-    import os
-
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    if args.write_baseline:
-        Baseline.from_findings(result.findings).save(baseline_path)
-        print(
-            f"wrote {len(result.findings)} finding(s) to {baseline_path}; "
-            "add a `reason` to each entry before committing",
-            file=sys.stderr,
-        )
-        return 0
-    baseline = Baseline()
-    if not args.no_baseline and (args.baseline or os.path.exists(baseline_path)):
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"repro lint: bad baseline {baseline_path}: {exc}", file=sys.stderr)
-            return 2
-    match = baseline.apply(
-        result.findings,
-        linted_paths=set(result.paths),
-        active_rules={r.rule_id for r in rules},
-    )
-    new = match.new
-
-    pruned = 0
-    if args.update_baseline and match.stale:
-        pruned = len(match.stale)
-        baseline.pruned(match).save(baseline_path)
-        print(
-            f"repro lint: pruned {pruned} stale entr"
-            f"{'y' if pruned == 1 else 'ies'} from {baseline_path}",
-            file=sys.stderr,
-        )
-        match.changed.clear()
-        match.orphaned.clear()
-
-    report = _json_report(result, match, new, [r.rule_id for r in rules])
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        for finding in new:
+        for finding in result.findings:
             print(finding.format())
-        for entry in match.changed:
-            print(
-                f"repro lint: stale baseline entry ({entry.rule} in {entry.path}: "
-                f"{entry.content!r} x{entry.count}) — the line changed or the "
-                "finding is gone; update the baseline",
-                file=sys.stderr,
-            )
-        for entry in match.orphaned:
-            print(
-                f"repro lint: stale baseline entry ({entry.rule} in {entry.path}: "
-                f"{entry.content!r} x{entry.count}) — the file no longer exists; "
-                "run with --update-baseline to prune",
-                file=sys.stderr,
-            )
         print(
-            f"{len(new)} finding(s), {len(match.baselined)} baselined, "
-            f"{len(result.suppressed)} suppressed in {result.files} file(s)",
+            f"{len(result.findings)} finding(s), {len(result.suppressed)} "
+            f"suppressed in {result.files} file(s)",
             file=sys.stderr,
         )
-    if new or match.stale:
-        return 1
-    if args.fail_on_baseline and match.baselined:
-        print(
-            f"repro lint: --fail-on-baseline: {len(match.baselined)} "
-            "baselined finding(s) remain",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return 1 if result.findings else 0

@@ -1,39 +1,32 @@
 """Worklist dataflow over :mod:`repro.analysis.cfg` graphs.
 
-One generic fixpoint engine (:func:`fixpoint`) and the three analyses the
+One generic fixpoint engine (:func:`fixpoint`) and the two analyses the
 flow rules are built from:
 
 - :func:`dominators` — forward, meet = intersection.  "Every path from
   entry to N passes through D" is how OBS001 proves an emission can only
   run under an ``OBS.on`` test, and how TXN103 proves a ``rollback()`` is
   always preceded by its ``begin()``.
-- :func:`reaching_definitions` — forward, meet = union.  Ties a
-  ``restore(mark)`` argument back to the ``mark = state.snapshot()`` that
-  produced it (TXN102).
 - :func:`all_paths_reach` — backward, meet = conjunction.  The
   "must-reach" query behind TXN101: from this ``begin()``, does *every*
   path — including the exception edges — hit a ``commit()``/``rollback()``
   before leaving the function?
 
-All three iterate to a fixpoint with a FIFO worklist.  Termination is by
-the usual finite-lattice argument: node facts only move one way (sets only
-shrink under intersection / grow under union, booleans only fall), so each
-node re-enters the worklist a bounded number of times.  The CI budget on
-lint wall-time (see ``.github/workflows/ci.yml``) backstops the constant.
+Both iterate to a fixpoint with a FIFO worklist.  Termination is by the
+usual finite-lattice argument: node facts only move one way (sets only
+shrink under intersection, booleans only fall), so each node re-enters the
+worklist a bounded number of times.  The CI budget on lint wall-time (see
+``.github/workflows/ci.yml``) backstops the constant.
 """
 
 from __future__ import annotations
 
-import ast
 from collections import deque
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
 from repro.analysis.cfg import CFG
 
 T = TypeVar("T")
-
-#: One definition: (variable name, CFG node index that binds it).
-Definition = tuple[str, int]
 
 
 def reachable(cfg: CFG) -> set[int]:
@@ -66,8 +59,7 @@ def fixpoint(
     successors (backward) — ``boundary`` when there are none — and applies
     ``transfer(index, in_fact)``.  ``init`` seeds every node's out-fact;
     seeding with the top element makes the engine compute a greatest
-    fixpoint (dominators, must-reach), seeding with bottom a least one
-    (reaching definitions).
+    fixpoint (dominators, must-reach), seeding with bottom a least one.
 
     ``live`` restricts the analysis to a node subset: excluded nodes are
     never transferred and never contribute to a meet.  Must-analyses (meet
@@ -141,102 +133,6 @@ def dominators(cfg: CFG) -> list[set[int]]:
         live=live,
     )
     return [set(out[i]) if i in live else set() for i in range(len(cfg.nodes))]
-
-
-# -- reaching definitions ------------------------------------------------------
-
-
-def _assigned_names(expr: ast.expr) -> Iterator[str]:
-    """Names bound by an assignment-target expression."""
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            yield node.id
-
-
-def definitions_at(cfg: CFG, index: int) -> list[str]:
-    """Variable names bound when node ``index`` executes."""
-    node = cfg.nodes[index]
-    stmt = node.ast_node
-    names: list[str] = []
-    if stmt is None:
-        return names
-    if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        for target in targets:
-            names.extend(_assigned_names(target))
-    elif isinstance(stmt, (ast.For, ast.AsyncFor)) and node.kind == "for":
-        names.extend(_assigned_names(stmt.target))
-    elif isinstance(stmt, ast.withitem) and stmt.optional_vars is not None:
-        names.extend(_assigned_names(stmt.optional_vars))
-    elif isinstance(stmt, ast.ExceptHandler) and stmt.name:
-        names.append(stmt.name)
-    elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
-        for alias in stmt.names:
-            names.append(alias.asname or alias.name.split(".")[0])
-    elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        names.append(stmt.name)
-    return names
-
-
-def reaching_definitions(cfg: CFG) -> list[frozenset[Definition]]:
-    """``defs[n]`` = definitions live *on entry to* node ``n``.
-
-    Function parameters (for function scopes) are seeded as definitions at
-    the entry node.  The analysis is a may-analysis (meet = union): a
-    definition reaches a node if it does along *some* path.
-    """
-    entry_names: list[str] = []
-    scope = cfg.scope
-    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        args = scope.args
-        for arg in (
-            list(args.posonlyargs)
-            + list(args.args)
-            + list(args.kwonlyargs)
-            + ([args.vararg] if args.vararg else [])
-            + ([args.kwarg] if args.kwarg else [])
-        ):
-            entry_names.append(arg.arg)
-    entry_defs = frozenset((name, cfg.entry) for name in entry_names)
-    empty: frozenset[Definition] = frozenset()
-
-    gens: list[frozenset[Definition]] = []
-    kills: list[frozenset[str]] = []
-    for node in cfg.nodes:
-        names = definitions_at(cfg, node.index)
-        gens.append(frozenset((name, node.index) for name in names))
-        kills.append(frozenset(names))
-
-    def meet(facts: list[frozenset[Definition]]) -> frozenset[Definition]:
-        fact = facts[0]
-        for other in facts[1:]:
-            fact |= other
-        return fact
-
-    def transfer(index: int, fact_in: frozenset[Definition]) -> frozenset[Definition]:
-        if index == cfg.entry:
-            return entry_defs
-        kill = kills[index]
-        if not kill:
-            return fact_in
-        return frozenset(d for d in fact_in if d[0] not in kill) | gens[index]
-
-    out = fixpoint(
-        cfg,
-        direction="forward",
-        init=lambda i: empty,
-        transfer=transfer,
-        meet=meet,
-        boundary=empty,
-    )
-    # In-facts: union over predecessors' out-facts.
-    result: list[frozenset[Definition]] = []
-    for node in cfg.nodes:
-        fact = empty
-        for p in node.pred:
-            fact |= out[p]
-        result.append(fact)
-    return result
 
 
 # -- must-reach ----------------------------------------------------------------

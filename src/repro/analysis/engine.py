@@ -13,8 +13,9 @@ Suppression syntax (checked against the *reported* line):
 - ``# repro-lint: disable-file=RULE1`` — silence a rule for the whole file,
 - ``all`` is accepted in place of a rule id.
 
-Intentional findings that deserve a paragraph of justification belong in
-``.repro-lint-baseline.json`` instead (see :mod:`repro.analysis.baseline`).
+A reason follows the ids in parentheses —
+``# repro-lint: disable=TXN001 (read-only hot-path hoist)`` — because a bare
+word after an id would be read as part of the id list.
 """
 
 from __future__ import annotations
@@ -296,8 +297,6 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
     files: int = 0
-    #: normalized repo-relative paths of every file this run actually linted
-    paths: list[str] = field(default_factory=list)
 
 
 def lint_source(
@@ -316,16 +315,14 @@ def lint_source(
             rule="PARSE",
             message=f"syntax error: {exc.msg}",
         )
-        return LintResult(findings=[finding], files=1, paths=[rel])
+        return LintResult(findings=[finding], files=1)
     ctx = LintContext(rel, source, tree)
     for rule in active:
         if rule.applies_to(rel):
             rule.check(tree, ctx)
     ctx.findings.sort(key=lambda f: f.sort_key)
     ctx.suppressed.sort(key=lambda f: f.sort_key)
-    return LintResult(
-        findings=ctx.findings, suppressed=ctx.suppressed, files=1, paths=[rel]
-    )
+    return LintResult(findings=ctx.findings, suppressed=ctx.suppressed, files=1)
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
@@ -357,7 +354,6 @@ def lint_paths(
         result.findings.extend(file_result.findings)
         result.suppressed.extend(file_result.suppressed)
         result.files += 1
-        result.paths.extend(file_result.paths)
     result.findings.sort(key=lambda f: f.sort_key)
     result.suppressed.sort(key=lambda f: f.sort_key)
     return result

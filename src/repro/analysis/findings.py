@@ -16,8 +16,7 @@ class Finding:
     """One rule violation at one source location.
 
     ``line`` and ``col`` are 1-based (editor convention).  ``snippet`` is the
-    stripped text of the offending source line; the baseline mechanism keys
-    on it so entries survive unrelated line-number drift.
+    stripped text of the offending source line, carried in the JSON report.
     """
 
     path: str
@@ -30,11 +29,6 @@ class Finding:
     @property
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
-
-    @property
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Location-independent identity used for baseline matching."""
-        return (self.path, self.rule, self.snippet)
 
     def format(self) -> str:
         """Stable ``file:line:col RULE_ID message`` editor line."""
@@ -49,14 +43,3 @@ class Finding:
             "message": self.message,
             "snippet": self.snippet,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, object]) -> "Finding":
-        return cls(
-            path=str(doc["path"]),
-            line=int(doc["line"]),  # type: ignore[arg-type]
-            col=int(doc["col"]),  # type: ignore[arg-type]
-            rule=str(doc["rule"]),
-            message=str(doc["message"]),
-            snippet=str(doc.get("snippet", "")),
-        )

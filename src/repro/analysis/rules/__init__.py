@@ -1,15 +1,11 @@
 """Built-in lint rules; importing this package populates the registry.
 
-Rule families (ids are ``FAMILY###``):
+Rule families (ids are ``FAMILY###``), one module each:
 
-- ``ARR`` — array discipline: no per-element Python loops over the batch
-  kernel's flat column arrays,
 - ``DET`` — determinism: no unordered iteration, unseeded RNGs, or
   wall-clock reads where schedule bytes are decided,
 - ``FLT`` — float discipline: no exact ``==``/``!=`` on float expressions
   outside the audited tolerance helpers,
-- ``KER`` — compilable-kernel subset: the batch-evaluation hot loops stay
-  inside the feature set a tracing compiler can lower,
 - ``OBS`` — obs-off discipline: hot-path emissions behind ``OBS.on``,
 - ``PUR`` — worker purity: ProcessPool entry points stay deterministic
   and picklable,
@@ -23,22 +19,17 @@ to add a new one.
 from __future__ import annotations
 
 from repro.analysis.rules import (  # noqa: F401  (import registers the rules)
-    arrays,
     determinism,
     floats,
-    kernel,
     obsguard,
     purity,
     transactions,
-    txnflow,
 )
 
 #: Family prefix -> human name, for ``repro lint --list-rules`` grouping.
 FAMILIES: dict[str, str] = {
-    "ARR": "array discipline",
     "DET": "determinism",
     "FLT": "float discipline",
-    "KER": "compilable kernel subset",
     "OBS": "observability guards",
     "PUR": "worker purity",
     "TXN": "transaction safety",

@@ -32,8 +32,7 @@ later via :meth:`~PyKernel.set_plan` because routes resolve lazily.
 ``missing_pair >= 0`` means simulation stopped at a pair whose route plan
 is not resolved yet — the kernel has rolled back the partial position, and
 the caller resolves the route and calls ``evaluate`` again (the retry
-resumes from the completed prefix).  KER001-004 / ARR001 lint rules fence
-this module into the compilable subset.
+resumes from the completed prefix).
 """
 
 from __future__ import annotations
@@ -94,16 +93,12 @@ class ArrayLinkState:
         """Link ids with at least one live booking, ascending."""
         return sorted(lid for lid, (s, _f) in self._columns.items() if s)
 
-    def snapshot(self) -> int:
-        """The current journal position; pass to :meth:`restore`."""
-        return len(self.journal_index)
-
     def restore(self, mark: int) -> None:
-        """Rewind all columns to an earlier :meth:`snapshot` (O(undone))."""
+        """Rewind all columns to journal length ``mark`` (O(undone))."""
         journal_index = self.journal_index
         if not 0 <= mark <= len(journal_index):
             raise SchedulingError(
-                f"snapshot mark {mark} out of range [0, {len(journal_index)}]"
+                f"journal mark {mark} out of range [0, {len(journal_index)}]"
             )
         journal_starts = self.journal_starts
         journal_finishes = self.journal_finishes
@@ -132,16 +127,12 @@ class ArrayProcState:
         self.journal_proc: list[int] = []
         self.journal_finish: list[float] = []
 
-    def snapshot(self) -> int:
-        """The current journal position; pass to :meth:`restore`."""
-        return len(self.journal_proc)
-
     def restore(self, mark: int) -> None:
-        """Rewind the finish column to an earlier :meth:`snapshot`."""
+        """Rewind the finish column to journal length ``mark``."""
         journal_proc = self.journal_proc
         if not 0 <= mark <= len(journal_proc):
             raise SchedulingError(
-                f"snapshot mark {mark} out of range [0, {len(journal_proc)}]"
+                f"journal mark {mark} out of range [0, {len(journal_proc)}]"
             )
         journal_finish = self.journal_finish
         finish = self.finish
@@ -237,7 +228,7 @@ class PyKernel:
         self._task_finish: list[float] = [0.0] * n
         #: dense processor index applied at each simulated order position
         self._applied: list[int] = []
-        #: link-journal snapshot captured just before each position; the
+        #: link-journal length captured just before each position; the
         #: processor journal needs no marks — it holds exactly one entry per
         #: position, so its mark at position ``p`` is ``p``.
         self._lmarks: list[int] = []
@@ -331,10 +322,6 @@ class PyKernel:
                 est = ready
                 min_finish = 0.0
                 arrival = ready
-                # repro-lint note: iterating the *plan* (one entry per route
-                # link) is the per-link walk of the reference algorithm; the
-                # column arrays themselves are only touched via bisect and
-                # point inserts below.
                 for starts, finishes, speed in plan:
                     duration = cost / speed
                     floor = min_finish - duration

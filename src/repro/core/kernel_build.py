@@ -117,7 +117,7 @@ def write_meta() -> dict[str, object]:
         "reference_sha256": _sha256(_SOURCE_PY),
         # Build tooling, not scheduling: the timestamp never reaches a
         # scheduling decision.
-        "built_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),  # repro-lint: disable=DET003
+        "built_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),  # repro-lint: disable=DET003 (build metadata)
     }
     _META.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", "utf-8")
     return meta

@@ -206,7 +206,7 @@ class OIHSAScheduler(ContentionScheduler):
         if cost < 0:
             raise SchedulingError(f"negative communication cost {cost}")
         lstate = self._lstate
-        queues = lstate._queues  # hot path: skip per-probe method dispatch
+        queues = lstate._queues  # repro-lint: disable=TXN001 (read-only hoist: no per-probe method call)
         with span("routing"):
             return _dijkstra_indexed(net, src, dst, ready, cost, queues)
 

@@ -488,38 +488,11 @@ class TransferBooking:
 
 @dataclass
 class BandwidthLinkState:
-    """All links' bandwidth profiles plus per-edge bookings, with COW transactions."""
+    """All links' bandwidth profiles plus per-edge bookings."""
 
     _profiles: dict[LinkId, BandwidthProfile] = field(default_factory=dict)
     _bookings: dict[EdgeKey, list[TransferBooking]] = field(default_factory=dict)
     _routes: dict[EdgeKey, tuple[LinkId, ...]] = field(default_factory=dict)
-    _txn_profiles: dict[LinkId, BandwidthProfile] | None = None
-    _txn_edges: list[EdgeKey] | None = None
-
-    # -- transactions ------------------------------------------------------
-
-    def begin(self) -> None:
-        if self._txn_profiles is not None:
-            raise SchedulingError("bandwidth transaction already open")
-        self._txn_profiles = {}
-        self._txn_edges = []
-
-    def commit(self) -> None:
-        if self._txn_profiles is None:
-            raise SchedulingError("no open bandwidth transaction")
-        self._txn_profiles = None
-        self._txn_edges = None
-
-    def rollback(self) -> None:
-        if self._txn_profiles is None or self._txn_edges is None:
-            raise SchedulingError("no open bandwidth transaction")
-        for lid, original in self._txn_profiles.items():
-            self._profiles[lid] = original
-        for edge in self._txn_edges:
-            self._bookings.pop(edge, None)
-            self._routes.pop(edge, None)
-        self._txn_profiles = None
-        self._txn_edges = None
 
     def profile(self, lid: LinkId) -> BandwidthProfile:
         """Read-only view of a link's used-bandwidth profile."""
@@ -530,13 +503,6 @@ class BandwidthLinkState:
         prof = self._profiles.get(lid)
         if prof is None:
             prof = BandwidthProfile()
-            self._profiles[lid] = prof
-            if self._txn_profiles is not None and lid not in self._txn_profiles:
-                self._txn_profiles[lid] = BandwidthProfile()
-            return prof
-        if self._txn_profiles is not None and lid not in self._txn_profiles:
-            self._txn_profiles[lid] = prof
-            prof = prof.copy()
             self._profiles[lid] = prof
         return prof
 
@@ -597,12 +563,8 @@ class BandwidthLinkState:
             raise SchedulingError(f"edge {edge} already scheduled")
         if not route or cost <= 0:
             self._routes[edge] = ()
-            if self._txn_edges is not None:
-                self._txn_edges.append(edge)
             return ready_time
         self._routes[edge] = tuple(l.lid for l in route)
-        if self._txn_edges is not None:
-            self._txn_edges.append(edge)
         flows: list[TransferBooking] = []
         arrival = Cumulative.step(ready_time, cost)
         for link in route:

@@ -178,8 +178,8 @@ def schedule_edge_optimal(
     # of the loop (same arithmetic — see CommModel.next_constraints).
     hop = comm.hop_delay
     cut_through = comm.mode == "cut-through"
-    queues = state._queues
-    next_link_map = state._next_link
+    queues = state._queues  # repro-lint: disable=TXN001 (read-only scan; writes use replace_suffix)
+    next_link_map = state._next_link  # repro-lint: disable=TXN001 (read-only Lemma-2 slack lookup)
     est = ready_time
     min_finish = 0.0
     finish = ready_time

@@ -1,8 +1,7 @@
-"""Processor-side schedule state with copy-on-write transactions.
+"""Processor-side schedule state: per-processor timelines and placements.
 
-Mirrors :class:`repro.linksched.state.LinkScheduleState` so a scheduler can
-open one transaction spanning both link and processor bookings while probing
-a candidate processor.
+Schedulers probe candidate processors with :meth:`ProcessorState.probe`,
+which books nothing, and commit the winner with :meth:`ProcessorState.place`.
 """
 
 from __future__ import annotations
@@ -33,48 +32,11 @@ class ProcessorState:
     _placements: dict[TaskId, TaskPlacement] = field(default_factory=dict)
     #: the last slot's finish of every non-empty timeline
     _finish: dict[VertexId, float] = field(default_factory=dict)
-    _txn_timelines: dict[VertexId, list[TaskSlot]] | None = None
-    _txn_tasks: list[TaskId] | None = None
-
-    # -- transactions --------------------------------------------------------
-
-    def begin(self) -> None:
-        if self._txn_timelines is not None:
-            raise SchedulingError("processor transaction already open")
-        self._txn_timelines = {}
-        self._txn_tasks = []
-
-    def commit(self) -> None:
-        if self._txn_timelines is None:
-            raise SchedulingError("no open processor transaction")
-        self._txn_timelines = None
-        self._txn_tasks = None
-
-    def rollback(self) -> None:
-        if self._txn_timelines is None or self._txn_tasks is None:
-            raise SchedulingError("no open processor transaction")
-        for vid, original in self._txn_timelines.items():
-            self._timelines[vid] = original
-            if original:
-                self._finish[vid] = original[-1].finish
-            else:
-                self._finish.pop(vid, None)
-        for task in self._txn_tasks:
-            del self._placements[task]
-        self._txn_timelines = None
-        self._txn_tasks = None
 
     def _writable(self, vid: VertexId) -> list[TaskSlot]:
         slots = self._timelines.get(vid)
         if slots is None:
             slots = []
-            self._timelines[vid] = slots
-            if self._txn_timelines is not None and vid not in self._txn_timelines:
-                self._txn_timelines[vid] = []
-            return slots
-        if self._txn_timelines is not None and vid not in self._txn_timelines:
-            self._txn_timelines[vid] = slots
-            slots = list(slots)
             self._timelines[vid] = slots
         return slots
 
@@ -135,8 +97,6 @@ class ProcessorState:
         self._finish[vid] = slots[-1].finish
         placement = TaskPlacement(task, vid, start, finish)
         self._placements[task] = placement
-        if self._txn_tasks is not None:
-            self._txn_tasks.append(task)
         if OBS.on:
             OBS.metrics.counter("procsched.tasks_placed").inc()
             if not OBS.bus.quieted:

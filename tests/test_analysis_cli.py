@@ -1,4 +1,4 @@
-"""``repro lint`` CLI: exit codes, output formats, baseline workflow, self-lint."""
+"""``repro lint`` CLI: exit codes, output formats, self-lint."""
 
 from __future__ import annotations
 
@@ -37,10 +37,10 @@ class TestExitCodes:
         pkg = tmp_path / "src" / "repro" / "core"
         pkg.mkdir(parents=True)
         (pkg / "sample.py").write_text(CLEAN)
-        assert lint("--no-baseline", str(tmp_path / "src")) == 0
+        assert lint(str(tmp_path / "src")) == 0
 
     def test_findings_exit_one(self, firing_tree, capsys):
-        assert lint("--no-baseline", str(firing_tree / "src")) == 1
+        assert lint(str(firing_tree / "src")) == 1
 
     def test_unknown_rule_id_exits_two(self, firing_tree, capsys):
         assert lint("--select", "NOPE99", str(firing_tree / "src")) == 2
@@ -52,10 +52,27 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_missing_path_exits_two_before_linting(self, firing_tree, capsys):
+        typo = str(firing_tree / "srcc")
+        assert lint(typo, str(firing_tree / "src")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro lint: no such file or directory: {typo}\n"
+
+    def test_unwritable_output_exits_two_before_linting(self, firing_tree, capsys):
+        report = firing_tree / "missing-dir" / "lint.json"
+        assert lint("--output", str(report), str(firing_tree / "src")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro lint: cannot write {report}: ")
+        assert not report.exists()
+
 
 class TestOutput:
     def test_text_format_is_editor_stable(self, firing_tree, capsys):
-        lint("--no-baseline", str(firing_tree / "src"))
+        lint(str(firing_tree / "src"))
         out_line = capsys.readouterr().out.strip().splitlines()[0]
         path, line, rest = out_line.split(":", 2)
         col, rule, _message = rest.split(" ", 2)
@@ -64,14 +81,14 @@ class TestOutput:
         assert rule == "FLT001"
 
     def test_summary_goes_to_stderr(self, firing_tree, capsys):
-        lint("--no-baseline", str(firing_tree / "src"))
+        lint(str(firing_tree / "src"))
         err = capsys.readouterr().err
         assert "1 finding(s)" in err
 
     def test_json_format(self, firing_tree, capsys):
-        lint("--no-baseline", "--format", "json", str(firing_tree / "src"))
+        lint("--format", "json", str(firing_tree / "src"))
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert "FLT001" in doc["rules"]
         assert doc["summary"]["findings"] == 1
         assert doc["findings"][0]["rule"] == "FLT001"
@@ -79,20 +96,16 @@ class TestOutput:
 
     def test_output_file_written_regardless_of_format(self, firing_tree, capsys):
         report = firing_tree / "lint.json"
-        lint("--no-baseline", "--output", str(report), str(firing_tree / "src"))
+        lint("--output", str(report), str(firing_tree / "src"))
         out = capsys.readouterr().out
         assert "{" not in out  # stdout stayed in text format
         doc = json.loads(report.read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["summary"]["findings"] == 1
 
     def test_select_and_ignore(self, firing_tree, capsys):
-        assert lint(
-            "--no-baseline", "--select", "DET001", str(firing_tree / "src")
-        ) == 0
-        assert lint(
-            "--no-baseline", "--ignore", "FLT001", str(firing_tree / "src")
-        ) == 0
+        assert lint("--select", "DET001", str(firing_tree / "src")) == 0
+        assert lint("--ignore", "FLT001", str(firing_tree / "src")) == 0
 
     def test_list_rules(self, capsys):
         assert lint("--list-rules") == 0
@@ -101,126 +114,14 @@ class TestOutput:
             assert rule_id in out
 
 
-class TestBaseline:
-    def test_write_then_match(self, firing_tree, capsys):
-        baseline = firing_tree / "baseline.json"
-        assert lint(
-            "--baseline", str(baseline), "--write-baseline",
-            str(firing_tree / "src"),
-        ) == 0
-        assert baseline.exists()
-        # Same tree now lints clean against its baseline.
-        assert lint("--baseline", str(baseline), str(firing_tree / "src")) == 0
-        assert "1 baselined" in capsys.readouterr().err
-
-    def test_stale_entry_fails(self, firing_tree, capsys):
-        baseline = firing_tree / "baseline.json"
-        lint("--baseline", str(baseline), "--write-baseline", str(firing_tree / "src"))
-        sample = firing_tree / "src" / "repro" / "core" / "sample.py"
-        sample.write_text(CLEAN)  # finding gone -> entry is stale
-        assert lint("--baseline", str(baseline), str(firing_tree / "src")) == 1
-        assert "stale baseline entry" in capsys.readouterr().err
-
-    def test_fail_on_baseline(self, firing_tree, capsys):
-        baseline = firing_tree / "baseline.json"
-        lint("--baseline", str(baseline), "--write-baseline", str(firing_tree / "src"))
-        code = lint(
-            "--baseline", str(baseline), "--fail-on-baseline",
-            str(firing_tree / "src"),
-        )
-        assert code == 1
-        assert "--fail-on-baseline" in capsys.readouterr().err
-
-    def test_count_budget_catches_new_duplicates(self, firing_tree, capsys):
-        baseline = firing_tree / "baseline.json"
-        lint("--baseline", str(baseline), "--write-baseline", str(firing_tree / "src"))
-        sample = firing_tree / "src" / "repro" / "core" / "sample.py"
-        # A second identical violation exceeds the count=1 budget.
-        sample.write_text(FIRING + "\n\ndef other(a: float, b: float) -> bool:\n    return a == b\n")
-        assert lint("--baseline", str(baseline), str(firing_tree / "src")) == 1
-
-    def test_corrupt_baseline_exits_two(self, firing_tree, capsys):
-        baseline = firing_tree / "baseline.json"
-        baseline.write_text("{\"version\": 99}")
-        assert lint("--baseline", str(baseline), str(firing_tree / "src")) == 2
-
-
-class TestStaleClassification:
-    """Renames, subset runs, and ``--update-baseline`` pruning."""
-
-    def _seed(self, firing_tree):
-        baseline = firing_tree / "baseline.json"
-        lint("--baseline", str(baseline), "--write-baseline",
-             str(firing_tree / "src"))
-        return baseline
-
-    def test_renamed_file_orphans_entry(self, firing_tree, capsys):
-        baseline = self._seed(firing_tree)
-        sample = firing_tree / "src" / "repro" / "core" / "sample.py"
-        sample.rename(sample.with_name("renamed.py"))
-        assert lint("--baseline", str(baseline), str(firing_tree / "src")) == 1
-        err = capsys.readouterr().err
-        assert "no longer exists" in err
-        assert "--update-baseline" in err
-
-    def test_orphaned_entry_has_json_status(self, firing_tree, capsys):
-        baseline = self._seed(firing_tree)
-        sample = firing_tree / "src" / "repro" / "core" / "sample.py"
-        sample.rename(sample.with_name("renamed.py"))
-        lint("--baseline", str(baseline), "--format", "json",
-             str(firing_tree / "src"))
-        doc = json.loads(capsys.readouterr().out)
-        # The renamed copy fires fresh; the old entry is orphaned.
-        assert doc["summary"]["findings"] == 1
-        assert [e["status"] for e in doc["stale_baseline"]] == ["orphaned"]
-
-    def test_update_baseline_prunes_orphans(self, firing_tree, capsys):
-        baseline = self._seed(firing_tree)
-        sample = firing_tree / "src" / "repro" / "core" / "sample.py"
-        sample.write_text(CLEAN)
-        sample.with_name("gone.py").write_text(FIRING)
-        lint("--baseline", str(baseline), "--write-baseline",
-             str(firing_tree / "src"))
-        (firing_tree / "src" / "repro" / "core" / "gone.py").unlink()
-        code = lint("--baseline", str(baseline), "--update-baseline",
-                    str(firing_tree / "src"))
-        assert code == 0
-        assert "pruned 1 stale entry" in capsys.readouterr().err
-        assert json.loads(baseline.read_text())["entries"] == []
-        # The pruned baseline is durable: the next plain run is clean.
-        assert lint("--baseline", str(baseline), str(firing_tree / "src")) == 0
-
-    def test_rule_subset_run_leaves_entries_unchecked(self, firing_tree, capsys):
-        baseline = self._seed(firing_tree)
-        sample = firing_tree / "src" / "repro" / "core" / "sample.py"
-        sample.write_text(CLEAN)  # full run would flag the entry as changed
-        code = lint("--baseline", str(baseline), "--select", "DET001",
-                    str(firing_tree / "src"))
-        assert code == 0
-        assert "stale" not in capsys.readouterr().err
-
-    def test_path_subset_run_leaves_entries_unchecked(self, firing_tree, capsys):
-        baseline = self._seed(firing_tree)
-        other = firing_tree / "src" / "repro" / "utils"
-        other.mkdir()
-        (other / "misc.py").write_text("X = 1\n")
-        code = lint("--baseline", str(baseline), str(other))
-        assert code == 0
-        lint("--baseline", str(baseline), "--format", "json", str(other))
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["summary"]["unchecked_baseline"] == 1
-        assert doc["stale_baseline"] == []
-
-
 class TestRepoIsClean:
-    """The committed tree must lint clean — the PR's zero-findings baseline."""
+    """The committed tree must lint clean: zero unsuppressed findings."""
 
     def test_src_has_zero_unsuppressed_findings(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)
         assert lint("src") == 0
         err = capsys.readouterr().err
         assert "0 finding(s)" in err
-        assert "stale" not in err
 
     def test_tests_lint_clean_too(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO_ROOT)
@@ -235,6 +136,20 @@ class TestRepoIsClean:
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_clean_from_another_directory(self, tmp_path):
+        # Suppressions live on the source lines, so the verdict does not
+        # depend on the working directory.
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "lint",
+             str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "0 finding(s)" in proc.stderr
 
 
 class TestTypingConfig:

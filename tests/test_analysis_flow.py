@@ -1,6 +1,6 @@
 """CFG construction, dataflow fixpoints, and the module-local call graph.
 
-The flow rules (TXN1xx/PUR/KER, dominance OBS001) are only as good as the
+The flow rules (TXN1xx/PUR, dominance OBS001) are only as good as the
 graphs they query, so the framework is tested directly: edge shapes for the
 control constructs the scheduling code actually uses (try/finally probe
 idiom, nested loops with break, early returns), fixpoint convergence on
@@ -15,12 +15,7 @@ import textwrap
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.cfg import CFG, build_cfg
-from repro.analysis.dataflow import (
-    all_paths_reach,
-    dominators,
-    reachable,
-    reaching_definitions,
-)
+from repro.analysis.dataflow import all_paths_reach, dominators, reachable
 from repro.analysis.engine import dotted
 
 
@@ -263,44 +258,6 @@ class TestDataflow:
         assert header.index in doms[ret.index]
         # The body does not dominate the exit path (zero-iteration case).
         assert body.index not in doms[ret.index]
-
-    def test_reaching_definitions_join_and_kill(self):
-        cfg = cfg_of(
-            """
-            def f(x):
-                a = 1
-                if x:
-                    a = 2
-                return a
-            """
-        )
-        reaching = reaching_definitions(cfg)
-        ret = next(
-            n
-            for n in cfg.nodes
-            if n.kind == "stmt" and isinstance(n.ast_node, ast.Return)
-        )
-        defs_of_a = {d for d in reaching[ret.index] if d[0] == "a"}
-        assert len(defs_of_a) == 2  # both the initial and the branch def
-        # Parameters are seeded at entry.
-        assert ("x", cfg.entry) in reaching[ret.index]
-
-    def test_reaching_definitions_redefinition_kills(self):
-        cfg = cfg_of(
-            """
-            def f():
-                a = 1
-                a = 2
-                return a
-            """
-        )
-        reaching = reaching_definitions(cfg)
-        ret = next(
-            n
-            for n in cfg.nodes
-            if n.kind == "stmt" and isinstance(n.ast_node, ast.Return)
-        )
-        assert len({d for d in reaching[ret.index] if d[0] == "a"}) == 1
 
     def test_all_paths_reach_diamond(self):
         cfg = cfg_of(

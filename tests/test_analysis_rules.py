@@ -14,7 +14,6 @@ from repro.analysis import lint_source, select_rules
 from repro.analysis.findings import Finding
 
 CORE = "src/repro/core/sample.py"
-KERNEL = "src/repro/core/_kernel.py"
 LINKSCHED = "src/repro/linksched/sample.py"
 EXPERIMENTS = "src/repro/experiments/sample.py"
 
@@ -569,74 +568,6 @@ class TestTransactionBalance:
         assert len(found) == 1
 
 
-class TestJournalMarkBalance:
-    """TXN102: a local snapshot() mark must be restored on all paths."""
-
-    def test_early_return_drop_fires(self):
-        found = run_rule(
-            "TXN102",
-            """
-            def trial(cols, cand) -> float:
-                mark = cols.snapshot()
-                if not feasible(cand):
-                    return -1.0
-                cols.restore(mark)
-                return 0.0
-            """,
-        )
-        assert len(found) == 1
-        assert "mark" in found[0].message
-
-    def test_finally_restore_is_clean(self):
-        assert not run_rule(
-            "TXN102",
-            """
-            def trial(cols, cand) -> float:
-                mark = cols.snapshot()
-                try:
-                    return score(cols, cand)
-                finally:
-                    cols.restore(mark)
-            """,
-        )
-
-    def test_escaping_mark_is_exempt(self):
-        # The batch kernel's per-position checkpoint lists: marks stored for
-        # a later cross-call rewind are not per-function balance.
-        assert not run_rule(
-            "TXN102",
-            """
-            def checkpoint(cols, lmarks) -> None:
-                mark = cols.snapshot()
-                lmarks.append(mark)
-            """,
-        )
-
-    def test_returned_mark_is_exempt(self):
-        assert not run_rule(
-            "TXN102",
-            """
-            def open_trial(cols) -> int:
-                mark = cols.snapshot()
-                return mark
-            """,
-        )
-
-    def test_restore_on_other_receiver_does_not_count(self):
-        found = run_rule(
-            "TXN102",
-            """
-            def trial(a, b) -> None:
-                mark = a.snapshot()
-                try:
-                    pass
-                finally:
-                    b.restore(mark)
-            """,
-        )
-        assert len(found) == 1
-
-
 class TestCloserWithoutBegin:
     """TXN103: a closer must be dominated by a begin() on its receiver."""
 
@@ -844,208 +775,3 @@ class TestUnpicklableSubmission:
             """,
             path=EXPERIMENTS_SAMPLE,
         )
-
-
-class TestKernelRules:
-    """KER001-004 apply only to hot functions of the kernel files."""
-
-    def test_kwargs_signature_fires(self):
-        found = run_rule(
-            "KER001",
-            """
-            def _resimulate(cand, start, **opts):
-                pass
-            """,
-            path="src/repro/core/batch.py",
-        )
-        assert len(found) == 1
-        assert "**opts" in found[0].message
-
-    def test_call_splat_fires(self):
-        found = run_rule(
-            "KER001",
-            """
-            def restore(self, mark):
-                self.pop(*mark)
-            """,
-            path=KERNEL,
-        )
-        assert len(found) == 1
-
-    def test_getattr_fires(self):
-        found = run_rule(
-            "KER002",
-            """
-            def snapshot(self):
-                return len(getattr(self, "journal_index"))
-            """,
-            path=KERNEL,
-        )
-        assert len(found) == 1
-
-    def test_nested_lambda_fires(self):
-        found = run_rule(
-            "KER003",
-            """
-            def makespan(self):
-                return max(self.finish, key=lambda f: f)
-            """,
-            path=KERNEL,
-        )
-        assert len(found) == 1
-
-    def test_generator_expression_fires(self):
-        found = run_rule(
-            "KER004",
-            """
-            def makespan(self):
-                return max(f for f in self.finish)
-            """,
-            path=KERNEL,
-        )
-        assert len(found) == 1
-
-    def test_hot_set_follows_module_local_calls(self):
-        # _route_plan is hot because _resimulate calls it.
-        found = run_rule(
-            "KER004",
-            """
-            class Evaluator:
-                def _route_plan(self, src, dst):
-                    return list(l for l in self.route(src, dst))
-
-                def _resimulate(self, cand, start):
-                    self._route_plan(0, 1)
-            """,
-            path="src/repro/core/batch.py",
-        )
-        assert len(found) == 1
-        assert "_route_plan" in found[0].message
-
-    def test_cold_functions_are_exempt(self):
-        assert not run_rule(
-            "KER004",
-            """
-            def booked_links(self):
-                return sorted(lid for lid in self._columns)
-            """,
-            path=KERNEL,
-        )
-
-    def test_rules_scoped_to_kernel_files(self):
-        assert not run_rule(
-            "KER004",
-            """
-            def makespan(self):
-                return max(f for f in self.finish)
-            """,
-            path=CORE,
-        )
-
-
-BATCH = "src/repro/core/batch.py"
-
-
-class TestColumnLoop:
-    def test_for_over_column_fires(self):
-        found = run_rule(
-            "ARR001",
-            """
-            def span(finishes: list[float]) -> float:
-                best = 0.0
-                for f in finishes:
-                    if f > best:
-                        best = f
-                return best
-            """,
-            path=KERNEL,
-        )
-        assert [f.rule for f in found] == ["ARR001"]
-        assert "finishes" in found[0].message
-
-    def test_enumerate_attribute_column_fires(self):
-        found = run_rule(
-            "ARR001",
-            """
-            def scan(self) -> int:
-                n = 0
-                for i, s in enumerate(self.journal_starts):
-                    n += i
-                return n
-            """,
-            path=BATCH,
-        )
-        assert len(found) == 1
-        assert "journal_starts" in found[0].message
-
-    def test_range_len_column_fires(self):
-        found = run_rule(
-            "ARR001",
-            """
-            def walk(starts: list[float]) -> None:
-                for i in range(len(starts)):
-                    starts[i] += 1.0
-            """,
-            path=BATCH,
-        )
-        assert len(found) == 1
-
-    def test_comprehension_over_column_fires(self):
-        found = run_rule(
-            "ARR001",
-            "total = sum(f for f in finishes)\n",
-            path=KERNEL,
-        )
-        assert len(found) == 1
-        assert "comprehension" in found[0].message
-
-    def test_bulk_operations_are_clean(self):
-        assert not run_rule(
-            "ARR001",
-            """
-            import bisect
-
-            def book(starts: list[float], finishes: list[float], t: float) -> None:
-                i = bisect.bisect_left(starts, t)
-                starts.insert(i, t)
-                finishes.insert(i, t + 1.0)
-                del starts[i:]
-            """,
-            path=KERNEL,
-        )
-
-    def test_non_column_loops_are_clean(self):
-        assert not run_rule(
-            "ARR001",
-            """
-            def resim(plan: list[tuple[float, float]], n: int) -> float:
-                acc = 0.0
-                for a, b in plan:
-                    acc += b - a
-                for i in range(3, n):
-                    acc += i
-                return acc
-            """,
-            path=BATCH,
-        )
-
-    def test_out_of_scope_path_is_clean(self):
-        assert not run_rule(
-            "ARR001",
-            "best = max(f for f in finishes)\n",
-            path=CORE,
-        )
-
-    def test_disable_comment_suppresses(self):
-        result = lint_source(
-            textwrap.dedent(
-                """
-                def debug_dump(finishes: list[float]) -> list[str]:
-                    return [f"{f:.3f}" for f in finishes]  # repro-lint: disable=ARR001
-                """
-            ),
-            KERNEL,
-            select_rules(["ARR001"]),
-        )
-        assert not result.findings
-        assert len(result.suppressed) == 1

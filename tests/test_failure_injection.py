@@ -78,18 +78,6 @@ class TestStateMisuse:
         with pytest.raises(SchedulingError):
             LinkScheduleState().rollback()
 
-    def test_bandwidth_rollback_without_begin(self):
-        from repro.linksched.bandwidth import BandwidthLinkState
-
-        with pytest.raises(SchedulingError):
-            BandwidthLinkState().rollback()
-
-    def test_processor_rollback_without_begin(self):
-        from repro.procsched.state import ProcessorState
-
-        with pytest.raises(SchedulingError):
-            ProcessorState().rollback()
-
 
 class TestDegenerateWorkloads:
     def test_zero_weight_tasks_schedule(self, net2):

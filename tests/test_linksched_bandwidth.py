@@ -280,19 +280,6 @@ class TestBandwidthLinkState:
         assert t == pytest.approx(5.0)
         assert state.profile(route[0].lid).segments == []
 
-    def test_transactions(self):
-        net, route = self._route()
-        state = BandwidthLinkState()
-        state.begin()
-        state.schedule_edge((0, 1), route, 10.0, 0.0)
-        state.rollback()
-        assert not state.has_route((0, 1))
-        assert state.profile(route[0].lid).segments == []
-        state.begin()
-        state.schedule_edge((0, 1), route, 10.0, 0.0)
-        state.commit()
-        assert state.has_route((0, 1))
-
     def test_negative_ready_rejected(self):
         net, route = self._route()
         with pytest.raises(SchedulingError):

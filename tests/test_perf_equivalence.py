@@ -347,11 +347,7 @@ _small = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
 
 @st.composite
 def selection_cases(draw):
-    """A task with placed predecessors, on processors with queued work.
-
-    Some placements are made inside a transaction that is rolled back, so
-    the finish times read must be the restored ones.
-    """
+    """A task with placed predecessors, on processors with queued work."""
     n_procs = draw(st.integers(1, 6))
     vids = sorted(draw(st.sets(st.integers(0, 20), min_size=n_procs, max_size=n_procs)))
     procs = [Vertex(v, "processor", draw(st.sampled_from([0.5, 1.0, 2.0]))) for v in vids]
@@ -367,12 +363,6 @@ def selection_cases(draw):
     for _ in range(draw(st.integers(0, 4))):
         pstate.place(next_task, draw(st.sampled_from(vids)), draw(_small), draw(_small))
         next_task += 1
-    if draw(st.booleans()):
-        pstate.begin()
-        for _ in range(draw(st.integers(1, 3))):
-            pstate.place(next_task, draw(st.sampled_from(vids)), 5.0, draw(_small))
-            next_task += 1
-        pstate.rollback()
     return graph, tid, procs, pstate
 
 

@@ -93,31 +93,6 @@ class TestProcessorState:
     def test_finish_time_empty(self):
         assert ProcessorState().finish_time(9) == 0.0
 
-    def test_transaction_rollback(self):
-        state = ProcessorState()
-        state.place(0, 1, 1.0, 0.0)
-        state.begin()
-        state.place(1, 1, 1.0, 0.0)
-        state.place(2, 2, 1.0, 0.0)
-        state.rollback()
-        assert not state.is_placed(1)
-        assert not state.is_placed(2)
-        assert state.finish_time(1) == 1.0
-        assert state.timeline(2) == []
-
-    def test_transaction_commit(self):
-        state = ProcessorState()
-        state.begin()
-        state.place(0, 1, 1.0, 0.0)
-        state.commit()
-        assert state.is_placed(0)
-
-    def test_no_nested_transaction(self):
-        state = ProcessorState()
-        state.begin()
-        with pytest.raises(SchedulingError):
-            state.begin()
-
     def test_placements_snapshot(self):
         state = ProcessorState()
         state.place(0, 1, 1.0, 0.0)

@@ -17,176 +17,93 @@ Quickstart::
     print(schedule.summary())
 """
 
-from repro.exceptions import (
-    ReproError,
-    GraphError,
-    CycleError,
-    TopologyError,
-    RoutingError,
-    SchedulingError,
-    ValidationError,
-    SerializationError,
-)
-from repro.taskgraph import (
-    Task,
-    CommEdge,
-    TaskGraph,
-    bottom_levels,
-    top_levels,
-    critical_path,
-    critical_path_length,
-    priority_list,
-    ccr_of,
-    scale_to_ccr,
-    random_layered_dag,
-    random_fan_dag,
-    kernels,
-    workflows,
-    graph_to_json,
-    graph_from_json,
-    graph_to_dot,
-    validate_graph,
-)
-from repro.network import (
-    Vertex,
-    Link,
-    NetworkTopology,
-    Route,
-    fully_connected,
-    switched_cluster,
-    linear_array,
-    ring,
-    mesh2d,
-    torus2d,
-    hypercube,
-    fat_tree,
-    shared_bus,
-    random_wan,
-    torus3d,
-    dragonfly,
-    bfs_route,
-    validate_topology,
-    topology_to_json,
-    topology_from_json,
-    topology_to_dot,
-)
-from repro.linksched import CommModel, CUT_THROUGH, STORE_AND_FORWARD
-from repro.core import (
-    Schedule,
-    ContentionScheduler,
-    ClassicScheduler,
-    BAScheduler,
-    OIHSAScheduler,
-    BBSAScheduler,
-    HEFTScheduler,
-    CPOPScheduler,
-    AnnealingScheduler,
-    GeneticScheduler,
-    PacketBAScheduler,
-    SCHEDULERS,
-    processor_breakdown,
-    schedule_critical_chain,
-    contention_hotspots,
-    simulate_mapping,
-    resimulate,
-    schedule_to_json,
-    schedule_from_json,
-    replay_under_contention,
-    contention_penalty,
-    validate_schedule,
-    makespan,
-    speedup,
-    efficiency,
-    schedule_length_ratio,
-    link_utilization,
-    improvement_ratio,
-)
+from repro import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     # errors
-    "ReproError",
-    "GraphError",
-    "CycleError",
-    "TopologyError",
-    "RoutingError",
-    "SchedulingError",
-    "ValidationError",
-    "SerializationError",
+    "ReproError": "exceptions",
+    "GraphError": "exceptions",
+    "CycleError": "exceptions",
+    "TopologyError": "exceptions",
+    "RoutingError": "exceptions",
+    "SchedulingError": "exceptions",
+    "ValidationError": "exceptions",
+    "SerializationError": "exceptions",
     # task graphs
-    "Task",
-    "CommEdge",
-    "TaskGraph",
-    "bottom_levels",
-    "top_levels",
-    "critical_path",
-    "critical_path_length",
-    "priority_list",
-    "ccr_of",
-    "scale_to_ccr",
-    "random_layered_dag",
-    "random_fan_dag",
-    "kernels",
-    "workflows",
-    "graph_to_json",
-    "graph_from_json",
-    "graph_to_dot",
-    "validate_graph",
+    "Task": "taskgraph",
+    "CommEdge": "taskgraph",
+    "TaskGraph": "taskgraph",
+    "bottom_levels": "taskgraph",
+    "top_levels": "taskgraph",
+    "critical_path": "taskgraph",
+    "critical_path_length": "taskgraph",
+    "priority_list": "taskgraph",
+    "ccr_of": "taskgraph",
+    "scale_to_ccr": "taskgraph",
+    "random_layered_dag": "taskgraph",
+    "random_fan_dag": "taskgraph",
+    "kernels": "taskgraph",
+    "workflows": "taskgraph",
+    "graph_to_json": "taskgraph",
+    "graph_from_json": "taskgraph",
+    "graph_to_dot": "taskgraph",
+    "validate_graph": "taskgraph",
     # networks
-    "Vertex",
-    "Link",
-    "NetworkTopology",
-    "Route",
-    "fully_connected",
-    "switched_cluster",
-    "linear_array",
-    "ring",
-    "mesh2d",
-    "torus2d",
-    "hypercube",
-    "fat_tree",
-    "shared_bus",
-    "random_wan",
-    "torus3d",
-    "dragonfly",
-    "bfs_route",
-    "validate_topology",
-    "topology_to_json",
-    "topology_from_json",
-    "topology_to_dot",
+    "Vertex": "network",
+    "Link": "network",
+    "NetworkTopology": "network",
+    "Route": "network",
+    "fully_connected": "network",
+    "switched_cluster": "network",
+    "linear_array": "network",
+    "ring": "network",
+    "mesh2d": "network",
+    "torus2d": "network",
+    "hypercube": "network",
+    "fat_tree": "network",
+    "shared_bus": "network",
+    "random_wan": "network",
+    "torus3d": "network",
+    "dragonfly": "network",
+    "bfs_route": "network",
+    "validate_topology": "network",
+    "topology_to_json": "network",
+    "topology_from_json": "network",
+    "topology_to_dot": "network",
     # communication model
-    "CommModel",
-    "CUT_THROUGH",
-    "STORE_AND_FORWARD",
+    "CommModel": "linksched",
+    "CUT_THROUGH": "linksched",
+    "STORE_AND_FORWARD": "linksched",
     # schedulers
-    "Schedule",
-    "ContentionScheduler",
-    "ClassicScheduler",
-    "BAScheduler",
-    "OIHSAScheduler",
-    "BBSAScheduler",
-    "HEFTScheduler",
-    "CPOPScheduler",
-    "AnnealingScheduler",
-    "GeneticScheduler",
-    "PacketBAScheduler",
-    "SCHEDULERS",
-    "processor_breakdown",
-    "schedule_critical_chain",
-    "contention_hotspots",
-    "simulate_mapping",
-    "resimulate",
-    "schedule_to_json",
-    "schedule_from_json",
-    "replay_under_contention",
-    "contention_penalty",
-    "validate_schedule",
-    "makespan",
-    "speedup",
-    "efficiency",
-    "schedule_length_ratio",
-    "link_utilization",
-    "improvement_ratio",
-    "__version__",
-]
+    "Schedule": "core",
+    "ContentionScheduler": "core",
+    "ClassicScheduler": "core",
+    "BAScheduler": "core",
+    "OIHSAScheduler": "core",
+    "BBSAScheduler": "core",
+    "HEFTScheduler": "core",
+    "CPOPScheduler": "core",
+    "AnnealingScheduler": "core",
+    "GeneticScheduler": "core",
+    "PacketBAScheduler": "core",
+    "SCHEDULERS": "core",
+    "processor_breakdown": "core",
+    "schedule_critical_chain": "core",
+    "contention_hotspots": "core",
+    "simulate_mapping": "core",
+    "resimulate": "core",
+    "schedule_to_json": "core",
+    "schedule_from_json": "core",
+    "replay_under_contention": "core",
+    "contention_penalty": "core",
+    "validate_schedule": "core",
+    "makespan": "core",
+    "speedup": "core",
+    "efficiency": "core",
+    "schedule_length_ratio": "core",
+    "link_utilization": "core",
+    "improvement_ratio": "core",
+})
+__all__.append("__version__")

@@ -21,8 +21,10 @@ word after an id would be read as part of the id list.
 from __future__ import annotations
 
 import ast
+import io
 import os
 import re
+import tokenize
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -308,14 +310,7 @@ def lint_source(
     try:
         tree = ast.parse(source, filename=rel)
     except SyntaxError as exc:
-        finding = Finding(
-            path=rel,
-            line=exc.lineno or 1,
-            col=exc.offset or 1,
-            rule="PARSE",
-            message=f"syntax error: {exc.msg}",
-        )
-        return LintResult(findings=[finding], files=1)
+        return _parse_failure(rel, exc.lineno or 1, exc.offset or 1, f"syntax error: {exc.msg}")
     ctx = LintContext(rel, source, tree)
     for rule in active:
         if rule.applies_to(rel):
@@ -323,6 +318,38 @@ def lint_source(
     ctx.findings.sort(key=lambda f: f.sort_key)
     ctx.suppressed.sort(key=lambda f: f.sort_key)
     return LintResult(findings=ctx.findings, suppressed=ctx.suppressed, files=1)
+
+
+def _parse_failure(rel: str, line: int, col: int, message: str) -> LintResult:
+    """The one ``PARSE`` finding of a file that could not be parsed."""
+    finding = Finding(path=rel, line=line, col=col, rule="PARSE", message=message)
+    return LintResult(findings=[finding], files=1)
+
+
+def _decode_source(data: bytes) -> str:
+    """``data`` decoded as Python decodes a source file.
+
+    That is UTF-8 unless a PEP 263 coding cookie in the first two lines
+    names another encoding.  Raises ``SyntaxError``, with the cookie's
+    line, for an encoding Python does not know, and ``UnicodeDecodeError``
+    for a byte the encoding cannot decode.
+    """
+    lines = io.BytesIO(data).readline
+    read = 0
+
+    def readline() -> bytes:
+        # A cookie is ASCII, so a byte UTF-8 cannot decode is replaced
+        # here and reported, with its offset, by the decode below.
+        nonlocal read
+        read += 1
+        return lines().decode("utf-8", "replace").encode()
+
+    try:
+        encoding, _ = tokenize.detect_encoding(readline)
+    except SyntaxError as exc:
+        exc.lineno = read
+        raise
+    return data.decode(encoding)
 
 
 def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
@@ -348,9 +375,19 @@ def lint_paths(
     active = all_rules() if rules is None else rules
     result = LintResult()
     for filepath in iter_python_files(paths):
-        with open(filepath, "r", encoding="utf-8") as fh:
-            source = fh.read()
-        file_result = lint_source(source, filepath, active)
+        with open(filepath, "rb") as fh:
+            data = fh.read()
+        try:
+            source = _decode_source(data)
+        except SyntaxError as exc:  # a coding cookie naming no usable encoding
+            file_result = _parse_failure(normalize_path(filepath), exc.lineno or 1, 1, exc.msg)
+        except UnicodeDecodeError as exc:
+            line = exc.object[: exc.start].count(b"\n") + 1
+            file_result = _parse_failure(
+                normalize_path(filepath), line, 1, f"cannot decode as {exc.encoding}: {exc.reason}"
+            )
+        else:
+            file_result = lint_source(source, filepath, active)
         result.findings.extend(file_result.findings)
         result.suppressed.extend(file_result.suppressed)
         result.files += 1

@@ -10,93 +10,112 @@
 All consume a :class:`repro.taskgraph.TaskGraph` and a
 :class:`repro.network.NetworkTopology` and produce a validated
 :class:`repro.core.schedule.Schedule`.
+
+Each public name is imported from its submodule on first access (see
+:mod:`repro._lazy`), and :data:`SCHEDULERS` imports a scheduler's module
+only when that scheduler is looked up.
 """
 
-from repro.core.schedule import Schedule
-from repro.core.base import ContentionScheduler
-from repro.core.classic import ClassicScheduler
-from repro.core.ba import BAScheduler
-from repro.core.oihsa import OIHSAScheduler
-from repro.core.bbsa import BBSAScheduler
-from repro.core.analysis import (
-    processor_breakdown,
-    schedule_critical_chain,
-    contention_hotspots,
-)
-from repro.core.explain import (
-    ChainSegment,
-    ResourceTimeline,
-    ScheduleExplanation,
-    explain,
-    utilization_timelines,
-)
-from repro.core.annealing import AnnealingScheduler
-from repro.core.batch import BatchMappingEvaluator
-from repro.core.eventsim import resimulate, SimReport
-from repro.core.genetic import GeneticScheduler
-from repro.core.cpop import CPOPScheduler
-from repro.core.heft import HEFTScheduler
-from repro.core.mapping import simulate_mapping
-from repro.core.packetba import PacketBAScheduler
-from repro.core.io import schedule_to_json, schedule_from_json
-from repro.core.replay import replay_under_contention, contention_penalty
-from repro.core.validate import validate_schedule
-from repro.core.metrics import (
-    makespan,
-    speedup,
-    efficiency,
-    schedule_length_ratio,
-    link_utilization,
-    improvement_ratio,
-)
+from __future__ import annotations
 
-#: Registry of scheduler classes by short name (used by experiment configs).
-SCHEDULERS = {
-    "classic": ClassicScheduler,
-    "ba": BAScheduler,
-    "oihsa": OIHSAScheduler,
-    "bbsa": BBSAScheduler,
-    "heft": HEFTScheduler,
-    "cpop": CPOPScheduler,
-    "annealing": AnnealingScheduler,
-    "genetic": GeneticScheduler,
-    "packet-ba": PacketBAScheduler,
+import importlib
+from typing import TYPE_CHECKING, Iterator, Mapping
+
+from repro import _lazy
+
+if TYPE_CHECKING:
+    from repro.core.annealing import AnnealingScheduler
+    from repro.core.base import ContentionScheduler
+    from repro.core.genetic import GeneticScheduler
+
+    #: What a ``SCHEDULERS`` entry is: the two mapping searches are not
+    #: ``ContentionScheduler`` subclasses.
+    SchedulerClass = type[ContentionScheduler | AnnealingScheduler | GeneticScheduler]
+
+#: Public name -> the submodule defining it.
+_EXPORTS = {
+    "Schedule": "schedule",
+    "ContentionScheduler": "base",
+    "ClassicScheduler": "classic",
+    "BAScheduler": "ba",
+    "OIHSAScheduler": "oihsa",
+    "BBSAScheduler": "bbsa",
+    "HEFTScheduler": "heft",
+    "CPOPScheduler": "cpop",
+    "AnnealingScheduler": "annealing",
+    "GeneticScheduler": "genetic",
+    "PacketBAScheduler": "packetba",
+    "BatchMappingEvaluator": "batch",
+    "simulate_mapping": "mapping",
+    "resimulate": "eventsim",
+    "SimReport": "eventsim",
+    "processor_breakdown": "analysis",
+    "schedule_critical_chain": "analysis",
+    "contention_hotspots": "analysis",
+    "ChainSegment": "explain",
+    "ResourceTimeline": "explain",
+    "ScheduleExplanation": "explain",
+    "explain": "explain",
+    "utilization_timelines": "explain",
+    "schedule_to_json": "io",
+    "schedule_from_json": "io",
+    "replay_under_contention": "replay",
+    "contention_penalty": "replay",
+    "validate_schedule": "validate",
+    "makespan": "metrics",
+    "speedup": "metrics",
+    "efficiency": "metrics",
+    "schedule_length_ratio": "metrics",
+    "link_utilization": "metrics",
+    "improvement_ratio": "metrics",
 }
 
-__all__ = [
-    "Schedule",
-    "ContentionScheduler",
-    "ClassicScheduler",
-    "BAScheduler",
-    "OIHSAScheduler",
-    "BBSAScheduler",
-    "HEFTScheduler",
-    "CPOPScheduler",
-    "AnnealingScheduler",
-    "GeneticScheduler",
-    "PacketBAScheduler",
-    "BatchMappingEvaluator",
-    "simulate_mapping",
-    "resimulate",
-    "SimReport",
-    "processor_breakdown",
-    "schedule_critical_chain",
-    "contention_hotspots",
-    "ChainSegment",
-    "ResourceTimeline",
-    "ScheduleExplanation",
-    "explain",
-    "utilization_timelines",
-    "schedule_to_json",
-    "schedule_from_json",
-    "replay_under_contention",
-    "contention_penalty",
-    "validate_schedule",
-    "makespan",
-    "speedup",
-    "efficiency",
-    "schedule_length_ratio",
-    "link_utilization",
-    "improvement_ratio",
-    "SCHEDULERS",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, _EXPORTS)
+
+
+class _Schedulers(Mapping[str, "SchedulerClass"]):
+    """Scheduler classes by short name, read-only.
+
+    Looking a name up imports that scheduler's module (and nothing else);
+    iterating, ``len`` and ``in`` import nothing.
+    """
+
+    def __init__(self, classes: dict[str, str]) -> None:
+        #: short name -> class name (a key of ``_EXPORTS``)
+        self._classes = classes
+
+    def __getitem__(self, name: str) -> SchedulerClass:
+        class_name = self._classes[name]
+        cls: SchedulerClass = getattr(
+            importlib.import_module(f"repro.core.{_EXPORTS[class_name]}"), class_name
+        )
+        return cls
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._classes)
+
+    def __len__(self) -> int:
+        return len(self._classes)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._classes
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._classes!r})"
+
+
+#: Registry of scheduler classes by short name (used by experiment configs).
+SCHEDULERS: Mapping[str, SchedulerClass] = _Schedulers(
+    {
+        "classic": "ClassicScheduler",
+        "ba": "BAScheduler",
+        "oihsa": "OIHSAScheduler",
+        "bbsa": "BBSAScheduler",
+        "heft": "HEFTScheduler",
+        "cpop": "CPOPScheduler",
+        "annealing": "AnnealingScheduler",
+        "genetic": "GeneticScheduler",
+        "packet-ba": "PacketBAScheduler",
+    }
+)
+__all__.append("SCHEDULERS")

@@ -10,77 +10,43 @@
   cache keyed by config fingerprint + instance seed,
 - :mod:`repro.experiments.figures` — one entry point per paper figure,
 - :mod:`repro.experiments.ablations` — design-choice ablations.
+
+Each public name is imported from its submodule on first access (see
+:mod:`repro._lazy`).
 """
 
-from repro.experiments.config import ExperimentConfig, PAPER_CCRS, PAPER_PROC_COUNTS
-from repro.experiments.workloads import paper_workload, WorkloadInstance
-from repro.experiments.runner import (
-    ComparisonResult,
-    compare_once,
-    improvement_series,
-)
-from repro.experiments.cache import (
-    CacheStats,
-    ResultCache,
-    comparison_from_json,
-    comparison_to_json,
-    config_fingerprint,
-    default_cache_dir,
-    unit_key,
-)
-from repro.experiments.parallel import (
-    SweepUnit,
-    UnitResult,
-    execute_units,
-    merge_unit_results,
-    plan_sweep,
-    run_unit,
-)
-from repro.experiments.stats import (
-    PairedSummary,
-    paired_summary,
-    bootstrap_ci,
-    sign_test_p,
-)
-from repro.experiments.figures import (
-    FigureResult,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    ALL_FIGURES,
-)
+from repro import _lazy
 
-__all__ = [
-    "ExperimentConfig",
-    "PAPER_CCRS",
-    "PAPER_PROC_COUNTS",
-    "paper_workload",
-    "WorkloadInstance",
-    "ComparisonResult",
-    "compare_once",
-    "improvement_series",
-    "CacheStats",
-    "ResultCache",
-    "comparison_from_json",
-    "comparison_to_json",
-    "config_fingerprint",
-    "default_cache_dir",
-    "unit_key",
-    "SweepUnit",
-    "UnitResult",
-    "execute_units",
-    "merge_unit_results",
-    "plan_sweep",
-    "run_unit",
-    "PairedSummary",
-    "paired_summary",
-    "bootstrap_ci",
-    "sign_test_p",
-    "FigureResult",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "ALL_FIGURES",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "ExperimentConfig": "config",
+    "PAPER_CCRS": "config",
+    "PAPER_PROC_COUNTS": "config",
+    "paper_workload": "workloads",
+    "WorkloadInstance": "workloads",
+    "ComparisonResult": "runner",
+    "compare_once": "runner",
+    "improvement_series": "runner",
+    "CacheStats": "cache",
+    "ResultCache": "cache",
+    "comparison_from_json": "cache",
+    "comparison_to_json": "cache",
+    "config_fingerprint": "cache",
+    "default_cache_dir": "cache",
+    "unit_key": "cache",
+    "SweepUnit": "parallel",
+    "UnitResult": "parallel",
+    "execute_units": "parallel",
+    "merge_unit_results": "parallel",
+    "plan_sweep": "parallel",
+    "run_unit": "parallel",
+    "PairedSummary": "stats",
+    "paired_summary": "stats",
+    "bootstrap_ci": "stats",
+    "sign_test_p": "stats",
+    "FigureResult": "figures",
+    "figure1": "figures",
+    "figure2": "figures",
+    "figure3": "figures",
+    "figure4": "figures",
+    "ALL_FIGURES": "figures",
+})

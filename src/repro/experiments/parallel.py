@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,6 +272,15 @@ def execute_units(
                 for unit, algorithms in pending
             ]
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
+            # Import what the workers run before starting them, so workers
+            # started by fork inherit it instead of each importing it again.
+            import repro.experiments.runner  # noqa: F401  (run_unit's callee)
+            from repro.core import SCHEDULERS
+
+            for algorithm in config.algorithms:
+                SCHEDULERS.get(algorithm)
             work = [
                 (config, unit, algorithms, validate, with_metrics)
                 for unit, algorithms in pending

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.network.builders import random_wan
-from repro.network.fabrics import fabric_for_procs
 from repro.network.topology import NetworkTopology
 from repro.taskgraph.ccr import scale_to_ccr
 from repro.taskgraph.generators import random_layered_dag
@@ -77,6 +76,8 @@ def paper_workload(
             link_speed=link_speed,
         )
     else:
+        from repro.network.fabrics import fabric_for_procs
+
         # Datacenter fabric sized for the sweep point's exact processor
         # count; it routes through the same flat BFS memo as the random WAN.
         net = fabric_for_procs(

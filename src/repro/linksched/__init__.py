@@ -11,40 +11,29 @@ This package is the substrate the paper's contribution runs on:
 - :mod:`repro.linksched.bandwidth` — BBSA's bandwidth-shared (fluid) link
   model (Section 5),
 - :mod:`repro.linksched.causality` — link-causality checking.
+
+Each public name is imported from its submodule on first access (see
+:mod:`repro._lazy`).
 """
 
-from repro.linksched.commmodel import CommModel, CUT_THROUGH, STORE_AND_FORWARD
-from repro.linksched.slots import TimeSlot, find_gap, find_gap_indexed
-from repro.linksched.state import LinkScheduleState
-from repro.linksched.insertion import probe_basic, schedule_edge_basic, probe_route_basic
-from repro.linksched.optimal_insertion import (
-    deferrable_time,
-    schedule_edge_optimal,
-)
-from repro.linksched.bandwidth import (
-    Cumulative,
-    BandwidthProfile,
-    BandwidthLinkState,
-    forward_through_link,
-)
-from repro.linksched.causality import check_route_causality
+from repro import _lazy
 
-__all__ = [
-    "CommModel",
-    "CUT_THROUGH",
-    "STORE_AND_FORWARD",
-    "TimeSlot",
-    "find_gap",
-    "find_gap_indexed",
-    "LinkScheduleState",
-    "probe_basic",
-    "schedule_edge_basic",
-    "probe_route_basic",
-    "deferrable_time",
-    "schedule_edge_optimal",
-    "Cumulative",
-    "BandwidthProfile",
-    "BandwidthLinkState",
-    "forward_through_link",
-    "check_route_causality",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "CommModel": "commmodel",
+    "CUT_THROUGH": "commmodel",
+    "STORE_AND_FORWARD": "commmodel",
+    "TimeSlot": "slots",
+    "find_gap": "slots",
+    "find_gap_indexed": "slots",
+    "LinkScheduleState": "state",
+    "probe_basic": "insertion",
+    "schedule_edge_basic": "insertion",
+    "probe_route_basic": "insertion",
+    "deferrable_time": "optimal_insertion",
+    "schedule_edge_optimal": "optimal_insertion",
+    "Cumulative": "bandwidth",
+    "BandwidthProfile": "bandwidth",
+    "BandwidthLinkState": "bandwidth",
+    "forward_through_link": "bandwidth",
+    "check_route_causality": "causality",
+})

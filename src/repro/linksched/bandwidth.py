@@ -170,9 +170,6 @@ class BandwidthProfile:
     def __init__(self, segments: list[tuple[float, float, float]] | None = None):
         self.segments = segments if segments is not None else []
 
-    def copy(self) -> "BandwidthProfile":
-        return BandwidthProfile(list(self.segments))
-
     def used_at(self, t: float) -> float:
         for t0, t1, used in self.segments:
             if t0 <= t < t1:

@@ -355,3 +355,35 @@ def dragonfly(
 
 TOPOLOGY_BUILDERS["torus3d"] = torus3d
 TOPOLOGY_BUILDERS["dragonfly"] = dragonfly
+
+#: the fabric families, as ``fabric_for_procs`` and ``repro topo`` name them
+FABRIC_KINDS = ("fat_tree", "leaf_spine", "torus")
+
+
+def _sized_fabric(kind: str) -> Callable[..., NetworkTopology]:
+    """The ``fabric_<kind>`` builder: a ``kind`` fabric sized to ``n_procs``.
+
+    :mod:`repro.network.fabrics` imports this module, so it is imported
+    when the builder is first called rather than here.
+    """
+
+    def sized(
+        n_procs: int,
+        proc_speed: SpeedSpec = 1.0,
+        link_speed: SpeedSpec = 1.0,
+        rng: int | np.random.Generator | None = None,
+    ) -> NetworkTopology:
+        from repro.network.fabrics import fabric_for_procs
+
+        return fabric_for_procs(
+            kind, n_procs, rng, proc_speed=proc_speed, link_speed=link_speed
+        )
+
+    sized.__name__ = f"{kind}_fabric_for_procs"
+    return sized
+
+
+# ``repro schedule --topology`` and the sweep configs name the fabrics
+# exactly like the classic builders.
+for _kind in FABRIC_KINDS:
+    TOPOLOGY_BUILDERS[f"fabric_{_kind}"] = _sized_fabric(_kind)

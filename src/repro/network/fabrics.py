@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.exceptions import TopologyError
-from repro.network.builders import SpeedSpec, TOPOLOGY_BUILDERS, _speed_sampler
+from repro.network.builders import FABRIC_KINDS, SpeedSpec, _speed_sampler
 from repro.network.topology import NetworkTopology, Vertex
 from repro.network.validate import validate_topology
 from repro.types import VertexId
@@ -46,9 +46,6 @@ __all__ = [
     "validate_fabric",
     "fabric_for_procs",
 ]
-
-#: the fabric families, as ``fabric_for_procs`` and ``repro topo`` name them
-FABRIC_KINDS = ("fat_tree", "leaf_spine", "torus")
 
 
 @dataclass(frozen=True)
@@ -654,24 +651,3 @@ def fabric_for_procs(
             proc_speed=proc_speed, link_speed=link_speed, rng=rng,
         )
     raise TopologyError(f"unknown fabric {kind!r}; known: {list(FABRIC_KINDS)}")
-
-
-# Register processor-count-sized wrappers so ``repro schedule --topology``
-# and the sweep configs can name fabrics exactly like the classic builders.
-def _register_sized(kind: str) -> None:
-    def sized(
-        n_procs: int,
-        proc_speed: SpeedSpec = 1.0,
-        link_speed: SpeedSpec = 1.0,
-        rng: int | np.random.Generator | None = None,
-    ) -> NetworkTopology:
-        return fabric_for_procs(
-            kind, n_procs, rng, proc_speed=proc_speed, link_speed=link_speed
-        )
-
-    sized.__name__ = f"{kind}_fabric_for_procs"
-    TOPOLOGY_BUILDERS[f"fabric_{kind}"] = sized
-
-
-for _kind in FABRIC_KINDS:
-    _register_sized(_kind)

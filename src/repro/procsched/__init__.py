@@ -1,6 +1,14 @@
-"""Processor-side scheduling: per-processor task timelines."""
+"""Processor-side scheduling: per-processor task timelines.
 
-from repro.procsched.timeline import TaskSlot, find_task_gap
-from repro.procsched.state import ProcessorState, TaskPlacement
+Each public name is imported from its submodule on first access (see
+:mod:`repro._lazy`).
+"""
 
-__all__ = ["TaskSlot", "find_task_gap", "ProcessorState", "TaskPlacement"]
+from repro import _lazy
+
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "TaskSlot": "timeline",
+    "find_task_gap": "timeline",
+    "ProcessorState": "state",
+    "TaskPlacement": "state",
+})

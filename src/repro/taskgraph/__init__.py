@@ -3,40 +3,30 @@
 A :class:`TaskGraph` is a directed acyclic graph whose nodes carry computation
 costs and whose edges carry communication costs, exactly the ``G = (V, E, w,
 c)`` of the paper's Section 2.1.
+
+Each public name is imported from its submodule on first access (see
+:mod:`repro._lazy`); ``kernels`` and ``workflows`` are submodules.
 """
 
-from repro.taskgraph.graph import Task, CommEdge, TaskGraph
-from repro.taskgraph.priorities import (
-    bottom_levels,
-    top_levels,
-    critical_path,
-    critical_path_length,
-    priority_list,
-)
-from repro.taskgraph.ccr import ccr_of, scale_to_ccr
-from repro.taskgraph.generators import random_layered_dag, random_fan_dag
-from repro.taskgraph import kernels
-from repro.taskgraph import workflows
-from repro.taskgraph.io import graph_to_json, graph_from_json, graph_to_dot
-from repro.taskgraph.validate import validate_graph
+from repro import _lazy
 
-__all__ = [
-    "Task",
-    "CommEdge",
-    "TaskGraph",
-    "bottom_levels",
-    "top_levels",
-    "critical_path",
-    "critical_path_length",
-    "priority_list",
-    "ccr_of",
-    "scale_to_ccr",
-    "random_layered_dag",
-    "random_fan_dag",
-    "kernels",
-    "workflows",
-    "graph_to_json",
-    "graph_from_json",
-    "graph_to_dot",
-    "validate_graph",
-]
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "Task": "graph",
+    "CommEdge": "graph",
+    "TaskGraph": "graph",
+    "bottom_levels": "priorities",
+    "top_levels": "priorities",
+    "critical_path": "priorities",
+    "critical_path_length": "priorities",
+    "priority_list": "priorities",
+    "ccr_of": "ccr",
+    "scale_to_ccr": "ccr",
+    "random_layered_dag": "generators",
+    "random_fan_dag": "generators",
+    "kernels": None,
+    "workflows": None,
+    "graph_to_json": "io",
+    "graph_from_json": "io",
+    "graph_to_dot": "io",
+    "validate_graph": "validate",
+})

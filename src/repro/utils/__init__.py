@@ -1,15 +1,17 @@
-"""Small self-contained helpers shared across the library."""
+"""Small self-contained helpers shared across the library.
 
-from repro.utils.rng import as_rng, spawn_rng
-from repro.utils.intervals import Interval, merge_intervals, total_length
-from repro.utils.tables import format_table, format_series
+Each public name is imported from its submodule on first access (see
+:mod:`repro._lazy`).
+"""
 
-__all__ = [
-    "as_rng",
-    "spawn_rng",
-    "Interval",
-    "merge_intervals",
-    "total_length",
-    "format_table",
-    "format_series",
-]
+from repro import _lazy
+
+__getattr__, __dir__, __all__ = _lazy.attach(__name__, {
+    "as_rng": "rng",
+    "spawn_rng": "rng",
+    "Interval": "intervals",
+    "merge_intervals": "intervals",
+    "total_length": "intervals",
+    "format_table": "tables",
+    "format_series": "tables",
+})

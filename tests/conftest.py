@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.network.builders import fully_connected, random_wan, switched_cluster
@@ -17,6 +20,19 @@ def _isolated_run_ledger(tmp_path, monkeypatch):
     repo checkout.
     """
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "repro-runs"))
+
+
+@pytest.fixture
+def child_env() -> dict[str, str]:
+    """Environment of a child ``python`` that imports this checkout's ``src``.
+
+    The caller's ``PYTHONDONTWRITEBYTECODE`` is passed on, so a suite run
+    with it set leaves no ``__pycache__`` in ``src/``.
+    """
+    env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 @pytest.fixture

@@ -69,6 +69,39 @@ class TestExitCodes:
         assert lines[0].startswith(f"repro lint: cannot write {report}: ")
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "source, line, message",
+        [
+            # A Latin-1 byte without a coding cookie, on each line that
+            # could hold one and below them: reported where the byte is.
+            (b'x = "\xe9"\n', 1, "cannot decode as utf-8"),
+            (b'# a comment\nx = "\xe9"\n', 2, "cannot decode as utf-8"),
+            (b'a = 1\nb = 2\nx = "\xe9"\n', 3, "cannot decode as utf-8"),
+            # A cookie naming an encoding Python does not know.
+            (b"#!/usr/bin/env python\n# coding: nope\n", 2, "unknown encoding: nope"),
+        ],
+        ids=["byte-line-1", "byte-line-2", "byte-line-3", "unknown-cookie"],
+    )
+    def test_undecodable_source_is_a_parse_finding(
+        self, tmp_path, capsys, source, line, message
+    ):
+        (tmp_path / "latin.py").write_bytes(source)
+        assert lint(str(tmp_path)) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1
+        path, lineno, rest = out[0].split(":", 2)
+        assert path.endswith("latin.py")
+        assert int(lineno) == line
+        assert rest.startswith("1 PARSE ")
+        assert message in rest
+        # The message does not depend on how the path was written.
+        assert "latin.py" not in rest
+
+    def test_coding_cookie_is_honoured(self, tmp_path, capsys):
+        (tmp_path / "latin.py").write_bytes(b'# -*- coding: latin-1 -*-\nx = "\xe9"\n')
+        assert lint(str(tmp_path)) == 0
+        assert "0 finding(s)" in capsys.readouterr().err
+
 
 class TestOutput:
     def test_text_format_is_editor_stable(self, firing_tree, capsys):
@@ -127,17 +160,17 @@ class TestRepoIsClean:
         monkeypatch.chdir(REPO_ROOT)
         assert lint("src", "tests") == 0
 
-    def test_module_entrypoint_subprocess(self):
+    def test_module_entrypoint_subprocess(self, child_env):
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "lint", "src"],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_clean_from_another_directory(self, tmp_path):
+    def test_clean_from_another_directory(self, tmp_path, child_env):
         # Suppressions live on the source lines, so the verdict does not
         # depend on the working directory.
         proc = subprocess.run(
@@ -146,7 +179,7 @@ class TestRepoIsClean:
             cwd=tmp_path,
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            env=child_env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 finding(s)" in proc.stderr

@@ -22,6 +22,8 @@ changes nothing but the work done, so this module checks, exactly:
 
 from __future__ import annotations
 
+import copy
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -157,8 +159,7 @@ def _capture(module, fused: str, run, call_index: int):
     def spy(net, src, dst, ready, cost, state, *rest):
         nonlocal calls, snapshot
         if calls <= call_index:
-            copied = {lid: item.copy() for lid, item in state.items()}
-            snapshot = (copied, ready, cost)
+            snapshot = (copy.deepcopy(state), ready, cost)
         calls += 1
         return real(net, src, dst, ready, cost, state, *rest)
 

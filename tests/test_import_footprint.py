@@ -1,22 +1,86 @@
-"""networkx is an interop-only dependency and must stay off the import path.
+"""Import footprint: a process loads only the modules it uses.
 
-``repro.taskgraph.graph`` and ``repro.network.topology`` import networkx
-inside their ``to_networkx`` helpers, so ``import repro`` and everything a
-scheduling run, the validator, the sweep runner or the CLI touches runs
-without loading it.  A pool worker started by spawn or forkserver, or any
-``python -m repro`` call, then skips networkx's import time and memory.  The
-check runs in a fresh interpreter because this test process has already
-imported networkx through other test modules.
+Two rules keep ``import repro`` and the package facades cheap, which every
+``python -m repro`` call and every spawn- or forkserver-started pool worker
+pays before its first unit:
+
+- networkx is an interop-only dependency: ``repro.taskgraph.graph`` and
+  ``repro.network.topology`` import it inside their ``to_networkx``
+  helpers, so scheduling, validation, the sweep runner and the CLI run
+  without it;
+- the re-exporting package ``__init__`` files import a public name's
+  submodule on first access (``repro._lazy``), and ``SCHEDULERS`` imports
+  a scheduler's module only when that scheduler is looked up.
+
+Every check runs in a fresh interpreter, because this test process has
+already imported most of the package through other test modules.
 """
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: The re-exporting packages, each a lazy facade.
+FACADES = (
+    "repro",
+    "repro.core",
+    "repro.network",
+    "repro.taskgraph",
+    "repro.linksched",
+    "repro.experiments",
+    "repro.procsched",
+    "repro.utils",
+)
+
+#: ``SCHEDULERS`` in registration order, with each class's module.
+SCHEDULER_MODULES = {
+    "classic": "repro.core.classic",
+    "ba": "repro.core.ba",
+    "oihsa": "repro.core.oihsa",
+    "bbsa": "repro.core.bbsa",
+    "heft": "repro.core.heft",
+    "cpop": "repro.core.cpop",
+    "annealing": "repro.core.annealing",
+    "genetic": "repro.core.genetic",
+    "packet-ba": "repro.core.packetba",
+}
+
+#: What the benchmark's set-up never needs.
+NOT_FOR_SETUP = (
+    *SCHEDULER_MODULES.values(),
+    "repro.experiments.figures",
+    "repro.network.fabrics",
+    "repro.core.explain",
+    "repro.viz",
+    "repro.analysis",
+    "concurrent.futures.process",
+)
+
+
+def run_child(code: str, env: dict[str, str]) -> str:
+    """Standard output of ``code`` run by a fresh interpreter in the repo root."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loaded(modules: list[str], names: tuple[str, ...]) -> list[str]:
+    """Entries of ``modules`` that are one of ``names`` or inside one."""
+    return [m for m in modules if any(m == n or m.startswith(n + ".") for n in names)]
+
 
 CHILD = textwrap.dedent(
     """
@@ -100,14 +164,216 @@ CHILD = textwrap.dedent(
 )
 
 
-def test_networkx_stays_unloaded_until_interop():
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD],
-        cwd=REPO_ROOT,
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+def test_networkx_stays_unloaded_until_interop(child_env):
+    assert run_child(CHILD, child_env).strip() == "ok"
+
+
+def test_facades_import_no_submodule(child_env):
+    out = run_child(
+        f"""
+        import importlib, json, sys
+        added = {{}}
+        for name in {FACADES!r}:
+            before = set(sys.modules)
+            importlib.import_module(name)
+            added[name] = sorted(m for m in set(sys.modules) - before if m.startswith("repro"))
+        print(json.dumps(added))
+        """,
+        child_env,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+    added = json.loads(out)
+    assert added.pop("repro") == ["repro", "repro._lazy"]
+    assert added == {name: [name] for name in FACADES[1:]}
+
+
+def test_benchmark_setup_loads_only_what_runs(child_env):
+    # What the end-to-end benchmark's set-up probe times: import its
+    # workloads module and plan every workload.
+    out = run_child(
+        f"""
+        import json, sys
+        sys.path.insert(0, {str(REPO_ROOT / "benchmarks" / "e2e")!r})
+        import workloads
+        for name in workloads.WORKLOADS:
+            workloads.get(name).plan(workloads.DEFAULT_SEED)
+        print(json.dumps(sorted(sys.modules)))
+        """,
+        child_env,
+    )
+    assert loaded(json.loads(out), NOT_FOR_SETUP) == []
+
+
+def test_info_loads_no_scheduler(child_env):
+    out = run_child(
+        """
+        import contextlib, io, json, runpy, sys
+        sys.argv = ["repro", "info"]
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            try:
+                runpy.run_module("repro", run_name="__main__")
+            except SystemExit as exc:
+                assert exc.code == 0, exc.code
+        assert "algorithms: annealing, ba, bbsa" in text.getvalue()
+        print(json.dumps(sorted(sys.modules)))
+        """,
+        child_env,
+    )
+    assert loaded(json.loads(out), tuple(SCHEDULER_MODULES.values())) == []
+
+
+def test_topology_registry_is_complete_without_fabrics(child_env):
+    # The CLI takes its ``--topology`` choices from the registry before
+    # anything has imported ``repro.network.fabrics``, so the sized fabric
+    # builders are registered by ``builders`` itself.
+    out = run_child(
+        """
+        import json, sys
+        from repro.network.builders import TOPOLOGY_BUILDERS
+        print(json.dumps([sorted(TOPOLOGY_BUILDERS), "repro.network.fabrics" in sys.modules]))
+        """,
+        child_env,
+    )
+    names, fabrics_loaded = json.loads(out)
+    assert len(names) == 15
+    assert {"fabric_fat_tree", "fabric_leaf_spine", "fabric_torus"} <= set(names)
+    assert not fabrics_loaded
+    for verb, extra in (("schedule", ["--no-gantt"]), ("explain", [])):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", verb, "--topology", "fabric_leaf_spine",
+             "--procs", "8", "--no-runlog", *extra],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=child_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "makespan" in proc.stdout
+
+
+def test_every_public_name_resolves_to_its_definition(child_env):
+    out = run_child(
+        f"""
+        import importlib, inspect, json, sys
+        # The package keeps the function ``explain`` when its same-named
+        # submodule is imported first.
+        import repro.core.explain
+        problems, seen, sizes = [], {{}}, {{}}
+        for name in {FACADES!r}:
+            pkg = importlib.import_module(name)
+            listed = set(dir(pkg))
+            sizes[name] = len(pkg.__all__)
+            for attr in pkg.__all__:
+                value = getattr(pkg, attr)
+                if attr not in listed:
+                    problems.append(f"{{name}}.{{attr}} is not in dir()")
+                if (inspect.isfunction(value) or inspect.isclass(value)) and (
+                    getattr(sys.modules[value.__module__], attr) is not value
+                ):
+                    problems.append(f"{{name}}.{{attr}} is not {{value.__module__}}.{{attr}}")
+                if seen.setdefault(attr, value) is not value:
+                    problems.append(f"{{name}}.{{attr}} differs from another package's")
+        import repro.taskgraph.kernels, repro.taskgraph.workflows
+        from repro import kernels, workflows
+        from repro.core import explain
+        if kernels is not repro.taskgraph.kernels or workflows is not repro.taskgraph.workflows:
+            problems.append("repro.kernels or repro.workflows is not the submodule")
+        if not inspect.isfunction(explain) or explain.__module__ != "repro.core.explain":
+            problems.append(f"repro.core.explain is {{explain!r}}")
+        print(json.dumps([problems, sizes]))
+        """,
+        child_env,
+    )
+    problems, sizes = json.loads(out)
+    assert problems == []
+    # The public surface of each facade, by size.
+    assert sizes == {
+        "repro": 79,
+        "repro.core": 35,
+        "repro.network": 27,
+        "repro.taskgraph": 18,
+        "repro.linksched": 17,
+        "repro.experiments": 31,
+        "repro.procsched": 4,
+        "repro.utils": 7,
+    }
+
+
+def test_unknown_attribute_raises(child_env):
+    out = run_child(
+        f"""
+        import importlib, json
+        missing = []
+        for name in {FACADES!r}:
+            pkg = importlib.import_module(name)
+            try:
+                getattr(pkg, "no_such_name")
+            except AttributeError as exc:
+                assert "no_such_name" in str(exc)
+            else:
+                missing.append(name)
+        # An unknown name lets ``from package import submodule`` import it.
+        from repro import obs
+        from repro.experiments import ablations
+        print(json.dumps([missing, obs.__name__, ablations.__name__]))
+        """,
+        child_env,
+    )
+    assert json.loads(out) == [[], "repro.obs", "repro.experiments.ablations"]
+
+
+def test_schedulers_registry_imports_on_lookup(child_env):
+    out = run_child(
+        """
+        import json, sys
+        from repro.core import SCHEDULERS
+        names = list(SCHEDULERS)
+        before = [m for m in sys.modules if m.startswith("repro.core.")]
+        assert "nope" not in SCHEDULERS and "ba" in SCHEDULERS and len(SCHEDULERS) == 9
+        classes = {}
+        for name in names:
+            cls = SCHEDULERS[name]
+            classes[name] = [cls.__module__, getattr(sys.modules[cls.__module__], cls.__name__) is cls]
+        try:
+            SCHEDULERS["nope"]
+        except KeyError:
+            pass
+        else:
+            raise AssertionError("unknown scheduler looked up")
+        try:
+            SCHEDULERS["nope"] = object
+        except TypeError:
+            pass
+        else:
+            raise AssertionError("SCHEDULERS accepted a new entry")
+        print(json.dumps([names, before, classes]))
+        """,
+        child_env,
+    )
+    names, before, classes = json.loads(out)
+    assert names == list(SCHEDULER_MODULES)
+    assert before == []
+    assert classes == {name: [module, True] for name, module in SCHEDULER_MODULES.items()}
+
+
+def test_pool_parent_imports_schedulers_before_forking(child_env):
+    # The units run in the pool's workers, so the parent holds the runner
+    # and the scheduler modules only because it imported them before
+    # starting the pool; workers forked after that inherit them.
+    out = run_child(
+        """
+        import json, sys
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.parallel import execute_units, plan_sweep
+
+        config = ExperimentConfig.smoke()
+        _x, units = plan_sweep(config, "ccr")
+        results = execute_units(config, units[:2], jobs=2)
+        assert [r.index for r in results] == [0, 1]
+        print(json.dumps(sorted(sys.modules)))
+        """,
+        child_env,
+    )
+    assert {
+        "repro.experiments.runner", "repro.core.ba", "repro.core.oihsa", "repro.core.bbsa"
+    } <= set(json.loads(out))

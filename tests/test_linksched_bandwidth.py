@@ -155,13 +155,6 @@ class TestBandwidthProfile:
         prof.add_usage([UsageSegment(0.0, 1.0, 0.5), UsageSegment(1.0, 2.0, 0.5)])
         assert prof.segments == [(0.0, 2.0, 0.5)]
 
-    def test_copy_is_independent(self):
-        prof = BandwidthProfile()
-        prof.add_usage([UsageSegment(0.0, 1.0, 0.5)])
-        dup = prof.copy()
-        dup.add_usage([UsageSegment(2.0, 3.0, 0.5)])
-        assert len(prof.segments) == 1
-
 
 class TestForward:
     def test_free_link_full_speed(self):

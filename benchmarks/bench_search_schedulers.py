@@ -17,12 +17,13 @@ allowed to buy a different schedule.
 As in ``bench_scheduler_cost``, the timed benchmark runs with observability
 disabled, and a separate instrumented pass collects the decision counters —
 ``mapping.prefix_hits`` / ``mapping.suffix_tasks_resimulated`` /
-``mapping.batch_evaluations`` / ``mapping.identical_skips`` /
-``routing.table_hits`` — from which prefix/route-table hit rates are
-derived.  The session writes ``BENCH_search_schedulers.json`` to the working
-directory; CI compares it against the committed baseline with
-``benchmarks/compare_scheduler_cost.py`` (the report shares its layout), so
-any makespan drift fails the build.  Run it from the repository root
+``mapping.prefix_tasks_rebuilt`` / ``mapping.batch_evaluations`` /
+``mapping.identical_skips`` / ``routing.table_hits`` — from which
+prefix/route-table hit rates are derived.  The pytest run writes
+``BENCH_search_schedulers.json`` to the working directory; CI compares it
+against the committed baseline with ``benchmarks/compare_scheduler_cost.py``
+(the report shares its layout), so any makespan drift fails the build.
+Run it from the repository root
 (``python -m pytest benchmarks/bench_search_schedulers.py``) so ``tests``
 is importable.
 """

@@ -9,7 +9,8 @@ Commands:
   (``--stats`` adds decision counters and phase timings, ``--trace-out``
   streams the decision-event log as JSONL),
 - ``profile``  — time each scheduler on a common workload and print the
-  per-phase cost breakdown (routing / insertion / processor selection),
+  per-phase cost breakdown (routing / insertion / processor selection /
+  task placement / mapping scoring),
 - ``ablation`` — run one of the named design-choice ablations,
 - ``export``   — schedule a workload and write SVG / Chrome-trace / JSON,
 - ``explain``  — schedule a workload and attribute its makespan: walk the
@@ -605,7 +606,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     n_tasks, n_procs = _PROFILE_SCALES[args.scale]
     graph = scale_to_ccr(random_layered_dag(n_tasks, rng=args.seed), args.ccr)
     net = random_wan(n_procs, rng=args.seed + 1)
-    phases = ("routing", "insertion", "processor_selection", "task_placement")
+    phases = (
+        "routing", "insertion", "processor_selection", "task_placement",
+        "mapping.score",
+    )
     rows = []
     for name in args.algorithms:
         # The mapping searches score candidates through a pluggable kernel;
@@ -617,12 +621,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
             kwargs["kernel"] = args.eval_kernel
             kernel = active_kernel(args.eval_kernel)
+        scheduler_cls = SCHEDULERS[name]  # imports its module, untimed
         obs.enable(obs.NullSink())
         obs.reset()
         t0 = perf_counter()
         try:
             for _ in range(args.repeat):
-                schedule = SCHEDULERS[name](**kwargs).schedule(graph, net)
+                schedule = scheduler_cls(**kwargs).schedule(graph, net)
             wall = perf_counter() - t0
             stats = schedule.stats
         finally:
@@ -647,7 +652,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(
         format_table(
             ["algorithm", "kernel", "wall ms", "routing", "insertion",
-             "proc-select", "task-place", "other"],
+             "proc-select", "task-place", "scoring", "other"],
             rows,
         )
     )

@@ -9,8 +9,10 @@ and nothing else:
   stores with positional undo journals.
 - :class:`PyKernel` — the kernel object driven by
   :class:`~repro.core.batch.BatchMappingEvaluator`: divergence scan,
-  journal rewind, and the fused ``_resimulate`` booking loop (bisect gap
-  search, ``cost / speed`` durations, column insert/undo) verbatim.
+  rewind (a bulk journal unwind, or a rebuild from position 0 when the
+  shared prefix is short), and the fused ``_resimulate`` booking loop
+  (bisect gap search, ``cost / speed`` durations, column insert/undo)
+  verbatim.
 
 The same state machine exists as a C translation in ``_kernel.c``, built
 on demand into the optional extension ``repro.core._kernel_c`` (see
@@ -21,6 +23,9 @@ contract between them is **bit-identity**: the C loop performs the exact
 same IEEE-754 double operations in the same order (CPython floats are C
 doubles), proven score-by-score and slot-by-slot by
 ``tests/test_batch_equivalence.py`` and the ``scores_checksum`` CI gates.
+The C twin always unwinds to the divergence: the rebuild rule is control
+flow, and re-simulating a prefix reproduces its columns exactly, so the
+two rewind routes cannot differ in what they leave behind.
 
 Kernel protocol
 ---------------
@@ -28,16 +33,19 @@ Kernel protocol
 Construction fixes the static per-candidate facts as flat arrays (CSR
 in-edges, row-major ``exec_flat``); per-processor-pair route plans arrive
 later via :meth:`~PyKernel.set_plan` because routes resolve lazily.
-:meth:`~PyKernel.evaluate` returns ``(makespan, divergence, missing_pair)``:
-``missing_pair >= 0`` means simulation stopped at a pair whose route plan
-is not resolved yet — the kernel has rolled back the partial position, and
-the caller resolves the route and calls ``evaluate`` again (the retry
-resumes from the completed prefix).
+:meth:`~PyKernel.evaluate` returns ``(makespan, divergence, resumed,
+missing_pair)``: ``divergence`` is the prefix shared with the previous
+genome and ``resumed`` the position simulation restarted at (the
+divergence, or 0 after a rebuild).  ``missing_pair >= 0`` means simulation
+stopped at a pair whose route plan is not resolved yet — the kernel has
+rolled back the partial position, and the caller resolves the route and
+calls ``evaluate`` again (the retry resumes from the completed prefix).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
 from typing import Protocol, Sequence
 
 from repro.exceptions import SchedulingError
@@ -46,6 +54,17 @@ from repro.types import LinkId
 #: Identity of this (reference) kernel implementation.
 KERNEL_VARIANT = "python"
 COMPILED = False
+
+#: ``PyKernel.evaluate`` re-simulates from position 0 instead of unwinding
+#: when the prefix shared with the previous genome holds fewer than
+#: ``1 / REBUILD_RATIO`` of the link bookings the unwind would undo.  On the
+#: first 16 ``search-120`` benchmark instances (2-vCPU x86-64 VM, CPython
+#: 3.11) undoing a journal entry cost ~0.2 us, clearing one at mark 0
+#: ~0.05 us and re-simulating a booking ~1.4 us.  Both searches' summed
+#: time moved by less than 2.5% (about the runs' noise) for ratios 3 to 16;
+#: it was 1-2% higher when never rebuilding, 6% higher at ratio 1 and 14%
+#: higher when always rebuilding.
+REBUILD_RATIO = 3
 
 #: One link's bookings: parallel ``(starts, finishes)`` float columns,
 #: sorted by start time (the gap search inserts in order).
@@ -71,7 +90,7 @@ class ArrayLinkState:
     def __init__(self) -> None:
         self._columns: dict[LinkId, LinkColumns] = {}
         #: journal columns, parallel: the two queue columns written and the
-        #: index written at.  ``restore`` pops them newest-first.
+        #: index written at.  ``restore`` undoes them newest-first.
         self.journal_starts: list[list[float]] = []
         self.journal_finishes: list[list[float]] = []
         self.journal_index: list[int] = []
@@ -94,18 +113,35 @@ class ArrayLinkState:
         return sorted(lid for lid, (s, _f) in self._columns.items() if s)
 
     def restore(self, mark: int) -> None:
-        """Rewind all columns to journal length ``mark`` (O(undone))."""
+        """Rewind all columns to journal length ``mark`` (O(undone)).
+
+        Entries are undone newest first, and each journal column is then
+        truncated with one slice delete.  A rewind to mark 0 empties every
+        column in place instead, so list references held by installed route
+        plans stay valid.
+        """
         journal_index = self.journal_index
-        if not 0 <= mark <= len(journal_index):
-            raise SchedulingError(
-                f"journal mark {mark} out of range [0, {len(journal_index)}]"
-            )
+        top = len(journal_index)
+        if not 0 <= mark <= top:
+            raise SchedulingError(f"journal mark {mark} out of range [0, {top}]")
         journal_starts = self.journal_starts
         journal_finishes = self.journal_finishes
-        while len(journal_index) > mark:
-            i = journal_index.pop()
-            del journal_starts.pop()[i]
-            del journal_finishes.pop()[i]
+        if mark == 0:
+            for starts, finishes in self._columns.values():
+                del starts[:]
+                del finishes[:]
+        else:
+            newest_first = zip(
+                reversed(journal_starts),
+                reversed(journal_finishes),
+                reversed(journal_index),
+            )
+            for starts, finishes, i in islice(newest_first, top - mark):
+                del starts[i]
+                del finishes[i]
+        del journal_index[mark:]
+        del journal_starts[mark:]
+        del journal_finishes[mark:]
 
 
 class ArrayProcState:
@@ -128,16 +164,24 @@ class ArrayProcState:
         self.journal_finish: list[float] = []
 
     def restore(self, mark: int) -> None:
-        """Rewind the finish column to journal length ``mark``."""
+        """Rewind the finish column to journal length ``mark``.
+
+        A rewind to mark 0 resets the column to all-idle in place.
+        """
         journal_proc = self.journal_proc
-        if not 0 <= mark <= len(journal_proc):
-            raise SchedulingError(
-                f"journal mark {mark} out of range [0, {len(journal_proc)}]"
-            )
+        top = len(journal_proc)
+        if not 0 <= mark <= top:
+            raise SchedulingError(f"journal mark {mark} out of range [0, {top}]")
         journal_finish = self.journal_finish
         finish = self.finish
-        while len(journal_proc) > mark:
-            finish[journal_proc.pop()] = journal_finish.pop()
+        if mark == 0:
+            finish[:] = [0.0] * len(finish)
+        else:
+            newest_first = zip(reversed(journal_proc), reversed(journal_finish))
+            for pidx, old in islice(newest_first, top - mark):
+                finish[pidx] = old
+        del journal_proc[mark:]
+        del journal_finish[mark:]
 
     def makespan(self) -> float:
         """Completion time of the busiest processor (0 when all idle)."""
@@ -171,7 +215,7 @@ class KernelProtocol(Protocol):
         self, pair: int, lids: Sequence[LinkId], speeds: Sequence[float]
     ) -> None: ...
 
-    def evaluate(self, cand: list[int]) -> tuple[float, int, int]: ...
+    def evaluate(self, cand: list[int]) -> tuple[float, int, int, int]: ...
 
     @property
     def link_state(self) -> LinkStateView: ...
@@ -244,32 +288,41 @@ class PyKernel:
             plan.append((starts, finishes, speeds[k]))
         self._plans[pair] = plan
 
-    def evaluate(self, cand: list[int]) -> tuple[float, int, int]:
-        """Score ``cand``: ``(makespan, divergence, missing_pair)``.
+    def evaluate(self, cand: list[int]) -> tuple[float, int, int, int]:
+        """Score ``cand``: ``(makespan, divergence, resumed, missing_pair)``.
 
-        Rewinds the live columns to the longest prefix shared with the
-        previously evaluated genome, then re-simulates the suffix.  A
-        ``missing_pair >= 0`` return means position booking hit a processor
-        pair with no installed route plan: the partial position was rolled
-        back, the makespan is meaningless, and the caller must
+        ``divergence`` is the length of the prefix shared with the
+        previously evaluated genome.  The live columns are rewound either to
+        that prefix (unwinding the journal) or, when the prefix holds fewer
+        than ``1 / REBUILD_RATIO`` of the bookings the unwind would undo, to
+        position 0; simulation resumes at ``resumed`` (``divergence`` or 0).
+        A ``missing_pair >= 0`` return means position booking hit a
+        processor pair with no installed route plan: the partial position
+        was rolled back, the makespan is meaningless, and the caller must
         :meth:`set_plan` that pair and call ``evaluate`` again (the retry
-        resumes after the completed prefix).
+        resumes after the completed prefix, without rewinding).
         """
         applied = self._applied
-        divergence = len(applied)
-        for pos in range(divergence):
+        n_applied = len(applied)
+        divergence = n_applied
+        for pos in range(n_applied):
             if cand[pos] != applied[pos]:
                 divergence = pos
                 break
-        if divergence < len(applied):
-            self._lstate.restore(self._lmarks[divergence])
-            self._pstate.restore(divergence)
-            del self._lmarks[divergence:]
-            del applied[divergence:]
-        missing = self._resimulate(cand, divergence)
+        resumed = divergence
+        if divergence < n_applied:
+            lmarks = self._lmarks
+            kept = lmarks[divergence]
+            if kept * REBUILD_RATIO < len(self._lstate.journal_index) - kept:
+                resumed = 0
+            self._lstate.restore(lmarks[resumed])
+            self._pstate.restore(resumed)
+            del lmarks[resumed:]
+            del applied[resumed:]
+        missing = self._resimulate(cand, resumed)
         if missing >= 0:
-            return 0.0, divergence, missing
-        return self._pstate.makespan(), divergence, -1
+            return 0.0, divergence, resumed, missing
+        return self._pstate.makespan(), divergence, resumed, -1
 
     def _resimulate(self, cand: list[int], start: int) -> int:
         """Simulate order positions ``start..n`` onto the columns.

@@ -5,8 +5,8 @@ Importing this module requires the optional extension
 :mod:`repro.core.kernelreg` probe catches the ImportError and falls back
 to the pure-Python reference.  :class:`CKernel` keeps all candidate state
 in C (columns, journals, route plans) and crosses the FFI boundary once
-per evaluation: one genome copy in, one ``(makespan, divergence,
-missing_pair)`` triple out.  The view classes exist for the differential
+per evaluation: one genome copy in, one ``(makespan, divergence, resumed,
+missing_pair)`` tuple out.  The view classes exist for the differential
 tests, which read the live columns back; they return copies, which is
 fine — the contract is read-only inspection.
 """
@@ -121,21 +121,23 @@ class CKernel:
         if rc != 0:
             raise MemoryError("route-plan allocation failed")
 
-    def evaluate(self, cand: list[int]) -> tuple[float, int, int]:
-        """Score ``cand``: ``(makespan, divergence, missing_pair)``.
+    def evaluate(self, cand: list[int]) -> tuple[float, int, int, int]:
+        """Score ``cand``: ``(makespan, divergence, resumed, missing_pair)``.
 
-        Same contract as :meth:`repro.core._kernel.PyKernel.evaluate`.
+        Same contract as :meth:`repro.core._kernel.PyKernel.evaluate`, except
+        that the C loop always unwinds to the divergence and resumes there.
         """
         n = self._n
         buf = self._cand
         buf[0:n] = cand
         span = lib.ks_evaluate(self._ks, buf, self._div, self._missing)
         missing = self._missing[0]
+        divergence = self._div[0]
         if missing == -2:
             raise MemoryError("kernel column allocation failed")
         if missing >= 0:
-            return 0.0, self._div[0], missing
-        return span, self._div[0], -1
+            return 0.0, divergence, divergence, missing
+        return span, divergence, divergence, -1
 
     # -- introspection (differential tests) ----------------------------------
 

@@ -27,7 +27,7 @@ from repro.exceptions import SchedulingError
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.network.topology import NetworkTopology
 from repro.network.validate import validate_topology
-from repro.obs import capture_stats
+from repro.obs import capture_stats, span
 from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.validate import validate_graph
 from repro.utils.rng import as_rng
@@ -90,6 +90,12 @@ class AnnealingScheduler:
         gen = as_rng(self.rng)
         procs = [p.vid for p in net.processors()]
         tasks = [t.tid for t in graph.tasks()]
+        # Draw sources built once per schedule(): ``gen.choice`` draws
+        # ``integers(0, len)`` from an array as from a list, so the trajectory
+        # is unchanged.  ``others`` fills per old processor on first use, so
+        # a large network builds only the arrays its moves need.
+        task_arr = np.array(tasks)
+        others: dict[int, np.ndarray] = {}
 
         if self.seed_with_ba:
             seed_schedule = BAScheduler(comm=self.comm).schedule(graph, net)
@@ -103,17 +109,23 @@ class AnnealingScheduler:
             graph, net, comm=self.comm, algorithm=self.name, kernel=self.kernel
         )
         best_mapping = dict(mapping)
-        best_cost = current_cost = evaluator.evaluate(mapping)
+        with span("mapping.score"):
+            best_cost = current_cost = evaluator.evaluate(mapping)
         temp = max(best_cost * self.start_temp_factor, 1e-9)
 
         for _ in range(self.iterations):
-            tid = int(gen.choice(tasks))
+            tid = int(gen.choice(task_arr))
             old_proc = mapping[tid]
-            choices = [p for p in procs if p != old_proc]
-            if not choices:
+            choices = others.get(old_proc)
+            if choices is None:
+                choices = others[old_proc] = np.array(
+                    [p for p in procs if p != old_proc]
+                )
+            if not len(choices):
                 break
             mapping[tid] = int(gen.choice(choices))
-            cand_cost = evaluator.evaluate(mapping)
+            with span("mapping.score"):
+                cand_cost = evaluator.evaluate(mapping)
             delta = cand_cost - current_cost
             if delta <= 0 or gen.random() < math.exp(-delta / temp):
                 current_cost = cand_cost

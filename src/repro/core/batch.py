@@ -24,9 +24,12 @@ column store driven through a swappable **kernel**
   and retries.
 - A booking is ``schedule_edge_basic``'s gap-search arithmetic verbatim
   (the bit-identity contract) followed by two column inserts and a journal
-  append; a rewind pops journal entries.  The loop itself lives in the
-  kernel: pure Python by default, or the AOT-built C extension when
-  present (``kernel={auto,python,compiled}``; both are bit-identical).
+  append; a rewind undoes journal entries in bulk, or, when the shared
+  prefix is short, clears the columns and rebuilds it from position 0
+  (``PyKernel``; re-simulation is deterministic, so both routes give the
+  same columns).  The loop itself lives in the kernel: pure Python by
+  default, or the AOT-built C extension when present
+  (``kernel={auto,python,compiled}``; both are bit-identical).
 
 **Batch semantics.**  :meth:`evaluate_batch` scores N candidates as one
 batch forking from a shared prefix checkpoint.  Because every candidate's
@@ -41,13 +44,17 @@ generation, an annealing move retried), counted as
 
 Counters (all under ``OBS.on``, accumulated per candidate — the scorer
 pays no per-booking instrumentation): ``mapping.evaluations``,
-``mapping.prefix_hits``, ``mapping.suffix_tasks_resimulated``,
-``mapping.shared_prefix_tasks`` (order positions reused from the
-checkpoint), ``mapping.batch_evaluations`` / ``mapping.batch_candidates``
-(every scoring request: one increment per :meth:`evaluate_batch` with its
-population size, and one batch of size 1 per single-candidate
-:meth:`evaluate` — so ``batch_candidates / batch_evaluations`` is the true
-mean batch size across a search) and ``mapping.identical_skips``.
+``mapping.prefix_hits``, ``mapping.suffix_tasks_resimulated`` (order
+positions from the divergence on), ``mapping.shared_prefix_tasks`` (order
+positions shared with the last simulated genome),
+``mapping.prefix_tasks_rebuilt`` (shared positions the kernel re-simulated
+instead of unwinding to them; with ``suffix_tasks_resimulated`` it sums to
+the positions simulated), ``mapping.batch_evaluations`` /
+``mapping.batch_candidates`` (every scoring request: one increment per
+:meth:`evaluate_batch` with its population size, and one batch of size 1
+per single-candidate :meth:`evaluate` — so ``batch_candidates /
+batch_evaluations`` is the true mean batch size across a search) and
+``mapping.identical_skips``.
 
 Scoring is bit-identical to ``simulate_mapping`` — same divisions, same gap
 arithmetic, same ``max`` reductions — proven slot-by-slot by
@@ -202,14 +209,28 @@ class BatchMappingEvaluator:
     def evaluate_dense(self, cand: list[int]) -> float:
         """Makespan of a dense genome — bit-identical to ``simulate_mapping``.
 
-        Rewinds the live columns to the longest prefix shared with the
-        previously evaluated genome and re-simulates only the suffix (both
-        inside the kernel).  Previously seen genomes return their cached
-        score without touching the columns at all.  A kernel stop on an
-        unresolved route plan resolves the route here and retries; the
-        retry resumes after the already-simulated prefix, so the counters
-        below still reflect the first call's true divergence point.
+        ``cand`` must hold one processor index in ``[0, processors)`` per
+        order position; anything else raises
+        :class:`~repro.exceptions.SchedulingError` before the kernel sees it.
+        The kernel rewinds the live columns to the longest prefix shared
+        with the previously evaluated genome (or rebuilds a short one from
+        position 0) and re-simulates the rest.  Previously seen genomes
+        return their cached score without touching the columns at all.  A
+        kernel stop on an unresolved route plan resolves the route here and
+        retries; the retry resumes after the already-simulated prefix, so
+        the counters below still reflect the first call's true divergence
+        point and resume position.
         """
+        n = self._n
+        if len(cand) != n:
+            raise SchedulingError(
+                f"dense genome has {len(cand)} entries, expected {n}"
+            )
+        if n and not 0 <= min(cand) <= max(cand) < self._n_procs:
+            raise SchedulingError(
+                f"dense genome entries must lie in [0, {self._n_procs}), "
+                f"got [{min(cand)}, {max(cand)}]"
+            )
         key: _CacheKey = bytes(cand) if self._pack_keys else tuple(cand)
         scores = self._scores
         hit = scores.get(key)
@@ -218,17 +239,21 @@ class BatchMappingEvaluator:
                 OBS.metrics.counter("mapping.evaluations").inc()
                 OBS.metrics.counter("mapping.identical_skips").inc()
             return hit
-        span, divergence, missing = self._k.evaluate(cand)
+        span, divergence, resumed, missing = self._k.evaluate(cand)
         while missing >= 0:
             self._resolve_plan(missing)
-            span, _retry_div, missing = self._k.evaluate(cand)
+            span, _div, _resumed, missing = self._k.evaluate(cand)
         if OBS.on:
             metrics = OBS.metrics
             metrics.counter("mapping.evaluations").inc()
             if divergence:
                 metrics.counter("mapping.prefix_hits").inc()
                 metrics.counter("mapping.shared_prefix_tasks").inc(divergence)
-            resimulated = self._n - divergence
+            if divergence > resumed:
+                metrics.counter("mapping.prefix_tasks_rebuilt").inc(
+                    divergence - resumed
+                )
+            resimulated = n - divergence
             if resimulated:
                 metrics.counter("mapping.suffix_tasks_resimulated").inc(resimulated)
         if len(scores) >= _CACHE_LIMIT:

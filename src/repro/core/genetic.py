@@ -21,7 +21,7 @@ from repro.exceptions import SchedulingError
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.network.topology import NetworkTopology
 from repro.network.validate import validate_topology
-from repro.obs import capture_stats
+from repro.obs import capture_stats, span
 from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.validate import validate_graph
 from repro.utils.rng import as_rng
@@ -84,7 +84,7 @@ class GeneticScheduler:
             return gen.choice(procs, size=n)
 
         def to_mapping(genome: np.ndarray) -> dict[int, int]:
-            return {tid: int(genome[i]) for i, tid in enumerate(tasks)}
+            return dict(zip(tasks, genome.tolist()))
 
         evaluator = BatchMappingEvaluator(
             graph, net, comm=self.comm, algorithm=self.name, kernel=self.kernel
@@ -93,7 +93,10 @@ class GeneticScheduler:
         def score_pool(pool: list[np.ndarray]) -> np.ndarray:
             # One batch per generation, forking from the shared prefix
             # checkpoint; scores come back in pool order.
-            return np.array(evaluator.evaluate_batch([to_mapping(g) for g in pool]))
+            with span("mapping.score"):
+                return np.array(
+                    evaluator.evaluate_batch([to_mapping(g) for g in pool])
+                )
 
         pool = [random_genome() for _ in range(self.population)]
         if self.seed_with_ba:

@@ -13,7 +13,8 @@ The canonical phases instrumented across the schedulers:
   blind EFT, or BA's tentative probing — in tentative mode the routing and
   insertion done *inside* a probe nest under this phase and are counted in
   both, so phase totals are inclusive),
-- ``task_placement``       — booking the task on the processor timeline.
+- ``task_placement``       — booking the task on the processor timeline,
+- ``mapping.score``        — the mapping searches' calls into their scorer.
 
 Totals are inclusive wall time; :func:`diff_timings` gives per-run deltas
 the same way metric snapshots do.

@@ -15,13 +15,18 @@ never approximate) comparisons on Hypothesis-generated inputs:
 3. the flat columns themselves: after a stream, the link columns'
    ``(starts, finishes)`` per link and the processor finish column equal the
    ``simulate_mapping`` schedule's booking queues slot by slot;
-4. the worst case — consecutive candidates diverging at order position 0;
+4. the worst case — consecutive candidates diverging at order position 0 —
+   and a stream that drives each rewind branch (a late move unwinds, an
+   early move rebuilds the prefix and retries a first-hit route pair
+   inside it, a full remap rewinds to mark 0), with the columns compared
+   after every candidate and ``mapping.prefix_tasks_rebuilt`` telling a
+   rebuild from an unwind;
 5. the search schedulers: ``AnnealingScheduler`` / ``GeneticScheduler``
    produce the same schedule, slot by slot, as with
    :class:`tests.naive_reference.FullResimulationEvaluator` patched in for
    the scorer (same RNG draws, same trajectory);
-6. validation parity on broken mappings, and the batch / identical-skip
-   counters.
+6. validation parity on broken mappings and malformed dense genomes, and
+   the batch / identical-skip counters.
 
 The differential classes are parametrized over ``kernel`` — the pure-Python
 reference and, when the AOT extension is built (skipped otherwise), the
@@ -132,6 +137,51 @@ def _mappings_for(graph, net, init_sel, walk):
     return stream
 
 
+def _shifted(procs, vid):
+    """The processor after ``vid`` in ``procs``, cyclically."""
+    return procs[(procs.index(vid) + 1) % len(procs)]
+
+
+def _rewind_stream(graph, net, sel):
+    """Candidates that drive each rewind branch of the scoring kernel.
+
+    In order: a first full simulation on two processors; a late single move
+    (unwind); an early move to a third processor, whose route pairs are
+    first hit inside the rebuilt evaluation (rebuild, then retry); a full
+    remap (rewind to mark 0); and a late and an early move after it.
+    """
+    order = priority_list(graph)
+    n = len(order)
+    procs = sorted(p.vid for p in net.processors())
+    two = [procs[sel % len(procs)], procs[(sel + 1) % len(procs)]]
+    base = {tid: two[i % 2] for i, tid in enumerate(order)}
+    late = dict(base)
+    late[order[-1]] = two[n % 2]
+    early_pos = n // 8
+    early = dict(late)
+    early[order[early_pos]] = (
+        procs[(sel + 2) % len(procs)] if len(procs) > 2 else two[(early_pos + 1) % 2]
+    )
+    remap = {tid: _shifted(procs, early[tid]) for tid in order}
+    remap_late = dict(remap)
+    remap_late[order[-1]] = _shifted(procs, remap[order[-1]])
+    remap_early = dict(remap_late)
+    remap_early[order[early_pos]] = _shifted(procs, remap_late[order[early_pos]])
+    return [base, late, early, remap, remap_late, remap_early]
+
+
+def _assert_scored_exactly(evaluator, graph, net, comm, mapping, seen):
+    """Score ``mapping``; its score and, when first seen, the live columns
+    equal a fresh ``simulate_mapping``'s (a repeat is served from the score
+    cache and leaves the columns on the last simulated candidate)."""
+    ref = simulate_mapping(graph, net, mapping, comm=comm)
+    assert evaluator.evaluate(mapping) == ref.makespan
+    key = tuple(sorted(mapping.items()))
+    if key not in seen:
+        seen.add(key)
+        _assert_columns_match_schedule(evaluator, net, ref)
+
+
 def _assert_schedules_equal(a, b):
     assert a.makespan == b.makespan
     assert a.placements == b.placements
@@ -240,6 +290,69 @@ class TestEvaluateDifferential:
             assert evaluator.evaluate(mapping) == expected
 
     @WORST
+    @given(graph=graphs, net=topologies, comm=comm_models, sel=st.integers(0, 10**6))
+    def test_rewind_stream_matches_columns(self, kernel, graph, net, comm, sel):
+        """Unwinds, prefix rebuilds, mark-0 rewinds and retries stay exact."""
+        evaluator = BatchMappingEvaluator(graph, net, comm=comm, kernel=kernel)
+        seen: set[tuple[tuple[int, int], ...]] = set()
+        for mapping in _rewind_stream(graph, net, sel):
+            _assert_scored_exactly(evaluator, graph, net, comm, mapping, seen)
+
+    @pytest.mark.parametrize(
+        "comm", [CUT_THROUGH, STORE_AND_FORWARD], ids=["cut-through", "store-forward"]
+    )
+    def test_rewind_branches_run(self, kernel, comm):
+        """Each step of the rewind stream takes the branch it is built for.
+
+        ``mapping.prefix_tasks_rebuilt`` tells a rebuild (shared positions
+        re-simulated) from an unwind (none).  Only the Python kernel
+        rebuilds; the C kernel always unwinds to the divergence.
+        """
+        graph = random_layered_dag(48, rng=3, density=0.4)
+        net = random_wan(6, rng=3, proc_speed=(1, 10), link_speed=(1, 10))
+        n = graph.num_tasks
+        early_pos = n // 8
+        evaluator = BatchMappingEvaluator(graph, net, comm=comm, kernel=kernel)
+        resolved: list[int] = []
+        resolve = evaluator._resolve_plan
+
+        def counting_resolve(pair):
+            resolved.append(pair)
+            resolve(pair)
+
+        evaluator._resolve_plan = counting_resolve
+        counter = OBS.metrics.counter
+        seen: set[tuple[tuple[int, int], ...]] = set()
+        steps = []
+        obs.enable()
+        obs.reset()
+        try:
+            for mapping in _rewind_stream(graph, net, 0):
+                before = (
+                    counter("mapping.shared_prefix_tasks").value,
+                    counter("mapping.prefix_tasks_rebuilt").value,
+                    len(resolved),
+                )
+                _assert_scored_exactly(evaluator, graph, net, comm, mapping, seen)
+                steps.append(
+                    (
+                        counter("mapping.shared_prefix_tasks").value - before[0],
+                        counter("mapping.prefix_tasks_rebuilt").value - before[1],
+                        len(resolved) - before[2],
+                    )
+                )
+        finally:
+            obs.disable()
+        rebuilds = early_pos if kernel == "python" else 0
+        first, late, early, remap, remap_late, remap_early = steps
+        assert first[:2] == (0, 0) and first[2] > 0
+        assert late == (n - 1, 0, 0)  # unwind
+        assert early[:2] == (early_pos, rebuilds) and early[2] > 0  # retry
+        assert remap[:2] == (0, 0)  # rewind to mark 0
+        assert remap_late[:2] == (n - 1, 0)
+        assert remap_early[:2] == (early_pos, rebuilds)
+
+    @WORST
     @given(
         graph=graphs,
         net=topologies,
@@ -289,6 +402,48 @@ class TestSchedulerBackendParity:
         got = GeneticScheduler(kernel=kernel, **kwargs).schedule(graph, net)
         ref = _full_resimulation_schedule(GeneticScheduler, graph, net, **kwargs)
         _assert_schedules_equal(got, ref)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestMalformedDenseGenomes:
+    """``evaluate_dense`` rejects a malformed genome before the kernel runs."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "index-equals-processor-count",
+            "negative-index",
+            "negative-index-tuple-keys",
+            "too-long",
+            "too-short",
+        ],
+    )
+    def test_rejected_and_state_kept(self, kernel, shape):
+        # Above 256 processors the score cache keys genomes by tuple, which
+        # accepts any integer; at or below it they pack into bytes.
+        n_procs = 300 if shape == "negative-index-tuple-keys" else 8
+        graph = random_layered_dag(12, rng=5, density=0.4)
+        net = switched_cluster(n_procs, rng=5)
+        procs = [p.vid for p in net.processors()]
+        mapping = {tid: procs[i % 3] for i, tid in enumerate(priority_list(graph))}
+        evaluator = BatchMappingEvaluator(graph, net, kernel=kernel)
+        good = evaluator.dense(mapping)
+        bad = {
+            "index-equals-processor-count": good[:-1] + [n_procs],
+            "negative-index": good[:-1] + [-1],
+            "negative-index-tuple-keys": good[:-1] + [-1],
+            "too-long": good + [0],
+            "too-short": good[:-1],
+        }[shape]
+        assert evaluator.evaluate_dense(good) == simulate_mapping(
+            graph, net, mapping
+        ).makespan
+        with pytest.raises(SchedulingError, match="dense genome"):
+            evaluator.evaluate_dense(bad)
+        # Nothing was booked: the live columns still hold ``mapping``.
+        _assert_columns_match_schedule(
+            evaluator, net, simulate_mapping(graph, net, mapping)
+        )
 
 
 class TestValidationAndCounters:

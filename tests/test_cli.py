@@ -162,6 +162,23 @@ class TestProfile:
         assert "routing" in out and "insertion" in out and "proc-select" in out
         assert "ba" in out and "oihsa" in out
 
+    def test_search_rows_charge_scoring(self, capsys):
+        assert (
+            main(
+                [
+                    "profile", "--scale", "smoke", "--algorithms", "annealing",
+                    "genetic", "--eval-kernel", "python",
+                ]
+            )
+            == 0
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].split()[-2:] == ["scoring", "other"]
+        for row in lines[4:6]:
+            cells = row.split()
+            wall, scoring, other = float(cells[-7]), float(cells[-2]), float(cells[-1])
+            assert scoring > other and scoring > wall / 2
+
     def test_unknown_algorithm_fails(self, capsys):
         assert main(["profile", "--scale", "smoke", "--algorithms", "nope"]) == 2
         assert "unknown algorithm" in capsys.readouterr().out

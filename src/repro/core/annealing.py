@@ -90,12 +90,12 @@ class AnnealingScheduler:
         gen = as_rng(self.rng)
         procs = [p.vid for p in net.processors()]
         tasks = [t.tid for t in graph.tasks()]
-        # Draw sources built once per schedule(): ``gen.choice`` draws
-        # ``integers(0, len)`` from an array as from a list, so the trajectory
-        # is unchanged.  ``others`` fills per old processor on first use, so
-        # a large network builds only the arrays its moves need.
-        task_arr = np.array(tasks)
-        others: dict[int, np.ndarray] = {}
+        # Each move draws ``seq[gen.integers(0, len(seq))]``: the value and
+        # the stream ``gen.choice(seq)`` would give (it draws that very
+        # index), at a quarter of the cost.  ``others`` fills per old
+        # processor on first use, so a large network builds only the lists
+        # its moves need.
+        others: dict[int, list[int]] = {}
 
         if self.seed_with_ba:
             seed_schedule = BAScheduler(comm=self.comm).schedule(graph, net)
@@ -114,16 +114,14 @@ class AnnealingScheduler:
         temp = max(best_cost * self.start_temp_factor, 1e-9)
 
         for _ in range(self.iterations):
-            tid = int(gen.choice(task_arr))
+            tid = tasks[gen.integers(0, len(tasks))]
             old_proc = mapping[tid]
             choices = others.get(old_proc)
             if choices is None:
-                choices = others[old_proc] = np.array(
-                    [p for p in procs if p != old_proc]
-                )
-            if not len(choices):
+                choices = others[old_proc] = [p for p in procs if p != old_proc]
+            if not choices:
                 break
-            mapping[tid] = int(gen.choice(choices))
+            mapping[tid] = choices[gen.integers(0, len(choices))]
             with span("mapping.score"):
                 cand_cost = evaluator.evaluate(mapping)
             delta = cand_cost - current_cost

@@ -9,6 +9,7 @@ spare capacity is never wasted and data moves as early as causality allows.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from heapq import heappop, heappush
 from math import inf
 
@@ -16,18 +17,35 @@ from repro.core.base import ContentionScheduler
 from repro.core.schedule import Schedule
 from repro.exceptions import RoutingError, SchedulingError
 from repro.linksched.bandwidth import (
+    _END,
     _FEPS,
     BandwidthLinkState,
     BandwidthProfile,
     probe_step_finish,
 )
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
-from repro.network.routing import _check_endpoints, _report_dijkstra, bfs_route
+from repro.network.routing import (
+    _check_endpoints,
+    _forced_route,
+    _report_dijkstra,
+    bfs_route,
+)
 from repro.network.topology import Link, NetworkTopology, Route, Vertex
 from repro.obs import OBS, span
 from repro.procsched.state import ProcessorState
 from repro.taskgraph.graph import TaskGraph
 from repro.types import EdgeKey, LinkId, TaskId
+
+
+def _free(profile: BandwidthProfile | None, t0: float, t1: float) -> bool:
+    """Whether no usage of ``profile`` overlaps ``[t0, t1)``: the first
+    segment ending after ``t0``, where the fluid sweep starts, begins at
+    ``t1`` or later."""
+    if profile is None:
+        return True
+    segments = profile.segments
+    si = bisect_right(segments, t0, key=_END)
+    return si == len(segments) or segments[si][0] >= t1
 
 
 def _dijkstra_fluid(
@@ -40,9 +58,25 @@ def _dijkstra_fluid(
     tiny: bool,
 ) -> Route:
     """BBSA's modified routing: :func:`repro.core.oihsa._dijkstra_indexed`'s
-    search (labels, tie-breaks, lower-bound prunes, dead-end skip) with the
-    fluid step-arrival probe of :meth:`BandwidthLinkState.probe_link`
-    inlined into the relax loop.
+    search (labels, tie-breaks, lower-bound prunes, forced routes, transit
+    links) with the fluid step-arrival probe of
+    :meth:`BandwidthLinkState.probe_link` inlined into the relax loop.
+
+    The lower-bound prune needs its own argument.  The slot probe's bound,
+    ``d + cost / speed``, holds for the fluid sweep only on a link free
+    from ``d`` until then, where the sweep's first step runs at full speed
+    and ends exactly there.  Elsewhere the sweep stops once it has
+    forwarded ``cost - _FEPS``, so a profile boundary can end it up to
+    ``_FEPS / speed`` earlier.  It never forwards faster than ``speed``, so
+    in exact arithmetic it cannot finish before ``d + (cost - _FEPS) /
+    speed``; the *safe* bound ``d + (cost - 2 * _FEPS) / speed`` leaves
+    another ``_FEPS`` for the rounding of its running sums (a few ulps of
+    ``cost`` a step over a few dozen steps, far below ``_FEPS`` at the
+    volumes scheduled here), and is at most ``d``, the arrival of a
+    ``tiny`` volume.  A relaxation the first bound would prune is pruned
+    when the safe bound prunes it too or when its link is free over the
+    window (:func:`_free`, the sweep's own first bisect); otherwise it is
+    probed.
 
     With observability on, the call reports the same ``routing.*`` totals
     and ``route_probed`` event, with ``bandwidth.probes`` as its probe
@@ -53,6 +87,9 @@ def _dijkstra_fluid(
         return []
     if ready_time < 0:
         raise RoutingError(f"negative ready time {ready_time}")
+    forced = _forced_route(net, src, dst)
+    if forced is not None:
+        return forced
     n = net.num_vertices
     dist_t: list[float] = [inf] * n
     dist_h: list[int] = [0] * n
@@ -62,8 +99,10 @@ def _dijkstra_fluid(
     dist_t[src] = ready_time
     heap: list[tuple[float, int, int]] = [(ready_time, 0, src)]
     out_links = net.sorted_out_links
-    sole = net.sole_out_neighbours()
+    sole, transit, _, _ = net.route_structure()
+    hub = sole[dst]
     profiles_get = profiles.get
+    slack = cost - 2 * _FEPS
     best_dst = inf
     probes = 0
     cutoffs = 0
@@ -75,15 +114,29 @@ def _dijkstra_fluid(
         if u == dst:
             break
         nh = hops + 1
-        for link, v in out_links(u):
-            if done[v] or (sole[v] == u and v != dst):
+        if u != hub:
+            choices = transit[u]
+        else:
+            # ``dst`` is a dead end from its sole neighbour, so the transit
+            # links there leave it out: relax the full list, less dead ends.
+            choices = [lv for lv in out_links(u) if sole[lv[1]] != u or lv[1] == dst]
+        for link, v in choices:
+            if done[v]:
                 continue
             cur_t = dist_t[v]
-            lb = d + cost / link.speed
             if cur_t != inf or best_dst != inf:
+                lb = d + cost / link.speed
                 if lb > cur_t or (lb == cur_t and nh >= dist_h[v]) or lb > best_dst:
-                    cutoffs += 1
-                    continue
+                    # ``lb`` bounds the sweep only on a link free until ``lb``.
+                    safe = d + slack / link.speed
+                    if (
+                        safe > cur_t
+                        or (safe == cur_t and nh >= dist_h[v])
+                        or safe > best_dst
+                        or not tiny and _free(profiles_get(link.lid), d, lb)
+                    ):
+                        cutoffs += 1
+                        continue
             probes += 1
             # Inlined ``BandwidthLinkState.probe_link`` (same arithmetic).
             if tiny:

@@ -28,7 +28,12 @@ from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.linksched.insertion import schedule_edge_basic
 from repro.linksched.optimal_insertion import schedule_edge_optimal
 from repro.linksched.state import LinkScheduleState, _LinkQueue  # repro-lint: disable=TXN001 (type-only use below)
-from repro.network.routing import _check_endpoints, _report_dijkstra, bfs_route
+from repro.network.routing import (
+    _check_endpoints,
+    _forced_route,
+    _report_dijkstra,
+    bfs_route,
+)
 from repro.network.topology import Link, NetworkTopology, Route, Vertex
 from repro.obs import OBS, span
 from repro.procsched.state import ProcessorState
@@ -71,18 +76,30 @@ def _dijkstra_indexed(
       (:meth:`~repro.network.topology.NetworkTopology.sole_out_neighbours`)
       — on the paper's random WAN, every processor but the endpoints —
       cannot lie on any route: its label would only be read by a relaxation
-      back into the settled ``u``.
+      back into the settled ``u``.  A settled vertex walks only its
+      *transit* links, which leave dead ends out
+      (:meth:`~repro.network.topology.NetworkTopology.route_structure`);
+      ``dst``'s sole neighbour, from which ``dst`` is a dead end, walks its
+      full list instead.
+    - **Forced routes** are not searched: between two processors whose
+      single cables meet at one vertex the search could return only that
+      two-hop route (:func:`~repro.network.routing._forced_route`).
 
-    With observability on, the call adds ``routing.relaxations`` (links
-    relaxed, dead ends excluded), ``routing.probe_cutoffs`` (relaxations a
-    bound pruned) and ``insertion.probes`` (queue probes made: relaxations
-    less cutoffs) to the metrics and emits one ``route_probed`` event.
+    With observability on, a searched call adds ``routing.relaxations``
+    (links relaxed, dead ends excluded), ``routing.probe_cutoffs``
+    (relaxations a bound pruned) and ``insertion.probes`` (queue probes
+    made: relaxations less cutoffs) to the metrics and emits one
+    ``route_probed`` event; a forced route counts only in
+    ``routing.forced_routes``.
     """
     _check_endpoints(net, src, dst)
     if src == dst:
         return []
     if ready_time < 0:
         raise RoutingError(f"negative ready time {ready_time}")
+    forced = _forced_route(net, src, dst)
+    if forced is not None:
+        return forced
     n = net.num_vertices
     dist_t: list[float] = [inf] * n
     dist_h: list[int] = [0] * n
@@ -92,7 +109,8 @@ def _dijkstra_indexed(
     dist_t[src] = ready_time
     heap: list[tuple[float, int, int]] = [(ready_time, 0, src)]
     out_links = net.sorted_out_links
-    sole = net.sole_out_neighbours()
+    sole, transit, _, _ = net.route_structure()
+    hub = sole[dst]
     queues_get = queues.get
     best_dst = inf
     probes = 0
@@ -105,8 +123,14 @@ def _dijkstra_indexed(
         if u == dst:
             break
         nh = hops + 1
-        for link, v in out_links(u):
-            if done[v] or (sole[v] == u and v != dst):
+        if u != hub:
+            choices = transit[u]
+        else:
+            # ``dst`` is a dead end from its sole neighbour, so the transit
+            # links there leave it out: relax the full list, less dead ends.
+            choices = [lv for lv in out_links(u) if sole[lv[1]] != u or lv[1] == dst]
+        for link, v in choices:
+            if done[v]:
                 continue
             cur_t = dist_t[v]
             duration = cost / link.speed

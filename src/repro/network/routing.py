@@ -15,8 +15,11 @@ Two routing policies, matching the paper:
 
 Both tie-break deterministically (lowest link id wins) so schedules are
 reproducible, and neither relaxes a dead end (see
-:meth:`~repro.network.topology.NetworkTopology.sole_out_neighbours`).
-Every topology, the datacenter fabrics included, routes through them.
+:meth:`~repro.network.topology.NetworkTopology.sole_out_neighbours`).  The
+modified routing also skips the search where the topology leaves a single
+path (:func:`_forced_route`) and otherwise relaxes only transit links (see
+:meth:`~repro.network.topology.NetworkTopology.route_structure`).  Every
+topology, the datacenter fabrics included, routes through them.
 """
 
 from __future__ import annotations
@@ -33,6 +36,41 @@ def _check_endpoints(net: NetworkTopology, src: VertexId, dst: VertexId) -> None
     for vid in (src, dst):
         if not net.vertex(vid).is_processor:
             raise RoutingError(f"route endpoint {vid} is not a processor")
+
+
+def _forced_route(net: NetworkTopology, src: VertexId, dst: VertexId) -> Route | None:
+    """The modified routing's route when the topology offers no choice.
+
+    When ``src``'s only out-link and ``dst``'s only in-link meet at one
+    vertex ``h`` (two processors hanging off one switch by single cables),
+    the route is ``[src->h, h->dst]`` whatever the link schedules: ``h`` is
+    the only vertex ``src`` reaches, so it settles right after ``src``, and
+    ``dst`` can be reached from ``h`` alone, by that one link.  The search
+    could return nothing else, so it is not run.  Returns ``None`` for any
+    other pair, which the caller then searches.
+
+    With observability on, a forced route adds one ``routing.forced_routes``
+    and emits a ``route_probed`` event with policy ``"forced"`` and, like
+    BFS's, no arrival: it makes no relaxation and no probe.
+    """
+    structure = net.route_structure()
+    up = structure.uplink[src]
+    down = structure.downlink[dst]
+    if up is None or down is None or up[1] != down[1]:
+        return None
+    route = [up[0], down[0]]
+    if OBS.on:
+        OBS.metrics.counter("routing.forced_routes").inc()
+        OBS.metrics.histogram("routing.route_length").observe(2.0)
+        OBS.emit(
+            "route_probed",
+            policy="forced",
+            src=src,
+            dst=dst,
+            hops=2,
+            links=[l.lid for l in route],
+        )
+    return route
 
 
 def bfs_route(net: NetworkTopology, src: VertexId, dst: VertexId) -> Route:

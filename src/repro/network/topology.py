@@ -16,7 +16,7 @@ edge-scheduling engine books time slots on each of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Literal, Sequence, TypeAlias
+from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Sequence, TypeAlias
 
 from repro.exceptions import TopologyError
 from repro.types import LinkId, VertexId
@@ -78,6 +78,26 @@ class Link:
 Route: TypeAlias = list[Link]
 
 
+class RouteStructure(NamedTuple):
+    """What a route search needs to know of the topology's shape, per vertex.
+
+    Every list is indexed by vertex id (see
+    :meth:`NetworkTopology.route_structure`).
+    """
+
+    #: the one vertex every out-link leads to, or ``-1``
+    sole: list[VertexId]
+    #: the sorted ``(link, head)`` choices whose head is not a dead end from
+    #: the vertex (``sole[head] != vertex``)
+    transit: list[list[tuple[Link, VertexId]]]
+    #: the single ``(link, head)`` out-choice of a vertex with exactly one
+    #: out-choice and one in-choice, else ``None``
+    uplink: list[tuple[Link, VertexId] | None]
+    #: the single ``(link, tail)`` in-choice of the same vertices, else
+    #: ``None``
+    downlink: list[tuple[Link, VertexId] | None]
+
+
 @dataclass
 class NetworkTopology:
     """Mutable-by-construction network graph; schedulers treat it as frozen."""
@@ -92,10 +112,8 @@ class NetworkTopology:
     _sorted_adj: dict[VertexId, list[tuple[Link, VertexId]]] | None = field(
         default=None, repr=False
     )
-    #: lazily built per-vertex sole out-neighbour (``-1`` when a vertex has
-    #: no out-links or more than one distinct neighbour); same lifetime as
-    #: ``_sorted_adj``
-    _sole_nbr: list[VertexId] | None = field(default=None, repr=False)
+    #: lazily built :class:`RouteStructure`; same lifetime as ``_sorted_adj``
+    _structure: RouteStructure | None = field(default=None, repr=False)
     #: ``(src, dst) -> Route`` memo filled by :func:`repro.network.routing
     #: .bfs_route`; purely topological, so it shares one entry per processor
     #: pair across every engine and is invalidated by any topology mutation
@@ -118,11 +136,11 @@ class NetworkTopology:
         """Drop every route-derived cache after a topology mutation.
 
         This is the single seam all mutators go through: the sorted
-        adjacency, the sole-neighbour table, the ``(src, dst)`` route table
-        and any fabric plan.
+        adjacency, the route structure, the ``(src, dst)`` route table and
+        any fabric plan.
         """
         self._sorted_adj = None
-        self._sole_nbr = None
+        self._structure = None
         self._route_table = None
         self.fabric_plan = None
 
@@ -271,17 +289,45 @@ class NetworkTopology:
         Indexed by vertex id.  A vertex whose only neighbour is ``u`` — a
         processor hanging off one switch, a 2-member bus, a degree-1 switch —
         is a dead end for a route search relaxing it from ``u``: no route can
-        pass through it.  Built once on first use and invalidated by any
-        mutation, like :meth:`sorted_out_links`.
+        pass through it.  Part of :meth:`route_structure`.
         """
-        table = self._sole_nbr
+        return self.route_structure().sole
+
+    def route_structure(self) -> RouteStructure:
+        """The per-vertex tables the modified-routing searches read.
+
+        Built in one pass on first use and invalidated by any mutation, like
+        :meth:`sorted_out_links`.  Besides the sole-neighbour table it holds
+        each vertex's *transit* choices — the sorted out-links less those
+        into a dead end from the vertex, which no route relaxes — and, for
+        a vertex with exactly one out-choice and one in-choice (a processor
+        on one full- or half-duplex cable or a 2-member bus), that single
+        choice each way.  Out- and in-choices are ``(link, neighbour)``
+        entries of the adjacency, so a half-duplex cable or a bus counts
+        once per neighbour, as routing sees it.
+        """
+        table = self._structure
         if table is None:
-            table = [-1] * self._next_vid
+            n = self._next_vid
+            sole: list[VertexId] = [-1] * n
+            ins: list[list[tuple[Link, VertexId]]] = [[] for _ in range(n)]
             for vid, choices in self._adj.items():
                 nbrs = {v for _, v in choices}
                 if len(nbrs) == 1:
-                    table[vid] = nbrs.pop()
-            self._sole_nbr = table
+                    sole[vid] = nbrs.pop()
+                for link, v in choices:
+                    ins[v].append((link, vid))
+            transit: list[list[tuple[Link, VertexId]]] = [[] for _ in range(n)]
+            uplink: list[tuple[Link, VertexId] | None] = [None] * n
+            downlink: list[tuple[Link, VertexId] | None] = [None] * n
+            for vid in self._adj:
+                choices = self.sorted_out_links(vid)
+                transit[vid] = [lv for lv in choices if sole[lv[1]] != vid]
+                if len(choices) == 1 and len(ins[vid]) == 1:
+                    uplink[vid] = choices[0]
+                    downlink[vid] = ins[vid][0]
+            table = RouteStructure(sole, transit, uplink, downlink)
+            self._structure = table
         return table
 
     def route_table(self) -> dict[tuple[VertexId, VertexId], Route]:

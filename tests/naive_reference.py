@@ -6,7 +6,7 @@ equivalents that must be *bit-identical* in behavior:
 - the linear ``find_gap`` scan      -> bisecting ``find_gap_indexed``,
 - copy-on-write transactions        -> undo-log transactions,
 - dict-labeled BFS/Dijkstra search  -> flat-array search with lower-bound
-  pruning, dead-end skips and inlined probes,
+  pruning, dead-end skips, forced routes and inlined probes,
 - the full tail -> head optimal-insertion scan -> the scan that stops at
   the first provably dead gap.
 
@@ -72,6 +72,7 @@ from repro.types import EPS, EdgeKey, LinkId, TaskId, VertexId
 __all__ = [
     "FullResimulationEvaluator",
     "NaiveLinkScheduleState",
+    "forced_pair",
     "linear_find_gap",
     "naive_bfs_route",
     "naive_dijkstra_fluid",
@@ -133,6 +134,19 @@ def _dead_end(net: NetworkTopology, v: VertexId, u: VertexId) -> bool:
     return {w for _, w in net.out_links(v)} == {u}
 
 
+def forced_pair(net: NetworkTopology, src: VertexId, dst: VertexId) -> bool:
+    """Whether ``src``'s only out-link and ``dst``'s only in-link meet at
+    one vertex, so the topology leaves a single path between them."""
+    outs = net.out_links(src)
+    ins = [
+        u
+        for u in (v.vid for v in net.vertices())
+        for _, w in net.out_links(u)
+        if w == dst
+    ]
+    return len(outs) == 1 and len(ins) == 1 and outs[0][1] == ins[0]
+
+
 def naive_dijkstra_route(
     net: NetworkTopology,
     src: VertexId,
@@ -142,13 +156,16 @@ def naive_dijkstra_route(
 ) -> Route:
     """The seed's Dijkstra: every relaxation calls ``probe``, no cutoffs.
 
-    The reference never prunes — no lower-bound cutoffs, no dead-end skips —
-    which is exactly what makes it an oracle for the pruned search.  While
-    observability is on it counts its relaxations, and in
-    ``routing.dead_end_relaxations`` those into a dead end (a vertex other
+    The reference never prunes — no lower-bound cutoffs, no dead-end skips,
+    no forced routes — which is exactly what makes it an oracle for the
+    pruned search.  While observability is on it counts its relaxations,
+    and apart from them the ones the pruned search never makes:
+    ``routing.dead_end_relaxations``, those into a dead end (a vertex other
     than ``dst`` whose every out-link leads back to the vertex it is relaxed
-    from), which the pruned search skips: the difference is the pruned
-    search's ``routing.relaxations``.
+    from), and ``routing.forced_relaxations``, every relaxation of a search
+    between a :func:`forced_pair`, which it counts in
+    ``routing.forced_routes`` instead of ``routing.dijkstra_routes``.  The
+    pruned search's ``routing.relaxations`` is the total less both.
     """
     _check_endpoints(net, src, dst)
     if src == dst:
@@ -197,11 +214,16 @@ def naive_dijkstra_route(
         cur = prev
     route.reverse()
     if OBS.on:
-        OBS.metrics.counter("routing.dijkstra_routes").inc()
-        OBS.metrics.counter("routing.relaxations").inc(relaxations)
-        if dead_ends:
-            OBS.metrics.counter("routing.dead_end_relaxations").inc(dead_ends)
-        OBS.metrics.histogram("routing.route_length").observe(float(len(route)))
+        metrics = OBS.metrics
+        if forced_pair(net, src, dst):
+            metrics.counter("routing.forced_routes").inc()
+            metrics.counter("routing.forced_relaxations").inc(relaxations)
+        else:
+            metrics.counter("routing.dijkstra_routes").inc()
+            if dead_ends:
+                metrics.counter("routing.dead_end_relaxations").inc(dead_ends)
+        metrics.counter("routing.relaxations").inc(relaxations)
+        metrics.histogram("routing.route_length").observe(float(len(route)))
     return route
 
 

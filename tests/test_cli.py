@@ -53,19 +53,26 @@ class TestSchedule:
 
 class TestScheduleStats:
     def test_stats_prints_instrumentation(self, capsys):
-        assert (
-            main(
-                [
-                    "schedule", "--algorithm", "oihsa", "--tasks", "12",
-                    "--procs", "4", "--ccr", "2.0", "--stats", "--no-gantt",
-                ]
+        # A 3x3 mesh gives every route a choice, so OIHSA searches; on four
+        # processors of one switch every route is forced.
+        for topology, counters in (
+            (["--topology", "mesh2d", "--procs", "3"],
+             ("insertion.probes", "routing.relaxations")),
+            (["--procs", "4"], ("routing.forced_routes",)),
+        ):
+            assert (
+                main(
+                    [
+                        "schedule", "--algorithm", "oihsa", "--tasks", "12",
+                        *topology, "--ccr", "2.0", "--stats", "--no-gantt",
+                    ]
+                )
+                == 0
             )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "instrumentation:" in out
-        assert "insertion.probes" in out
-        assert "routing.relaxations" in out
+            out = capsys.readouterr().out
+            assert "instrumentation:" in out
+            for counter in counters:
+                assert counter in out
 
     def test_obs_left_disabled(self, capsys):
         from repro import obs

@@ -145,6 +145,21 @@ class TestAnnealing:
         s = AnnealingScheduler(iterations=30, seed_with_ba=False, rng=5).schedule(g, net)
         validate_schedule(s)
 
+    @pytest.mark.parametrize(
+        "seed_with_ba,makespan",
+        [(True, 11894.516320474779), (False, 11621.891286754793)],
+    )
+    def test_trajectory_is_pinned(self, seed_with_ba, makespan):
+        # Each move draws ``seq[gen.integers(0, len(seq))]``, which gives the
+        # values and the stream of the ``gen.choice(seq)`` draws these
+        # makespans were taken with.
+        g = scale_to_ccr(random_layered_dag(20, rng=6), 2.0)
+        net = random_wan(10, rng=7, procs_per_switch=(2, 5))
+        s = AnnealingScheduler(
+            iterations=120, rng=4, seed_with_ba=seed_with_ba
+        ).schedule(g, net)
+        assert s.makespan == makespan
+
     def test_bad_params_rejected(self):
         with pytest.raises(SchedulingError):
             AnnealingScheduler(iterations=0)

@@ -193,6 +193,29 @@ speeds = st.floats(0.5, 10.0)
 comm_models = st.sampled_from([CUT_THROUGH, CommModel(hop_delay=0.75), STORE_AND_FORWARD])
 
 
+@st.composite
+def near_bound_sweeps(draw):
+    """A step transfer whose link profile has edges within ``_FEPS`` of the
+    contention-free finish ``d + cost / speed``."""
+    d = draw(st.floats(0.0, 1000.0))
+    cost = draw(st.floats(3 * _FEPS, 1000.0))
+    speed = draw(st.sampled_from([0.25, 0.5, 1.0, 3.0, 10.0]))
+    free = d + cost / speed
+    offsets = draw(
+        st.lists(st.floats(-_FEPS, _FEPS), min_size=1, max_size=4, unique=True)
+    )
+    edges = sorted({free + off for off in offsets} | {free + 1.0})
+    segments = [
+        (t0, t1, draw(st.sampled_from([0.25, 0.5, 1.0])))
+        for i, (t0, t1) in enumerate(zip(edges, edges[1:]))
+        if i == len(edges) - 2 or draw(st.booleans())
+    ]
+    start = draw(st.floats(d, free))
+    if start < segments[0][0] and draw(st.booleans()):  # busy from before too
+        segments.insert(0, (start, segments[0][0], 0.5))
+    return d, cost, speed, segments
+
+
 class TestStepProbe:
     @SWEEPS
     @given(data=st.data(), segments=profiles(), volume=volumes, speed=speeds)
@@ -201,6 +224,16 @@ class TestStepProbe:
         assert probe_step_finish(segments, t0, volume, speed) == reference_probe(
             segments, t0, volume, speed
         )
+
+    @SWEEPS
+    @given(case=near_bound_sweeps())
+    def test_never_finishes_before_the_safe_bound(self, case):
+        # The sweep stops at ``volume - _FEPS``, so a boundary can end it
+        # before ``d + cost / speed``; BBSA's route search prunes on this
+        # bound instead.
+        d, cost, speed, segments = case
+        finish = probe_step_finish(segments, d, cost, speed)
+        assert finish >= d + (cost - 2 * _FEPS) / speed
 
 
 class TestForwardThroughLink:

@@ -112,16 +112,23 @@ class TestDijkstra:
         assert direct[0] not in route
 
     def test_ready_time_threads_through(self):
-        net = linear_array(3)
-        ps = [p.vid for p in net.processors()]
+        # End to end, a 4-processor linear array is searched; across the
+        # middle of a 3-processor one the route is forced and not searched,
+        # so its event carries no arrival.
+        searched, forced = linear_array(4), linear_array(3)
         sink = obs.ListSink()
         obs.enable(sink)
         try:
-            _dijkstra_indexed(net, ps[0], ps[2], 5.0, 2.0, {})
+            for net in (searched, forced):
+                ps = [p.vid for p in net.processors()]
+                _dijkstra_indexed(net, ps[0], ps[-1], 5.0, 2.0, {})
         finally:
             obs.disable()
-        (event,) = [e for e in sink.events if e.kind == "route_probed"]
-        assert event.data["arrival"] == 9.0  # 5 + 2 per hop
+        first, second = [e.data for e in sink.events if e.kind == "route_probed"]
+        assert first["policy"] == "dijkstra"
+        assert first["arrival"] == 11.0  # 5 + 2 per hop
+        assert second["policy"] == "forced" and second["hops"] == 2
+        assert "arrival" not in second
 
     def test_negative_ready_time_rejected(self, net2):
         a, b = (p.vid for p in net2.processors())
@@ -187,11 +194,14 @@ class TestRouteTable:
             lambda n: n.add_processor(),
             lambda n: n.add_switch(),
             lambda n: n.add_bus([a, b]),
+            lambda n: n.connect(a, b),
         ):
             bfs_route(net2, a, b)
+            structure = net2.route_structure()
             assert net2.route_table()
             mutate(net2)
             assert not net2.route_table()
+            assert net2.route_structure() is not structure
 
     def test_table_hits_counter(self, net4):
         from repro import obs

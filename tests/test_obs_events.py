@@ -8,7 +8,7 @@ from repro.core.annealing import AnnealingScheduler
 from repro.core.ba import BAScheduler
 from repro.core.genetic import GeneticScheduler
 from repro.core.oihsa import OIHSAScheduler
-from repro.network.builders import switched_cluster
+from repro.network.builders import random_wan, switched_cluster
 from repro.obs import EVENT_KINDS, Event, JsonlSink, ListSink, read_jsonl
 from repro.taskgraph.ccr import scale_to_ccr
 from repro.taskgraph.kernels import fork_join
@@ -199,24 +199,43 @@ class TestStatsCapture:
 class TestBAvsOIHSA:
     def test_decision_counts_diverge_under_contention(self, contended):
         graph, net = contended
+        # Processors on four switches of two to four: some routes have a
+        # choice, same-switch ones are forced.
+        wan = random_wan(16, rng=1, procs_per_switch=(2, 4))
         obs.enable()
         ba = BAScheduler().schedule(graph, net)
         oihsa = OIHSAScheduler().schedule(graph, net)
+        ba_wan = BAScheduler().schedule(graph, wan)
+        oihsa_wan = OIHSAScheduler().schedule(graph, wan)
         obs.disable()
         # BA never defers booked slots; OIHSA's optimal insertion does.
         assert ba.stats.counter("optimal.deferrals") == 0
         assert not ba.stats.events_of("slot_deferred")
         assert oihsa.stats.counter("optimal.deferrals") > 0
         assert oihsa.stats.events_of("slot_deferred")
-        # BFS-routing BA does no Dijkstra relaxation work; OIHSA does.
-        assert ba.stats.counter("routing.relaxations") == 0
-        assert oihsa.stats.counter("routing.relaxations") > 0
+        # BFS-routing BA does no Dijkstra relaxation work; OIHSA does where
+        # the topology offers a choice, and none on one switch, where every
+        # route is forced.
+        for result in (ba, ba_wan, oihsa):
+            assert result.stats.counter("routing.relaxations") == 0
+        assert oihsa_wan.stats.counter("routing.relaxations") > 0
         # Both log their routes, through different policies.
         ba_routes = ba.stats.events_of("route_probed")
         oi_routes = oihsa.stats.events_of("route_probed")
         assert {e.data["policy"] for e in ba_routes} == {"bfs"}
-        assert {e.data["policy"] for e in oi_routes} == {"dijkstra"}
+        assert {e.data["policy"] for e in oi_routes} == {"forced"}
         assert len(ba_routes) != len(oi_routes)
+        assert oihsa.stats.counter("routing.forced_routes") == len(oi_routes)
+        wan_routes = oihsa_wan.stats.events_of("route_probed")
+        assert {e.data["policy"] for e in wan_routes} == {"dijkstra", "forced"}
+        assert all(
+            ("arrival" in e.data) == (e.data["policy"] == "dijkstra")
+            for e in wan_routes
+        )
+        assert oihsa_wan.stats.counter("routing.dijkstra_routes") + oihsa_wan.stats.counter(
+            "routing.forced_routes"
+        ) == len(wan_routes)
+        assert {e.data["policy"] for e in ba_wan.stats.events_of("route_probed")} == {"bfs"}
 
 
 class TestJsonl:

@@ -253,17 +253,24 @@ def _comparable_counters(stats, probe_counter: str | None, booking: bool) -> dic
     naive reference recomputes every call, so hits fold back into
     ``bfs_routes``.  The reference probes every relaxation, so the
     lower-bound cutoffs fold back into the probe counter; it also relaxes
-    into dead ends, which it reports apart and which the pruned search
-    never relaxes, so those come off its relaxations and probes.  With
-    ``booking`` the optimal insertion was swapped for its silent oracle.
+    into dead ends and searches forced pairs, which it reports apart and
+    which the pruned search never does, so those come off its relaxations
+    and probes.  With ``booking`` the optimal insertion was swapped for its
+    silent oracle.
     """
     counters = dict(stats.metrics.get("counters", {}))
     _fold(counters, "routing.bfs_routes", counters.pop("routing.table_hits", 0))
     cutoffs = counters.pop("routing.probe_cutoffs", 0)
-    dead_ends = counters.pop("routing.dead_end_relaxations", 0)
-    _fold(counters, "routing.relaxations", -dead_ends)
+    skipped = counters.pop("routing.dead_end_relaxations", 0) + counters.pop(
+        "routing.forced_relaxations", 0
+    )
+    _fold(counters, "routing.relaxations", -skipped)
+    if counters.get("routing.relaxations") == 0:
+        del counters["routing.relaxations"]  # every route was forced
     if probe_counter is not None:
-        _fold(counters, probe_counter, cutoffs - dead_ends)
+        _fold(counters, probe_counter, cutoffs - skipped)
+        if counters.get(probe_counter) == 0:
+            del counters[probe_counter]
     if booking:
         for name in _BOOKING_COUNTERS:
             counters.pop(name, None)

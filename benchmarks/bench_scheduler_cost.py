@@ -6,10 +6,13 @@ cascade, fluid sweep, routing probes) show up as timing changes.
 
 The timed benchmark runs with observability **disabled** (the production
 configuration).  A separate instrumented pass per algorithm — outside the
-benchmark timer — collects the per-phase breakdown (routing vs insertion vs
-processor selection vs task placement) through :mod:`repro.obs.profile`
-plus the run's decision counters, and the session writes the lot to
-``BENCH_scheduler_cost.json`` in the working directory.
+benchmark timer, and the same pass ``repro runs compare --fresh`` makes
+(:func:`repro.experiments.workloads.scheduler_cost_run`) — collects the
+per-phase breakdown (routing vs insertion vs processor selection vs task
+placement) plus the run's decision counters, and the module writes the lot
+to ``BENCH_scheduler_cost.json`` in the working directory.  That pass scores
+the mapping searches with the Python kernel, so the counters do not depend
+on whether the C kernel is built.
 
 Each algorithm's **makespan** on the fixed workload is recorded too, plus a
 ``makespan_checksum`` over all of them: performance work on the engines must
@@ -21,15 +24,11 @@ baseline ``BENCH_scheduler_cost.json`` committed at the repo root (see
 import hashlib
 import json
 from pathlib import Path
-from time import perf_counter
 
 import pytest
 
-from repro import obs
 from repro.core import SCHEDULERS
-from repro.experiments.workloads import scheduler_cost_workload
-
-PHASES = ("routing", "insertion", "processor_selection", "task_placement")
+from repro.experiments.workloads import scheduler_cost_run, scheduler_cost_workload
 
 _phase_report: dict[str, dict] = {}
 
@@ -37,43 +36,6 @@ _phase_report: dict[str, dict] = {}
 @pytest.fixture(scope="module")
 def workload():
     return scheduler_cost_workload()
-
-
-def _profiled_run(algo: str) -> dict:
-    """One instrumented schedule() call: wall time + phase/counter breakdown.
-
-    Reads the process-wide instruments directly (they were just reset), so
-    schedulers that bypass ``Schedule.stats`` attachment still report.
-
-    Builds a **fresh** workload instance rather than reusing the benchmark
-    fixture: route tables and probe caches live on the topology object, so a
-    shared instance would make the counters depend on which algorithms ran
-    before (warm caches -> more table hits).  A cold instance makes every
-    counter a pure function of (algorithm, workload) — reproducible by
-    ``repro runs compare`` in any process, in any order.
-    """
-    workload = scheduler_cost_workload()
-    graph, net = workload.graph, workload.net
-    obs.enable(obs.NullSink())
-    obs.reset()
-    try:
-        t0 = perf_counter()
-        schedule = SCHEDULERS[algo]().schedule(graph, net)
-        wall = perf_counter() - t0
-        assert schedule.makespan > 0
-        timings = obs.PROFILER.snapshot()
-        counters = obs.METRICS.snapshot()["counters"]
-    finally:
-        obs.disable()
-    phases = {
-        p: timings.get(p, {"total": 0.0, "count": 0}) for p in PHASES
-    }
-    return {
-        "wall_s": wall,
-        "makespan": schedule.makespan,
-        "phases": phases,
-        "counters": counters,
-    }
 
 
 def makespan_checksum(report: dict[str, dict]) -> str:
@@ -91,7 +53,7 @@ def test_scheduler_runtime(benchmark, workload, algo):
     scheduler_cls = SCHEDULERS[algo]
     result = benchmark(lambda: scheduler_cls().schedule(workload.graph, workload.net))
     assert result.makespan > 0
-    _phase_report[algo] = _profiled_run(algo)
+    _phase_report[algo] = scheduler_cost_run(algo)
 
 
 @pytest.mark.parametrize("n_tasks", [25, 50, 100])

@@ -397,39 +397,17 @@ def _cmd_runs_diff(args: argparse.Namespace) -> int:
 def _fresh_bench_record(baseline: dict):
     """Re-run the scheduler-cost bench workload and build a ledger record.
 
-    Replicates ``benchmarks/bench_scheduler_cost.py``'s instrumented pass
-    (NullSink + reset + full counter snapshot) on the shared
-    :func:`~repro.experiments.workloads.scheduler_cost_workload`, so the
-    record's counters are directly comparable to the committed baseline.
+    Each algorithm runs through
+    :func:`~repro.experiments.workloads.scheduler_cost_run`, the benchmark's
+    own instrumented pass, so the record's counters are directly comparable
+    to the committed baseline.
     """
-    from time import perf_counter
-
-    from repro import obs
     from repro.core import SCHEDULERS
-    from repro.experiments.workloads import (
-        SCHEDULER_COST_PARAMS,
-        scheduler_cost_workload,
-    )
+    from repro.experiments.workloads import SCHEDULER_COST_PARAMS, scheduler_cost_run
     from repro.obs import runlog
 
     algorithms = sorted(set(baseline.get("algorithms", {})) & set(SCHEDULERS))
-    makespans: dict[str, float] = {}
-    counters: dict[str, dict] = {}
-    walls: dict[str, float] = {}
-    for algo in algorithms:
-        # Fresh instance per algorithm, matching the bench: route tables live
-        # on the topology, so sharing one would warm later algorithms' caches.
-        workload = scheduler_cost_workload()
-        obs.enable(obs.NullSink())
-        obs.reset()
-        try:
-            t0 = perf_counter()
-            schedule = SCHEDULERS[algo]().schedule(workload.graph, workload.net)
-            walls[algo] = perf_counter() - t0
-            counters[algo] = obs.METRICS.snapshot()["counters"]
-        finally:
-            obs.disable()
-        makespans[algo] = schedule.makespan
+    runs = {algo: scheduler_cost_run(algo) for algo in algorithms}
     return runlog.new_record(
         "bench",
         fingerprint_doc={
@@ -437,8 +415,11 @@ def _fresh_bench_record(baseline: dict):
             "params": SCHEDULER_COST_PARAMS,
             "algorithms": algorithms,
         },
-        makespans=makespans,
-        meta={"counters": counters, "wall_s": walls},
+        makespans={a: r["makespan"] for a, r in runs.items()},
+        meta={
+            "counters": {a: r["counters"] for a, r in runs.items()},
+            "wall_s": {a: r["wall_s"] for a, r in runs.items()},
+        },
     )
 
 

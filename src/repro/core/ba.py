@@ -25,10 +25,9 @@ figures were measured against:
 
 from __future__ import annotations
 
-from typing import Literal
+from typing import Any, Literal
 
 from repro.core.base import ContentionScheduler
-from repro.core.schedule import Schedule
 from repro.exceptions import SchedulingError
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.linksched.insertion import schedule_edge_basic
@@ -37,8 +36,8 @@ from repro.network.routing import bfs_route
 from repro.network.topology import NetworkTopology, Route, Vertex
 from repro.obs import OBS, span
 from repro.procsched.state import ProcessorState
-from repro.taskgraph.graph import TaskGraph
-from repro.types import EdgeKey, TaskId
+from repro.taskgraph.graph import CommEdge, TaskGraph
+from repro.types import EdgeKey, TaskId, VertexId
 
 
 class BAScheduler(ContentionScheduler):
@@ -61,47 +60,17 @@ class BAScheduler(ContentionScheduler):
         self.task_insertion = task_insertion
         self.comm = comm
         self._lstate = LinkScheduleState()
-        self._arrivals: dict[EdgeKey, float] = {}
+        #: the task's latest predecessor finish, fixed by ``_select_processor``
+        self._latest = 0.0
 
     def _begin(self, graph: TaskGraph, net: NetworkTopology) -> None:
         self._lstate = LinkScheduleState()
-        self._arrivals = {}
 
     def _bfs(self, net: NetworkTopology, src: int, dst: int) -> Route:
         # BFS routes are static (load-independent); the topology's shared
         # route table memoizes them across runs and engines.
         with span("routing"):
             return bfs_route(net, src, dst)
-
-    def _book_in_edges(
-        self,
-        graph: TaskGraph,
-        net: NetworkTopology,
-        tid: TaskId,
-        proc: Vertex,
-        pstate: ProcessorState,
-        arrivals_out: dict[EdgeKey, float] | None,
-    ) -> float:
-        """Schedule all in-edges of ``tid`` toward ``proc``; return data-ready time."""
-        edges = sorted(graph.in_edges(tid), key=lambda e: e.src)
-        latest = max((pstate.placement(e.src).finish for e in edges), default=0.0)
-        t_dr = 0.0
-        for e in edges:
-            src_pl = pstate.placement(e.src)
-            if src_pl.processor == proc.vid:
-                arrival = src_pl.finish
-                self._lstate.record_route(e.key, ())
-            else:
-                ready = latest if self.shared_ready_time else src_pl.finish
-                route = self._bfs(net, src_pl.processor, proc.vid)
-                with span("insertion"):
-                    arrival = schedule_edge_basic(
-                        self._lstate, e.key, route, e.cost, ready, self.comm
-                    )
-            if arrivals_out is not None:
-                arrivals_out[e.key] = arrival
-            t_dr = max(t_dr, arrival)
-        return t_dr
 
     def _select_processor(
         self,
@@ -111,75 +80,55 @@ class BAScheduler(ContentionScheduler):
         procs: list[Vertex],
         pstate: ProcessorState,
     ) -> Vertex:
-        weight = graph.task(tid).weight
+        """Blind EFT from the latest predecessor finish, or (``tentative``)
+        the base class's probe of every processor."""
+        self._latest = max(
+            (pstate.placement(p).finish for p in graph.predecessors(tid)),
+            default=0.0,
+        )
         if self.processor_choice == "blind-eft":
-            with span("processor_selection"):
-                latest = max(
-                    (pstate.placement(p).finish for p in graph.predecessors(tid)),
-                    default=0.0,
-                )
-                return self._earliest_finish(procs, pstate, weight, latest, {})
-        best: tuple[float, int] | None = None
-        chosen = procs[0]
+            weight = graph.task(tid).weight
+            return self._earliest_finish(procs, pstate, weight, self._latest, {})
         # Tentative probing books and rolls back real link slots; keep the
         # decision log to committed work only (counters still accumulate).
-        with span("processor_selection"), OBS.bus.quiet():
-            for proc in procs:
-                if OBS.on:
-                    OBS.metrics.counter("scheduler.processors_probed").inc()
-                self._lstate.begin()
-                try:
-                    t_dr = self._book_in_edges(graph, net, tid, proc, pstate, None)
-                    _, _, finish = pstate.probe(
-                        proc.vid,
-                        weight / proc.speed,
-                        t_dr,
-                        insertion=self.task_insertion,
-                    )
-                finally:
-                    self._lstate.rollback()
-                key = (finish, proc.vid)
-                if best is None or key < best:
-                    best, chosen = key, proc
-        return chosen
+        with OBS.bus.quiet():
+            return super()._select_processor(graph, net, tid, procs, pstate)
 
-    def _place_task(
+    def _book_in_edges(
         self,
         graph: TaskGraph,
         net: NetworkTopology,
         tid: TaskId,
-        procs: list[Vertex],
+        proc: Vertex,
         pstate: ProcessorState,
-    ) -> None:
-        chosen = self._select_processor(graph, net, tid, procs, pstate)
+        arrivals: dict[EdgeKey, float] | None,
+    ) -> float:
+        if arrivals is not None:
+            return super()._book_in_edges(graph, net, tid, proc, pstate, arrivals)
+        # A tentative probe books real slots: roll them back.
         if OBS.on:
-            OBS.metrics.counter("scheduler.processors_chosen").inc()
-            OBS.emit(
-                "processor_chosen",
-                task=tid,
-                proc=chosen.vid,
-                policy=self.processor_choice,
-                candidates=len(procs),
-            )
-        t_dr = self._book_in_edges(graph, net, tid, chosen, pstate, self._arrivals)
-        self._place_on(
-            pstate,
-            tid,
-            chosen,
-            graph.task(tid).weight,
-            t_dr,
-            insertion=self.task_insertion,
-        )
+            OBS.metrics.counter("scheduler.processors_probed").inc()
+        self._lstate.begin()
+        try:
+            return super()._book_in_edges(graph, net, tid, proc, pstate, None)
+        finally:
+            self._lstate.rollback()
 
-    def _finish(
-        self, graph: TaskGraph, net: NetworkTopology, pstate: ProcessorState
-    ) -> Schedule:
-        return Schedule(
-            algorithm=self.name,
-            graph=graph,
-            net=net,
-            placements=pstate.placements(),
-            edge_arrivals=dict(self._arrivals),
-            link_state=self._lstate,
-            comm=self.comm,
-        )
+    def _edge_order(self, graph: TaskGraph, tid: TaskId) -> list[CommEdge]:
+        return sorted(graph.in_edges(tid), key=lambda e: e.src)
+
+    def _book_local(self, e: CommEdge, ready: float) -> float:
+        self._lstate.record_route(e.key, ())
+        return ready
+
+    def _book_remote(
+        self, net: NetworkTopology, e: CommEdge, src: VertexId, dst: VertexId, ready: float
+    ) -> float:
+        if self.shared_ready_time:
+            ready = self._latest  # every in-edge waits for the last predecessor
+        route = self._bfs(net, src, dst)
+        with span("insertion"):
+            return schedule_edge_basic(self._lstate, e.key, route, e.cost, ready, self.comm)
+
+    def _link_engine(self) -> dict[str, Any]:
+        return {"link_state": self._lstate, "comm": self.comm}

@@ -1,30 +1,39 @@
 """List-scheduling framework shared by all contention-aware algorithms.
 
-Every scheduler follows the same outer loop (paper Algorithm 1):
+:meth:`ContentionScheduler.schedule` is the paper's Algorithm 1, written
+once for every list scheduler:
 
-1. order tasks by static priority (descending bottom level, precedence-safe),
-2. for each task: pick a processor, schedule its incoming communications
-   onto network links, then book the task itself (end technique — the
-   model's ``t_s(n, P) = max(t_dr(n, P), t_f(P))``).
+1. order the tasks (``_order``; default: descending bottom level,
+   precedence-safe),
+2. for each task: pick a processor (``_select_processor``), book its
+   incoming communications toward it (``_book_in_edges``: the edges of
+   ``_edge_order``, each through ``_book_local`` or ``_book_remote``), then
+   book the task itself (end technique — the model's
+   ``t_s(n, P) = max(t_dr(n, P), t_f(P))``),
+3. build the :class:`Schedule` around the run's link engine
+   (``_link_engine``).
 
-Subclasses define the three policy points: processor selection, edge order,
-and how an edge is routed + booked.
+A scheduler is its answers to those hooks plus ``_begin``, which resets its
+per-run state.  :class:`MLSScheduler` holds the answers OIHSA and BBSA
+share.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Any
 
 from repro.core.schedule import Schedule
 from repro.exceptions import SchedulingError
-from repro.network.topology import NetworkTopology, Vertex
+from repro.network.routing import bfs_route
+from repro.network.topology import NetworkTopology, Route, Vertex
 from repro.network.validate import validate_topology
-from repro.obs import capture_stats, span
+from repro.obs import OBS, capture_stats, span
 from repro.procsched.state import ProcessorState
 from repro.taskgraph.graph import CommEdge, TaskGraph
 from repro.taskgraph.priorities import priority_list
 from repro.taskgraph.validate import validate_graph
-from repro.types import TaskId, VertexId
+from repro.types import EdgeKey, TaskId, VertexId
 
 
 class ContentionScheduler(ABC):
@@ -35,6 +44,9 @@ class ContentionScheduler(ABC):
 
     #: book tasks into idle processor gaps instead of appending (ablation knob)
     task_insertion: bool = False
+
+    #: how ``_select_processor`` chooses (the ``processor_chosen`` event's policy)
+    processor_choice: str = "eft"
 
     def schedule(self, graph: TaskGraph, net: NetworkTopology) -> Schedule:
         """Schedule ``graph`` onto ``net`` and return the full schedule.
@@ -49,9 +61,40 @@ class ContentionScheduler(ABC):
         self._begin(graph, net)
         procs = sorted(net.processors(), key=lambda p: p.vid)
         pstate = ProcessorState()
-        for tid in priority_list(graph):
-            self._place_task(graph, net, tid, procs, pstate)
-        result = self._finish(graph, net, pstate)
+        arrivals: dict[EdgeKey, float] = {}
+        for tid in self._order(graph, net):
+            with span("processor_selection"):
+                proc = self._select_processor(graph, net, tid, procs, pstate)
+            if OBS.on:
+                OBS.metrics.counter("scheduler.processors_chosen").inc()
+                OBS.emit(
+                    "processor_chosen",
+                    task=tid,
+                    proc=proc.vid,
+                    policy=self.processor_choice,
+                    candidates=len(procs),
+                )
+            t_dr = self._book_in_edges(graph, net, tid, proc, pstate, arrivals)
+            if proc.speed <= 0:
+                raise SchedulingError(f"processor {proc.vid} has invalid speed")
+            with span("task_placement"):
+                pstate.place(
+                    tid,
+                    proc.vid,
+                    graph.task(tid).weight / proc.speed,
+                    t_dr,
+                    insertion=self.task_insertion,
+                )
+        if not arrivals and graph.num_edges:
+            raise SchedulingError("internal error: no edges were booked")
+        result = Schedule(
+            algorithm=self.name,
+            graph=graph,
+            net=net,
+            placements=pstate.placements(),
+            edge_arrivals=arrivals,
+            **self._link_engine(),
+        )
         if capture is not None:
             result.stats = capture.finish(self._result_gauges(result))
         return result
@@ -71,33 +114,93 @@ class ContentionScheduler(ABC):
 
     # -- hooks ----------------------------------------------------------------
 
-    @abstractmethod
     def _begin(self, graph: TaskGraph, net: NetworkTopology) -> None:
-        """Reset per-run state (link schedules etc.)."""
+        """Reset per-run state.  The default fixes ``_mls``, the mean link
+        speed that contention-free estimates divide by."""
+        self._mls = net.mean_link_speed() if net.num_links else 1.0
 
-    @abstractmethod
-    def _place_task(
+    def _order(self, graph: TaskGraph, net: NetworkTopology) -> list[TaskId]:
+        """The order tasks are scheduled in (the paper's: descending bottom level)."""
+        return priority_list(graph)
+
+    def _select_processor(
         self,
         graph: TaskGraph,
         net: NetworkTopology,
         tid: TaskId,
         procs: list[Vertex],
         pstate: ProcessorState,
-    ) -> None:
-        """Choose a processor for ``tid``, book its in-edges and the task."""
+    ) -> Vertex:
+        """The processor where ``tid`` would finish first.
+
+        Each candidate is probed: the in-edges are booked toward it as a
+        probe, then the task.  ``procs`` is sorted by vid, so keeping the
+        first strict improvement is the ``(finish, vid)`` minimum.
+        """
+        weight = graph.task(tid).weight
+        best = float("inf")
+        chosen = procs[0]
+        for proc in procs:
+            t_dr = self._book_in_edges(graph, net, tid, proc, pstate, None)
+            _, _, finish = pstate.probe(
+                proc.vid, weight / proc.speed, t_dr, insertion=self.task_insertion
+            )
+            if finish < best:
+                best, chosen = finish, proc
+        return chosen
+
+    def _edge_order(self, graph: TaskGraph, tid: TaskId) -> list[CommEdge]:
+        """``tid``'s in-edges in booking order (default: the graph's)."""
+        return graph.in_edges(tid)
+
+    def _book_in_edges(
+        self,
+        graph: TaskGraph,
+        net: NetworkTopology,
+        tid: TaskId,
+        proc: Vertex,
+        pstate: ProcessorState,
+        arrivals: dict[EdgeKey, float] | None,
+    ) -> float:
+        """Book ``tid``'s in-edges toward ``proc``; return its data-ready time.
+
+        Each edge's arrival goes into ``arrivals``; ``None`` marks a probe
+        of a candidate processor, whose bookings an engine that keeps them
+        must undo.
+        """
+        t_dr = 0.0
+        for e in self._edge_order(graph, tid):
+            src_pl = pstate.placement(e.src)
+            if src_pl.processor == proc.vid:
+                arrival = self._book_local(e, src_pl.finish)
+            else:
+                arrival = self._book_remote(
+                    net, e, src_pl.processor, proc.vid, src_pl.finish
+                )
+            if arrivals is not None:
+                arrivals[e.key] = arrival
+            if arrival > t_dr:
+                t_dr = arrival
+        return t_dr
+
+    def _book_local(self, e: CommEdge, ready: float) -> float:
+        """Book a same-processor edge whose data is ready at ``ready``;
+        return its arrival.  Local communication is free."""
+        return ready
 
     @abstractmethod
-    def _finish(
-        self, graph: TaskGraph, net: NetworkTopology, pstate: ProcessorState
-    ) -> Schedule:
-        """Assemble the :class:`Schedule` from the run's state."""
+    def _book_remote(
+        self, net: NetworkTopology, e: CommEdge, src: VertexId, dst: VertexId, ready: float
+    ) -> float:
+        """Route and book edge ``e`` from processor ``src`` to ``dst``, its
+        data ready at ``ready``; return its arrival at ``dst``."""
+
+    def _link_engine(self) -> dict[str, Any]:
+        """The run's link bookings, as :class:`Schedule` keyword arguments
+        (none for the contention-free model)."""
+        return {}
 
     # -- shared helpers --------------------------------------------------------
-
-    @staticmethod
-    def _in_edges_by_cost(graph: TaskGraph, tid: TaskId) -> list[CommEdge]:
-        """The paper's edge priority: descending cost, stable on source id."""
-        return sorted(graph.in_edges(tid), key=lambda e: (-e.cost, e.src))
 
     @staticmethod
     def _mls_select_processor(
@@ -179,21 +282,59 @@ class ContentionScheduler(ABC):
                 best_finish, chosen = finish, proc
         return chosen
 
-    @staticmethod
-    def _place_on(
-        pstate: ProcessorState,
+
+class MLSScheduler(ContentionScheduler):
+    """The policy OIHSA and BBSA share (paper Sections 4.1–4.3).
+
+    - the processor is chosen by the mean-link-speed estimate
+      (:meth:`ContentionScheduler._mls_select_processor`), not by probing;
+    - in-edges are booked in descending cost order (``edge_priority``), so
+      big transfers grab routes and slots first;
+    - a remote edge takes the route with the earliest arrival under the
+      current link bookings (``_search``), or the BFS route without
+      ``modified_routing``.
+
+    A subclass supplies ``_search`` and its booking.
+    """
+
+    processor_choice = "mls-estimate"
+    # the ablation knobs each subclass's constructor sets
+    modified_routing: bool
+    edge_priority: bool
+    local_comm_exempt: bool
+
+    def _select_processor(
+        self,
+        graph: TaskGraph,
+        net: NetworkTopology,
         tid: TaskId,
-        proc: Vertex,
-        weight: float,
-        data_ready: float,
-        *,
-        insertion: bool,
-    ) -> float:
-        """Book the task on ``proc``; return its finish time."""
-        if proc.speed <= 0:
-            raise SchedulingError(f"processor {proc.vid} has invalid speed")
-        with span("task_placement"):
-            placement = pstate.place(
-                tid, proc.vid, weight / proc.speed, data_ready, insertion=insertion
-            )
-        return placement.finish
+        procs: list[Vertex],
+        pstate: ProcessorState,
+    ) -> Vertex:
+        return self._mls_select_processor(
+            graph, tid, procs, pstate, self._mls,
+            local_comm_exempt=self.local_comm_exempt,
+        )
+
+    def _edge_order(self, graph: TaskGraph, tid: TaskId) -> list[CommEdge]:
+        if self.edge_priority:
+            return sorted(graph.in_edges(tid), key=lambda e: (-e.cost, e.src))
+        return sorted(graph.in_edges(tid), key=lambda e: e.src)
+
+    def _route(
+        self, net: NetworkTopology, src: int, dst: int, cost: float, ready: float
+    ) -> Route:
+        if not self.modified_routing:
+            with span("routing"):
+                return bfs_route(net, src, dst)
+        if cost < 0:
+            raise SchedulingError(f"negative communication cost {cost}")
+        with span("routing"):
+            return self._search(net, src, dst, cost, ready)
+
+    @abstractmethod
+    def _search(
+        self, net: NetworkTopology, src: int, dst: int, cost: float, ready: float
+    ) -> Route:
+        """The route from ``src`` to ``dst`` on which a ``cost``-sized
+        transfer ready at ``ready`` arrives first."""

@@ -1,10 +1,11 @@
 """BBSA — Bandwidth Based Scheduling Algorithm (paper Section 5).
 
 Shares OIHSA's framework (MLS processor estimate, descending-cost edge
-priority, contention-aware Dijkstra routing) but books communications on the
-bandwidth-shared fluid link model: a transfer may use the *remaining*
-bandwidth of partially occupied periods and split its volume over time, so
-spare capacity is never wasted and data moves as early as causality allows.
+priority, contention-aware Dijkstra routing; :class:`repro.core.base
+.MLSScheduler`) but books communications on the bandwidth-shared fluid link
+model: a transfer may use the *remaining* bandwidth of partially occupied
+periods and split its volume over time, so spare capacity is never wasted
+and data moves as early as causality allows.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from heapq import heappop, heappush
 from math import inf
+from typing import Any
 
-from repro.core.base import ContentionScheduler
-from repro.core.schedule import Schedule
-from repro.exceptions import RoutingError, SchedulingError
+from repro.core.base import MLSScheduler
+from repro.exceptions import RoutingError
 from repro.linksched.bandwidth import (
     _END,
     _FEPS,
@@ -24,17 +25,11 @@ from repro.linksched.bandwidth import (
     probe_step_finish,
 )
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
-from repro.network.routing import (
-    _check_endpoints,
-    _forced_route,
-    _report_dijkstra,
-    bfs_route,
-)
-from repro.network.topology import Link, NetworkTopology, Route, Vertex
+from repro.network.routing import _check_endpoints, _forced_route, _report_dijkstra
+from repro.network.topology import Link, NetworkTopology, Route
 from repro.obs import OBS, span
-from repro.procsched.state import ProcessorState
-from repro.taskgraph.graph import TaskGraph
-from repro.types import EdgeKey, LinkId, TaskId
+from repro.taskgraph.graph import CommEdge, TaskGraph
+from repro.types import LinkId, VertexId
 
 
 def _free(profile: BandwidthProfile | None, t0: float, t1: float) -> bool:
@@ -169,7 +164,7 @@ def _dijkstra_fluid(
     return route
 
 
-class BBSAScheduler(ContentionScheduler):
+class BBSAScheduler(MLSScheduler):
     """Contention-aware scheduling on bandwidth-shared (fluid) links."""
 
     name = "bbsa"
@@ -189,91 +184,40 @@ class BBSAScheduler(ContentionScheduler):
         self.local_comm_exempt = local_comm_exempt
         self.comm = comm
         self._bstate = BandwidthLinkState()
-        self._arrivals: dict[EdgeKey, float] = {}
-        self._mls = 1.0
 
     def _begin(self, graph: TaskGraph, net: NetworkTopology) -> None:
+        super()._begin(graph, net)
         self._bstate = BandwidthLinkState()
-        self._arrivals = {}
-        self._mls = net.mean_link_speed() if net.num_links else 1.0
 
-    def _route(
+    def _search(
         self, net: NetworkTopology, src: int, dst: int, cost: float, ready: float
     ) -> Route:
-        if not self.modified_routing:
-            with span("routing"):
-                return bfs_route(net, src, dst)
-
-        if cost < 0:
-            raise SchedulingError(f"negative volume {cost}")
-        with span("routing"):
-            return _dijkstra_fluid(
-                net, src, dst, ready, cost, self._bstate._profiles, cost <= _FEPS
-            )
-
-    def _place_task(
-        self,
-        graph: TaskGraph,
-        net: NetworkTopology,
-        tid: TaskId,
-        procs: list[Vertex],
-        pstate: ProcessorState,
-    ) -> None:
-        with span("processor_selection"):
-            proc = self._mls_select_processor(
-                graph, tid, procs, pstate, self._mls,
-                local_comm_exempt=self.local_comm_exempt,
-            )
-        if OBS.on:
-            OBS.metrics.counter("scheduler.processors_chosen").inc()
-            OBS.emit(
-                "processor_chosen",
-                task=tid,
-                proc=proc.vid,
-                policy="mls-estimate",
-                candidates=len(procs),
-            )
-        weight = graph.task(tid).weight
-        if self.edge_priority:
-            edges = self._in_edges_by_cost(graph, tid)
-        else:
-            edges = sorted(graph.in_edges(tid), key=lambda e: e.src)
-        t_dr = 0.0
-        for e in edges:
-            src_pl = pstate.placement(e.src)
-            if src_pl.processor == proc.vid:
-                arrival = src_pl.finish
-                self._bstate.schedule_edge(e.key, [], e.cost, src_pl.finish, self.comm)
-            else:
-                route = self._route(net, src_pl.processor, proc.vid, e.cost, src_pl.finish)
-                with span("insertion"):
-                    arrival = self._bstate.schedule_edge(
-                        e.key, route, e.cost, src_pl.finish, self.comm
-                    )
-                if OBS.on:
-                    OBS.metrics.counter("insertion.edges_scheduled").inc()
-                    OBS.emit(
-                        "edge_scheduled",
-                        t=arrival,
-                        edge=list(e.key),
-                        policy="bandwidth",
-                        links=[l.lid for l in route],
-                        ready=src_pl.finish,
-                        arrival=arrival,
-                    )
-            self._arrivals[e.key] = arrival
-            t_dr = max(t_dr, arrival)
-        self._place_on(pstate, tid, proc, weight, t_dr, insertion=self.task_insertion)
-
-    def _finish(
-        self, graph: TaskGraph, net: NetworkTopology, pstate: ProcessorState
-    ) -> Schedule:
-        return Schedule(
-            algorithm=self.name,
-            graph=graph,
-            net=net,
-            placements=pstate.placements(),
-            edge_arrivals=dict(self._arrivals),
-            bandwidth_state=self._bstate,
-            comm=self.comm,
+        return _dijkstra_fluid(
+            net, src, dst, ready, cost, self._bstate._profiles, cost <= _FEPS
         )
+
+    def _book_local(self, e: CommEdge, ready: float) -> float:
+        self._bstate.schedule_edge(e.key, [], e.cost, ready, self.comm)
+        return ready
+
+    def _book_remote(
+        self, net: NetworkTopology, e: CommEdge, src: VertexId, dst: VertexId, ready: float
+    ) -> float:
+        route = self._route(net, src, dst, e.cost, ready)
+        with span("insertion"):
+            arrival = self._bstate.schedule_edge(e.key, route, e.cost, ready, self.comm)
+        if OBS.on:
+            OBS.metrics.counter("insertion.edges_scheduled").inc()
+            OBS.emit(
+                "edge_scheduled",
+                t=arrival,
+                edge=list(e.key),
+                policy="bandwidth",
+                links=[l.lid for l in route],
+                ready=ready,
+                arrival=arrival,
+            )
+        return arrival
+
+    def _link_engine(self) -> dict[str, Any]:
+        return {"bandwidth_state": self._bstate, "comm": self.comm}

@@ -12,11 +12,9 @@ ignoring contention costs.
 from __future__ import annotations
 
 from repro.core.base import ContentionScheduler
-from repro.core.schedule import Schedule
-from repro.network.topology import NetworkTopology, Vertex
-from repro.procsched.state import ProcessorState
-from repro.taskgraph.graph import TaskGraph
-from repro.types import EdgeKey, TaskId
+from repro.network.topology import NetworkTopology
+from repro.taskgraph.graph import CommEdge, TaskGraph
+from repro.types import VertexId
 
 
 class ClassicScheduler(ContentionScheduler):
@@ -26,13 +24,10 @@ class ClassicScheduler(ContentionScheduler):
 
     def __init__(self, *, task_insertion: bool = False) -> None:
         self.task_insertion = task_insertion
-        self._arrivals: dict[EdgeKey, float] = {}
         self._direct_speed: dict[tuple[int, int], float] = {}
-        self._mls: float = 1.0
 
     def _begin(self, graph: TaskGraph, net: NetworkTopology) -> None:
-        self._arrivals = {}
-        self._mls = net.mean_link_speed() if net.num_links else 1.0
+        super()._begin(graph, net)
         # Direct-link speeds between processor pairs (max over parallel links).
         self._direct_speed = {}
         for p in net.processors():
@@ -42,52 +37,7 @@ class ClassicScheduler(ContentionScheduler):
                     if link.speed > self._direct_speed.get(key, 0.0):
                         self._direct_speed[key] = link.speed
 
-    def _comm_time(self, cost: float, src_proc: int, dst_proc: int) -> float:
-        if src_proc == dst_proc or cost <= 0:
-            return 0.0
-        speed = self._direct_speed.get((src_proc, dst_proc), self._mls)
-        return cost / speed
-
-    def _place_task(
-        self,
-        graph: TaskGraph,
-        net: NetworkTopology,
-        tid: TaskId,
-        procs: list[Vertex],
-        pstate: ProcessorState,
-    ) -> None:
-        weight = graph.task(tid).weight
-        best: tuple[float, int, Vertex] | None = None
-        for proc in procs:
-            t_dr = 0.0
-            for e in graph.in_edges(tid):
-                src_pl = pstate.placement(e.src)
-                arrival = src_pl.finish + self._comm_time(
-                    e.cost, src_pl.processor, proc.vid
-                )
-                t_dr = max(t_dr, arrival)
-            _, start, finish = pstate.probe(
-                proc.vid, weight / proc.speed, t_dr, insertion=self.task_insertion
-            )
-            if best is None or (finish, proc.vid) < (best[0], best[1]):
-                best = (finish, proc.vid, proc)
-        assert best is not None
-        proc = best[2]
-        t_dr = 0.0
-        for e in graph.in_edges(tid):
-            src_pl = pstate.placement(e.src)
-            arrival = src_pl.finish + self._comm_time(e.cost, src_pl.processor, proc.vid)
-            self._arrivals[e.key] = arrival
-            t_dr = max(t_dr, arrival)
-        self._place_on(pstate, tid, proc, weight, t_dr, insertion=self.task_insertion)
-
-    def _finish(
-        self, graph: TaskGraph, net: NetworkTopology, pstate: ProcessorState
-    ) -> Schedule:
-        return Schedule(
-            algorithm=self.name,
-            graph=graph,
-            net=net,
-            placements=pstate.placements(),
-            edge_arrivals=dict(self._arrivals),
-        )
+    def _book_remote(
+        self, net: NetworkTopology, e: CommEdge, src: VertexId, dst: VertexId, ready: float
+    ) -> float:
+        return ready + e.cost / self._direct_speed.get((src, dst), self._mls)

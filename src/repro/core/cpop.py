@@ -8,15 +8,12 @@ everything else goes to its earliest-finish processor.
 
 from __future__ import annotations
 
-import heapq
-
-from repro.core.heft import upward_ranks
-from repro.core.schedule import Schedule
-from repro.core.base import ContentionScheduler
+from repro.core.heft import HEFTScheduler, upward_ranks
 from repro.network.topology import NetworkTopology, Vertex
 from repro.procsched.state import ProcessorState
 from repro.taskgraph.graph import TaskGraph
-from repro.types import EdgeKey, TaskId
+from repro.taskgraph.priorities import priority_order
+from repro.types import TaskId
 
 
 def downward_ranks(
@@ -38,116 +35,43 @@ def downward_ranks(
     return ranks
 
 
-class CPOPScheduler(ContentionScheduler):
-    """Critical-path pinning + EFT for the rest, contention-free model."""
+class CPOPScheduler(HEFTScheduler):
+    """Critical-path pinning + EFT for the rest, contention-free model.
+
+    HEFT's transfer time and insertion-based placement; its own order and
+    critical-path pin.
+    """
 
     name = "cpop"
-    task_insertion = True
+    processor_choice = "critical-path-or-eft"
 
-    def __init__(self) -> None:
-        self._arrivals: dict[EdgeKey, float] = {}
-        self._mls = 1.0
-        self._cp_tasks: set[TaskId] = set()
-        self._cp_proc: int | None = None
-
-    def schedule(self, graph: TaskGraph, net: NetworkTopology) -> Schedule:
-        from repro.network.validate import validate_topology
-        from repro.taskgraph.validate import validate_graph
-
-        validate_graph(graph)
-        validate_topology(net)
-        self._begin(graph, net)
+    def _order(self, graph: TaskGraph, net: NetworkTopology) -> list[TaskId]:
+        """Descending ``rank_u + rank_d``; also fixes the critical path and
+        the processor it is pinned to."""
         s_mean = net.mean_processor_speed()
         rank_u = upward_ranks(graph, s_mean, self._mls)
         rank_d = downward_ranks(graph, s_mean, self._mls)
         priority = {t: rank_u[t] + rank_d[t] for t in graph.task_ids()}
-
         # The critical path: entry task with max priority, then greedily the
         # successor with (numerically) the same priority.
-        cp_value = max(priority[t] for t in graph.sources())
-        self._cp_tasks = set()
         cur = max(graph.sources(), key=lambda t: (priority[t], -t))
-        self._cp_tasks.add(cur)
+        self._cp_tasks = {cur}
         while graph.successors(cur):
             cur = max(graph.successors(cur), key=lambda s: (priority[s], -s))
             self._cp_tasks.add(cur)
-        del cp_value
         # Pin the path to the processor executing its total work fastest:
         # with speed-proportional execution that is simply the fastest one.
-        procs = sorted(net.processors(), key=lambda p: p.vid)
-        self._cp_proc = max(procs, key=lambda p: (p.speed, -p.vid)).vid
+        self._cp_proc = max(net.processors(), key=lambda p: (p.speed, -p.vid))
+        return priority_order(graph, priority)
 
-        pstate = ProcessorState()
-        indeg = {t: len(graph.predecessors(t)) for t in graph.task_ids()}
-        ready = [(-priority[t], t) for t, d in indeg.items() if d == 0]
-        heapq.heapify(ready)
-        while ready:
-            _, tid = heapq.heappop(ready)
-            self._place_task(graph, net, tid, procs, pstate)
-            for s in graph.successors(tid):
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    heapq.heappush(ready, (-priority[s], s))
-        return self._finish(graph, net, pstate)
-
-    def _begin(self, graph: TaskGraph, net: NetworkTopology) -> None:
-        self._arrivals = {}
-        self._mls = net.mean_link_speed() if net.num_links else 1.0
-
-    def _comm_time(self, cost: float, src_proc: int, dst_proc: int) -> float:
-        if src_proc == dst_proc or cost <= 0:
-            return 0.0
-        return cost / self._mls
-
-    def _data_ready(
-        self, graph: TaskGraph, tid: TaskId, vid: int, pstate: ProcessorState
-    ) -> float:
-        t_dr = 0.0
-        for e in graph.in_edges(tid):
-            src_pl = pstate.placement(e.src)
-            arrival = src_pl.finish + self._comm_time(e.cost, src_pl.processor, vid)
-            t_dr = max(t_dr, arrival)
-        return t_dr
-
-    def _place_task(
+    def _select_processor(
         self,
         graph: TaskGraph,
         net: NetworkTopology,
         tid: TaskId,
         procs: list[Vertex],
         pstate: ProcessorState,
-    ) -> None:
-        weight = graph.task(tid).weight
+    ) -> Vertex:
         if tid in self._cp_tasks:
-            vid = self._cp_proc
-            assert vid is not None
-        else:
-            best: tuple[float, int] | None = None
-            vid = procs[0].vid
-            for proc in procs:
-                t_dr = self._data_ready(graph, tid, proc.vid, pstate)
-                _, _, finish = pstate.probe(
-                    proc.vid, weight / proc.speed, t_dr, insertion=True
-                )
-                key = (finish, proc.vid)
-                if best is None or key < best:
-                    best, vid = key, proc.vid
-        proc = net.vertex(vid)
-        t_dr = self._data_ready(graph, tid, vid, pstate)
-        for e in graph.in_edges(tid):
-            src_pl = pstate.placement(e.src)
-            self._arrivals[e.key] = src_pl.finish + self._comm_time(
-                e.cost, src_pl.processor, vid
-            )
-        pstate.place(tid, vid, weight / proc.speed, t_dr, insertion=True)
-
-    def _finish(
-        self, graph: TaskGraph, net: NetworkTopology, pstate: ProcessorState
-    ) -> Schedule:
-        return Schedule(
-            algorithm=self.name,
-            graph=graph,
-            net=net,
-            placements=pstate.placements(),
-            edge_arrivals=dict(self._arrivals),
-        )
+            return self._cp_proc
+        return super()._select_processor(graph, net, tid, procs, pstate)

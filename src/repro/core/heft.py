@@ -18,14 +18,11 @@ schedules cost on a real network.
 
 from __future__ import annotations
 
-import heapq
-
 from repro.core.base import ContentionScheduler
-from repro.core.schedule import Schedule
-from repro.network.topology import NetworkTopology, Vertex
-from repro.procsched.state import ProcessorState
-from repro.taskgraph.graph import TaskGraph
-from repro.types import EdgeKey, TaskId
+from repro.network.topology import NetworkTopology
+from repro.taskgraph.graph import CommEdge, TaskGraph
+from repro.taskgraph.priorities import priority_order
+from repro.types import TaskId, VertexId
 
 
 def upward_ranks(
@@ -50,84 +47,11 @@ class HEFTScheduler(ContentionScheduler):
     name = "heft"
     task_insertion = True
 
-    def __init__(self) -> None:
-        self._arrivals: dict[EdgeKey, float] = {}
-        self._mls = 1.0
-
-    def schedule(self, graph: TaskGraph, net: NetworkTopology) -> Schedule:
-        # HEFT orders by rank_u rather than the paper's bottom level, so the
-        # base-class loop is re-driven with a different priority queue.
-        from repro.network.validate import validate_topology
-        from repro.taskgraph.validate import validate_graph
-
-        validate_graph(graph)
-        validate_topology(net)
-        self._begin(graph, net)
+    def _order(self, graph: TaskGraph, net: NetworkTopology) -> list[TaskId]:
         ranks = upward_ranks(graph, net.mean_processor_speed(), self._mls)
-        procs = sorted(net.processors(), key=lambda p: p.vid)
-        pstate = ProcessorState()
-        indeg = {t: len(graph.predecessors(t)) for t in graph.task_ids()}
-        ready = [(-ranks[t], t) for t, d in indeg.items() if d == 0]
-        heapq.heapify(ready)
-        while ready:
-            _, tid = heapq.heappop(ready)
-            self._place_task(graph, net, tid, procs, pstate)
-            for s in graph.successors(tid):
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    heapq.heappush(ready, (-ranks[s], s))
-        return self._finish(graph, net, pstate)
+        return priority_order(graph, ranks)
 
-    def _begin(self, graph: TaskGraph, net: NetworkTopology) -> None:
-        self._arrivals = {}
-        self._mls = net.mean_link_speed() if net.num_links else 1.0
-
-    def _comm_time(self, cost: float, src_proc: int, dst_proc: int) -> float:
-        if src_proc == dst_proc or cost <= 0:
-            return 0.0
-        return cost / self._mls
-
-    def _place_task(
-        self,
-        graph: TaskGraph,
-        net: NetworkTopology,
-        tid: TaskId,
-        procs: list[Vertex],
-        pstate: ProcessorState,
-    ) -> None:
-        weight = graph.task(tid).weight
-        best: tuple[float, int, float] | None = None
-        for proc in procs:
-            t_dr = 0.0
-            for e in graph.in_edges(tid):
-                src_pl = pstate.placement(e.src)
-                arrival = src_pl.finish + self._comm_time(
-                    e.cost, src_pl.processor, proc.vid
-                )
-                t_dr = max(t_dr, arrival)
-            _, _, finish = pstate.probe(
-                proc.vid, weight / proc.speed, t_dr, insertion=True
-            )
-            key = (finish, proc.vid, t_dr)
-            if best is None or key[:2] < best[:2]:
-                best = key
-        assert best is not None
-        _, vid, t_dr = best
-        proc = next(p for p in procs if p.vid == vid)
-        for e in graph.in_edges(tid):
-            src_pl = pstate.placement(e.src)
-            self._arrivals[e.key] = src_pl.finish + self._comm_time(
-                e.cost, src_pl.processor, proc.vid
-            )
-        pstate.place(tid, proc.vid, weight / proc.speed, t_dr, insertion=True)
-
-    def _finish(
-        self, graph: TaskGraph, net: NetworkTopology, pstate: ProcessorState
-    ) -> Schedule:
-        return Schedule(
-            algorithm=self.name,
-            graph=graph,
-            net=net,
-            placements=pstate.placements(),
-            edge_arrivals=dict(self._arrivals),
-        )
+    def _book_remote(
+        self, net: NetworkTopology, e: CommEdge, src: VertexId, dst: VertexId, ready: float
+    ) -> float:
+        return ready + e.cost / self._mls

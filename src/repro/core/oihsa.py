@@ -13,6 +13,9 @@ Four policy points, per the paper:
    basic insertion) — load-adaptive instead of hop-count BFS.
 4. **Optimal insertion** (4.4): slots of already-booked edges may be deferred
    within their causality slack to open earlier gaps (Lemma 2 / Theorem 1).
+
+BBSA shares the first three (:class:`repro.core.base.MLSScheduler`); the
+route search and the booking are OIHSA's own.
 """
 
 from __future__ import annotations
@@ -20,25 +23,19 @@ from __future__ import annotations
 from bisect import bisect_left
 from heapq import heappop, heappush
 from math import inf
+from typing import Any
 
-from repro.core.base import ContentionScheduler
-from repro.core.schedule import Schedule
-from repro.exceptions import RoutingError, SchedulingError
+from repro.core.base import MLSScheduler
+from repro.exceptions import RoutingError
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.linksched.insertion import schedule_edge_basic
 from repro.linksched.optimal_insertion import schedule_edge_optimal
 from repro.linksched.state import LinkScheduleState, _LinkQueue  # repro-lint: disable=TXN001 (type-only use below)
-from repro.network.routing import (
-    _check_endpoints,
-    _forced_route,
-    _report_dijkstra,
-    bfs_route,
-)
-from repro.network.topology import Link, NetworkTopology, Route, Vertex
-from repro.obs import OBS, span
-from repro.procsched.state import ProcessorState
-from repro.taskgraph.graph import TaskGraph
-from repro.types import EdgeKey, LinkId, TaskId
+from repro.network.routing import _check_endpoints, _forced_route, _report_dijkstra
+from repro.network.topology import Link, NetworkTopology, Route
+from repro.obs import span
+from repro.taskgraph.graph import CommEdge, TaskGraph
+from repro.types import LinkId, VertexId
 
 
 def _dijkstra_indexed(
@@ -181,7 +178,7 @@ def _dijkstra_indexed(
     return route
 
 
-class OIHSAScheduler(ContentionScheduler):
+class OIHSAScheduler(MLSScheduler):
     """Contention-aware scheduling with deferral-based optimal insertion."""
 
     name = "oihsa"
@@ -205,92 +202,28 @@ class OIHSAScheduler(ContentionScheduler):
         self.local_comm_exempt = local_comm_exempt
         self.comm = comm
         self._lstate = LinkScheduleState()
-        self._arrivals: dict[EdgeKey, float] = {}
-        self._mls = 1.0
 
     def _begin(self, graph: TaskGraph, net: NetworkTopology) -> None:
+        super()._begin(graph, net)
         self._lstate = LinkScheduleState()
-        self._arrivals = {}
-        self._mls = net.mean_link_speed() if net.num_links else 1.0
 
-    # -- routing + booking --------------------------------------------------
-
-    def _route(
-        self,
-        net: NetworkTopology,
-        src: int,
-        dst: int,
-        cost: float,
-        ready: float,
+    def _search(
+        self, net: NetworkTopology, src: int, dst: int, cost: float, ready: float
     ) -> Route:
-        if not self.modified_routing:
-            with span("routing"):
-                return bfs_route(net, src, dst)
+        queues = self._lstate._queues  # repro-lint: disable=TXN001 (read-only hoist: no per-probe method call)
+        return _dijkstra_indexed(net, src, dst, ready, cost, queues)
 
-        if cost < 0:
-            raise SchedulingError(f"negative communication cost {cost}")
-        lstate = self._lstate
-        queues = lstate._queues  # repro-lint: disable=TXN001 (read-only hoist: no per-probe method call)
-        with span("routing"):
-            return _dijkstra_indexed(net, src, dst, ready, cost, queues)
+    def _book_local(self, e: CommEdge, ready: float) -> float:
+        self._lstate.record_route(e.key, ())
+        return ready
 
-    def _place_task(
-        self,
-        graph: TaskGraph,
-        net: NetworkTopology,
-        tid: TaskId,
-        procs: list[Vertex],
-        pstate: ProcessorState,
-    ) -> None:
-        with span("processor_selection"):
-            proc = self._mls_select_processor(
-                graph, tid, procs, pstate, self._mls,
-                local_comm_exempt=self.local_comm_exempt,
-            )
-        if OBS.on:
-            OBS.metrics.counter("scheduler.processors_chosen").inc()
-            OBS.emit(
-                "processor_chosen",
-                task=tid,
-                proc=proc.vid,
-                policy="mls-estimate",
-                candidates=len(procs),
-            )
-        weight = graph.task(tid).weight
-        if self.edge_priority:
-            edges = self._in_edges_by_cost(graph, tid)
-        else:
-            edges = sorted(graph.in_edges(tid), key=lambda e: e.src)
+    def _book_remote(
+        self, net: NetworkTopology, e: CommEdge, src: VertexId, dst: VertexId, ready: float
+    ) -> float:
+        route = self._route(net, src, dst, e.cost, ready)
         book = schedule_edge_optimal if self.optimal_insertion else schedule_edge_basic
-        t_dr = 0.0
-        for e in edges:
-            src_pl = pstate.placement(e.src)
-            if src_pl.processor == proc.vid:
-                arrival = src_pl.finish
-                self._lstate.record_route(e.key, ())
-            else:
-                route = self._route(
-                    net, src_pl.processor, proc.vid, e.cost, src_pl.finish
-                )
-                with span("insertion"):
-                    arrival = book(
-                        self._lstate, e.key, route, e.cost, src_pl.finish, self.comm
-                    )
-            self._arrivals[e.key] = arrival
-            t_dr = max(t_dr, arrival)
-        self._place_on(pstate, tid, proc, weight, t_dr, insertion=self.task_insertion)
+        with span("insertion"):
+            return book(self._lstate, e.key, route, e.cost, ready, self.comm)
 
-    def _finish(
-        self, graph: TaskGraph, net: NetworkTopology, pstate: ProcessorState
-    ) -> Schedule:
-        if not self._arrivals and graph.num_edges:
-            raise SchedulingError("internal error: no edges were booked")
-        return Schedule(
-            algorithm=self.name,
-            graph=graph,
-            net=net,
-            placements=pstate.placements(),
-            edge_arrivals=dict(self._arrivals),
-            link_state=self._lstate,
-            comm=self.comm,
-        )
+    def _link_engine(self) -> dict[str, Any]:
+        return {"link_state": self._lstate, "comm": self.comm}

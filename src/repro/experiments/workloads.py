@@ -44,6 +44,51 @@ def scheduler_cost_workload() -> WorkloadInstance:
     return paper_workload(ExperimentConfig.default(), **SCHEDULER_COST_PARAMS)
 
 
+def scheduler_cost_run(algo: str) -> dict:
+    """One instrumented ``schedule()`` of ``algo`` on the scheduler-cost workload.
+
+    Returns ``{"wall_s", "makespan", "phases", "counters"}``: the phases are
+    routing, insertion, processor selection and task placement, and the
+    counters are the process-wide instruments, reset just before the run.
+
+    - Each call builds a **fresh** workload instance: route tables and probe
+      caches live on the topology, so a shared one would make the counters
+      depend on which algorithms ran before it.
+    - The mapping searches score with the Python kernel, so the counters do
+      not depend on whether the C kernel is built: an ``auto`` kernel counts
+      a fallback where it is missing, and the C kernel never rebuilds a
+      prefix.
+
+    Every counter is then a pure function of the algorithm and the
+    workload, which is what lets ``repro runs compare`` check a fresh run
+    against the committed ``BENCH_scheduler_cost.json`` on any machine.
+    """
+    from time import perf_counter
+
+    from repro import obs
+    from repro.core import SCHEDULERS
+
+    workload = scheduler_cost_workload()
+    kwargs = {"kernel": "python"} if algo in ("annealing", "genetic") else {}
+    obs.enable(obs.NullSink())
+    obs.reset()
+    try:
+        t0 = perf_counter()
+        schedule = SCHEDULERS[algo](**kwargs).schedule(workload.graph, workload.net)
+        wall = perf_counter() - t0
+        timings = obs.PROFILER.snapshot()
+        counters = obs.METRICS.snapshot()["counters"]
+    finally:
+        obs.disable()
+    phases = ("routing", "insertion", "processor_selection", "task_placement")
+    return {
+        "wall_s": wall,
+        "makespan": schedule.makespan,
+        "phases": {p: timings.get(p, {"total": 0.0, "count": 0}) for p in phases},
+        "counters": counters,
+    }
+
+
 def paper_workload(
     config: ExperimentConfig,
     ccr: float,

@@ -66,16 +66,24 @@ def critical_path_length(graph: TaskGraph) -> float:
 def priority_list(graph: TaskGraph) -> list[TaskId]:
     """Schedule order: descending bottom level, precedence-safe.
 
-    Implemented as a Kahn sweep that always releases the ready task with the
-    highest bottom level, so the result is simultaneously a topological order
-    and (for positive weights) the descending-``bl`` order the paper uses.
-    Ties break on ascending task id for determinism.
+    The paper's order: :func:`priority_order` keyed by
+    :func:`bottom_levels`, so the result is simultaneously a topological
+    order and (for positive weights) the descending-``bl`` order.
+    """
+    return priority_order(graph, bottom_levels(graph))
+
+
+def priority_order(graph: TaskGraph, priority: dict[TaskId, float]) -> list[TaskId]:
+    """A Kahn sweep that always releases the ready task of highest priority.
+
+    Ties break on ascending task id for determinism.  Any priority map gives
+    a topological order; list schedulers differ only in the map (bottom
+    level here, HEFT's ``rank_u``, CPOP's ``rank_u + rank_d``).
     """
     import heapq
 
-    bl = bottom_levels(graph)
     indeg = {t: len(graph.predecessors(t)) for t in graph.task_ids()}
-    ready = [(-bl[t], t) for t, d in indeg.items() if d == 0]
+    ready = [(-priority[t], t) for t, d in indeg.items() if d == 0]
     heapq.heapify(ready)
     order: list[TaskId] = []
     while ready:
@@ -84,7 +92,7 @@ def priority_list(graph: TaskGraph) -> list[TaskId]:
         for s in graph.successors(t):
             indeg[s] -= 1
             if indeg[s] == 0:
-                heapq.heappush(ready, (-bl[s], s))
+                heapq.heappush(ready, (-priority[s], s))
     if len(order) != graph.num_tasks:
         from repro.exceptions import CycleError
 

@@ -44,9 +44,11 @@ def schedule_to_svg(schedule: Schedule, *, include_links: bool = True) -> str:
     makespan = max(schedule.makespan, 1e-9)
     scale = _CHART_W / makespan
     procs = sorted(p.vid for p in schedule.net.processors())
+    # Circuit and packet bookings are both (edge, start, finish) slots.
+    slots = schedule.link_state if schedule.link_state is not None else schedule.packet_state
     link_ids: list[int] = []
-    if include_links and schedule.link_state is not None:
-        link_ids = sorted(schedule.link_state.used_links())
+    if include_links and slots is not None:
+        link_ids = sorted(slots.used_links())
     elif include_links and schedule.bandwidth_state is not None:
         link_ids = sorted(
             {lid for r in schedule.bandwidth_state.routes().values() for lid in r}
@@ -84,8 +86,8 @@ def schedule_to_svg(schedule: Schedule, *, include_links: bool = True) -> str:
     for lid in link_ids:
         name = schedule.net.link(lid).name or f"L{lid}"
         parts.append(_text(10, y + _LANE_H / 2 + 4, name))
-        if schedule.link_state is not None:
-            for slot in schedule.link_state.slots(lid):
+        if slots is not None:
+            for slot in slots.slots(lid):
                 x = _LABEL_W + slot.start * scale
                 w = slot.duration * scale
                 parts.append(

@@ -104,11 +104,13 @@ def schedule_to_trace(
             }
         )
 
-    if schedule.link_state is not None:
-        for lid in sorted(schedule.link_state.used_links()):
+    # Circuit and packet bookings are both (edge, start, finish) slots.
+    slots = schedule.link_state if schedule.link_state is not None else schedule.packet_state
+    if slots is not None:
+        for lid in sorted(slots.used_links()):
             pid = LINK_PID_BASE + lid
             _link_meta(events, pid, schedule.net.link(lid).name or f"L{lid}")
-            for slot in schedule.link_state.slots(lid):
+            for slot in slots.slots(lid):
                 events.append(
                     {
                         "name": f"{slot.edge[0]}->{slot.edge[1]}",

@@ -186,6 +186,13 @@ class TestProfile:
             wall, scoring, other = float(cells[-7]), float(cells[-2]), float(cells[-1])
             assert scoring > other and scoring > wall / 2
 
+    def test_every_scheduler_profiles(self, capsys):
+        from repro.core import SCHEDULERS
+
+        assert main(["profile", "--scale", "smoke", "--algorithms", *SCHEDULERS]) == 0
+        rows = capsys.readouterr().out.splitlines()[4:]
+        assert [row.split()[0] for row in rows] == list(SCHEDULERS)
+
     def test_unknown_algorithm_fails(self, capsys):
         assert main(["profile", "--scale", "smoke", "--algorithms", "nope"]) == 2
         assert "unknown algorithm" in capsys.readouterr().out

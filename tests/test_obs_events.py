@@ -4,6 +4,7 @@ disabled-by-default behavior, and BA-vs-OIHSA decision divergence."""
 import pytest
 
 from repro import obs
+from repro.core import SCHEDULERS
 from repro.core.annealing import AnnealingScheduler
 from repro.core.ba import BAScheduler
 from repro.core.genetic import GeneticScheduler
@@ -163,10 +164,9 @@ class TestBackToBackStats:
         ]
 
 
-#: list schedulers and mapping searches (kept small) that attach stats
+#: every registered scheduler, the mapping searches kept small
 STATS_SCHEDULERS = {
-    "ba": BAScheduler,
-    "oihsa": OIHSAScheduler,
+    **SCHEDULERS,
     "annealing": lambda: AnnealingScheduler(iterations=20),
     "genetic": lambda: GeneticScheduler(population=4, generations=2),
 }

@@ -25,9 +25,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import repro.core.ba as ba_mod
+import repro.core.base as base_mod
 import repro.core.bbsa as bbsa_mod
 import repro.core.oihsa as oihsa_mod
-import repro.core.packetba as packetba_mod
 from repro import obs
 from repro.core import SCHEDULERS
 from repro.core.ba import BAScheduler
@@ -200,32 +200,37 @@ topologies = st.one_of(
     ),
 )
 
-# (scheduler name, [(module attr, naive impl)], module, routing probe counter)
+# (scheduler name, [(module, attr, naive impl)], routing probe counter).
+# OIHSA's and BBSA's BFS fallback lives in ``base``; packet-ba routes
+# through BA's.
 _CASES = [
     (
         "ba",
-        [("LinkScheduleState", NaiveLinkScheduleState), ("bfs_route", naive_bfs_route)],
-        ba_mod,
+        [
+            (ba_mod, "LinkScheduleState", NaiveLinkScheduleState),
+            (ba_mod, "bfs_route", naive_bfs_route),
+        ],
         None,
     ),
     (
         "oihsa",
         [
-            ("LinkScheduleState", NaiveLinkScheduleState),
-            ("_dijkstra_indexed", naive_dijkstra_indexed),
-            ("schedule_edge_optimal", naive_schedule_edge_optimal),
-            ("bfs_route", naive_bfs_route),
+            (oihsa_mod, "LinkScheduleState", NaiveLinkScheduleState),
+            (oihsa_mod, "_dijkstra_indexed", naive_dijkstra_indexed),
+            (oihsa_mod, "schedule_edge_optimal", naive_schedule_edge_optimal),
+            (base_mod, "bfs_route", naive_bfs_route),
         ],
-        oihsa_mod,
         "insertion.probes",
     ),
     (
         "bbsa",
-        [("_dijkstra_fluid", naive_dijkstra_fluid), ("bfs_route", naive_bfs_route)],
-        bbsa_mod,
+        [
+            (bbsa_mod, "_dijkstra_fluid", naive_dijkstra_fluid),
+            (base_mod, "bfs_route", naive_bfs_route),
+        ],
         "bandwidth.probes",
     ),
-    ("packet-ba", [("bfs_route", naive_bfs_route)], packetba_mod, None),
+    ("packet-ba", [(ba_mod, "bfs_route", naive_bfs_route)], None),
 ]
 
 #: what the optimal-insertion booking reports; its oracle reports nothing
@@ -306,7 +311,7 @@ class TestSchedulerDifferential:
     @given(graph=graphs, net=topologies)
     def test_optimized_matches_naive_reference(self, name, comm, graph, net):
         case = next(c for c in _CASES if c[0] == name)
-        _, patches, module, probe_counter = case
+        _, patches, probe_counter = case
         cls = SCHEDULERS[name]
         comm_kw = _comm_kwargs(name, comm)
 
@@ -321,14 +326,14 @@ class TestSchedulerDifferential:
             instrumented = cls(**comm_kw).schedule(graph, net)
 
             # 3. Naive reference, obs on, seed algorithms monkeypatched in.
-            saved = [(attr, getattr(module, attr)) for attr, _ in patches]
+            saved = [(module, attr, getattr(module, attr)) for module, attr, _ in patches]
             try:
-                for attr, impl in patches:
+                for module, attr, impl in patches:
                     setattr(module, attr, impl)
                 obs.reset()
                 reference = cls(**comm_kw).schedule(graph, net)
             finally:
-                for attr, impl in saved:
+                for module, attr, impl in saved:
                     setattr(module, attr, impl)
         finally:
             obs.disable()
@@ -338,7 +343,7 @@ class TestSchedulerDifferential:
             assert fast.placements == other.placements
             assert fast.edge_arrivals == other.edge_arrivals
             assert _link_slot_lists(fast) == _link_slot_lists(other)
-        booking = any(attr == "schedule_edge_optimal" for attr, _ in patches)
+        booking = any(attr == "schedule_edge_optimal" for _, attr, _ in patches)
         assert _comparable_counters(
             instrumented.stats, probe_counter, booking
         ) == _comparable_counters(reference.stats, probe_counter, booking)

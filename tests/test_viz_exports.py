@@ -8,6 +8,7 @@ import pytest
 from repro.core.ba import BAScheduler
 from repro.core.bbsa import BBSAScheduler
 from repro.core.classic import ClassicScheduler
+from repro.core.packetba import PacketBAScheduler
 from repro.viz.svg import schedule_to_svg
 from repro.viz.trace import LINK_PID_BASE, schedule_to_trace
 
@@ -19,6 +20,7 @@ def schedules(diamond4, net4, fork8, wan16):
         # fork-join on a WAN guarantees cross-processor (bandwidth) traffic
         "bbsa": BBSAScheduler().schedule(fork8, wan16),
         "classic": ClassicScheduler().schedule(diamond4, net4),
+        "packet-ba": PacketBAScheduler().schedule(fork8, wan16),
     }
 
 
@@ -33,8 +35,10 @@ class TestSvg:
             assert f"task {tid}:" in svg
 
     def test_link_lanes_for_slot_schedules(self, schedules):
-        svg = schedule_to_svg(schedules["ba"])
-        assert "edge 0-&gt;" in svg or "edge 0->" in svg
+        # Circuit-switched slots and packet slots both get link lanes.
+        for algo in ("ba", "packet-ba"):
+            svg = schedule_to_svg(schedules[algo])
+            assert "edge 0-&gt;" in svg or "edge 0->" in svg, algo
 
     def test_bandwidth_lanes(self, schedules):
         svg = schedule_to_svg(schedules["bbsa"])
@@ -62,9 +66,15 @@ class TestTrace:
         assert len(task_events) == len(s.placements)
 
     def test_link_events_present(self, schedules):
-        doc = json.loads(schedule_to_trace(schedules["ba"]))
-        link_events = [e for e in doc["traceEvents"] if e.get("pid", 0) >= 10_000]
-        assert link_events
+        for algo in ("ba", "packet-ba"):
+            doc = json.loads(schedule_to_trace(schedules[algo]))
+            link_events = [e for e in doc["traceEvents"] if e.get("pid", 0) >= 10_000]
+            assert [e for e in link_events if e["ph"] == "X"], algo
+        # One slice per booked packet.
+        packets = schedules["packet-ba"].packet_state
+        doc = json.loads(schedule_to_trace(schedules["packet-ba"]))
+        slices = [e for e in doc["traceEvents"] if e["ph"] == "X" and e["pid"] >= LINK_PID_BASE]
+        assert len(slices) == sum(len(packets.slots(lid)) for lid in packets.used_links())
 
     def test_bandwidth_counters(self, schedules):
         doc = json.loads(schedule_to_trace(schedules["bbsa"]))

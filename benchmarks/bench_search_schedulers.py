@@ -23,9 +23,6 @@ prefix/route-table hit rates are derived.  The pytest run writes
 ``BENCH_search_schedulers.json`` to the working directory; CI compares it
 against the committed baseline with ``benchmarks/compare_scheduler_cost.py``
 (the report shares its layout), so any makespan drift fails the build.
-Run it from the repository root
-(``python -m pytest benchmarks/bench_search_schedulers.py``) so ``tests``
-is importable.
 """
 
 import hashlib

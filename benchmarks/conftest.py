@@ -14,10 +14,18 @@ Scale knobs (environment variable):
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
+
+# Benches that diff against the retained oracles import ``tests.naive_reference``;
+# the repository root makes that importable from any working directory.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "smoke")
 

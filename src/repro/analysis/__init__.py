@@ -2,7 +2,7 @@
 
 A small AST-based linter that turns this reproduction's correctness
 conventions — determinism (PR 2), the obs-off discipline (PR 1/3), the
-undo-log transaction contract (PR 3), and float tolerance hygiene around
+undo log's private containers, and float tolerance hygiene around
 the paper's causality condition — into machine-checked rules.  Stdlib-only
 and import-light so ``repro lint`` starts fast in editors and CI.
 

@@ -1,11 +1,10 @@
 """Per-function control-flow graphs for the flow-sensitive lint rules.
 
-The per-line rules of PR 4 see one statement at a time; the invariants that
-matter most to this repo — "every ``begin()`` reaches a ``commit()`` or
-``rollback()`` on *every* path", "this emission only runs when ``OBS.on``
-held" — are properties of *paths*, not lines.  This module lowers one
-function (or the module body) into a statement-level CFG that the dataflow
-engine (:mod:`repro.analysis.dataflow`) runs fixpoints over.
+Per-line rules see one statement at a time; an invariant such as "this
+emission only runs when ``OBS.on`` held" is a property of *paths*, not
+lines.  This module lowers one function (or the module body) into a
+statement-level CFG whose dominators :mod:`repro.analysis.dataflow`
+computes.
 
 Design notes:
 
@@ -24,8 +23,9 @@ Design notes:
   attribute/subscript access, arithmetic, ``raise``/``assert``) gets an
   edge to the innermost enclosing handler — the first ``except`` head, a
   ``finally`` entry, or the function exit.  This is deliberately
-  conservative: the transaction rules exist precisely because mid-probe
-  exceptions are how transactions leak.
+  conservative: a handler is dominated only by what precedes every
+  statement of its ``try`` body that may raise, so a guard test inside the
+  body never counts as guarding the handler.
 - **``finally`` is single-copy.**  A ``finally`` body appears once, with a
   synthetic ``finexit`` dispatch node fanning out to every continuation
   that can run it (normal fall-through, exception re-raise, routed
@@ -83,7 +83,6 @@ class CFGNode:
         "exprs",
         "succ",
         "pred",
-        "exc",
         "branch",
         "test",
     )
@@ -103,12 +102,6 @@ class CFGNode:
         self.exprs = exprs
         self.succ: list[int] = []
         self.pred: list[int] = []
-        #: subset of ``succ`` entered only when *this node's own* evaluation
-        #: raises.  ``normal_succ`` filters them out — the distinction rules
-        #: need for effects that only happen on successful evaluation (a
-        #: ``begin()`` that raises opened nothing, so its exception edge is
-        #: not a leak path).
-        self.exc: list[int] = []
         #: for ``arm`` nodes: which outcome of ``test`` this arm is
         #: (``"true"``/``"false"``/``"iter"``/``"exhaust"``/``"break"``)
         self.branch = branch
@@ -118,14 +111,6 @@ class CFGNode:
     @property
     def lineno(self) -> int:
         return getattr(self.ast_node, "lineno", 0)
-
-    @property
-    def normal_succ(self) -> list[int]:
-        """Successors reached when this node evaluates without raising."""
-        if not self.exc:
-            return self.succ
-        exc = set(self.exc)
-        return [s for s in self.succ if s not in exc]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = type(self.ast_node).__name__ if self.ast_node is not None else ""
@@ -139,8 +124,6 @@ class CFG:
     def __init__(self, scope: Scope) -> None:
         self.scope = scope
         self.nodes: list[CFGNode] = []
-        #: id(ast stmt) -> node index, for every non-synthetic node
-        self._by_stmt: dict[int, int] = {}
         self.entry = self._new("entry").index
         self.exit = self._new("exit").index
 
@@ -156,31 +139,19 @@ class CFG:
     ) -> CFGNode:
         node = CFGNode(len(self.nodes), kind, ast_node, exprs, branch, test)
         self.nodes.append(node)
-        if ast_node is not None and id(ast_node) not in self._by_stmt:
-            self._by_stmt[id(ast_node)] = node.index
         return node
 
     def _edge(self, src: int, dst: int) -> None:
-        """Add a *normal* edge.  If ``dst`` was previously reachable from
-        ``src`` only by raising (e.g. a ``return`` whose expression may
-        raise, routed into the same ``finally`` its exception would enter),
-        the normal edge wins: the target is no longer exception-only."""
+        """Add the edge ``src -> dst`` unless it is already there."""
         node = self.nodes[src]
         if dst not in node.succ:
             node.succ.append(dst)
             self.nodes[dst].pred.append(src)
-        if dst in node.exc:
-            node.exc.remove(dst)
 
     # -- queries ---------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def node_of(self, stmt: ast.AST) -> CFGNode | None:
-        """The node representing ``stmt``, if the statement is in this scope."""
-        index = self._by_stmt.get(id(stmt))
-        return self.nodes[index] if index is not None else None
 
     def calls_at(self, index: int) -> Iterator[ast.Call]:
         """Every call evaluated *at* node ``index`` (lambda bodies excluded)."""
@@ -282,15 +253,8 @@ class _Builder:
     # -- plumbing --------------------------------------------------------------
 
     def _raise_edge(self, index: int) -> None:
-        """Add an exception edge; a pre-existing normal edge to the same
-        target subsumes it (the target is then not exception-only)."""
-        target = self._raise_targets[-1]
-        node = self.cfg.nodes[index]
-        if target in node.succ:
-            return
-        node.succ.append(target)
-        self.cfg.nodes[target].pred.append(index)
-        node.exc.append(target)
+        """Add the edge taken when node ``index`` raises."""
+        self.cfg._edge(index, self._raise_targets[-1])
 
     def _route_jump(self, src: int, target: int, fin_depth: int) -> None:
         """Edge ``src`` to ``target`` through every finally opened past

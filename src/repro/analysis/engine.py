@@ -244,8 +244,8 @@ class LintContext:
         """The (memoized) control-flow graph of a function or module scope.
 
         Rules running flow queries share one CFG per scope per file; the
-        fixpoint analyses themselves are cheap relative to building the
-        graph, so they are not cached here.
+        dominator fixpoint is cheap relative to building the graph, so it
+        is not cached here.
         """
         from repro.analysis.cfg import build_cfg
 

@@ -9,8 +9,8 @@ Rule families (ids are ``FAMILY###``), one module each:
 - ``OBS`` — obs-off discipline: hot-path emissions behind ``OBS.on``,
 - ``PUR`` — worker purity: ProcessPool entry points stay deterministic
   and picklable,
-- ``TXN`` — transaction safety for the link-schedule undo log
-  (``TXN1xx`` are flow-sensitive, built on the CFG/dataflow framework).
+- ``TXN`` — transaction safety: only ``linksched/state.py`` touches the
+  containers its undo log keeps consistent.
 
 See ``docs/static_analysis.md`` for each rule's paper/PR rationale and how
 to add a new one.

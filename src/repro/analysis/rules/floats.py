@@ -4,11 +4,11 @@ Schedule instants accumulate an EPS fuzz per OIHSA deferral (see
 ``repro/linksched/optimal_insertion.py``), so exact float equality in
 decision or validation logic is a latent correctness bug: two runs that are
 semantically identical can diverge on the last ulp.  Tolerance comparison
-lives in two audited places — :mod:`repro.linksched.causality`
-(``CAUSALITY_EPS`` band checks) and :mod:`repro.utils.intervals` — which are
-exempt from this rule.  The few intentional exact comparisons elsewhere
-(e.g. the ``room == 0.0`` fast path, exact because ``accum`` and
-``gap_after`` are clamped) carry inline suppressions explaining why.
+lives in one audited place, :mod:`repro.linksched.causality`
+(``CAUSALITY_EPS`` band checks), which is exempt from this rule.  The few
+intentional exact comparisons elsewhere (e.g. the ``room == 0.0`` fast
+path, exact because ``accum`` and ``gap_after`` are clamped) carry inline
+suppressions explaining why.
 """
 
 from __future__ import annotations
@@ -102,11 +102,10 @@ class FloatEqualityRule(Rule):
     rationale = (
         "Deferral arithmetic carries an EPS fuzz (Lemma 2 slack cascades), so "
         "exact float equality can flip on the last ulp; compare with the "
-        "CAUSALITY_EPS band (linksched.causality) or interval helpers "
-        "(utils.intervals) instead."
+        "CAUSALITY_EPS band (linksched.causality) instead."
     )
     include = ("repro",)
-    exclude = ("repro/linksched/causality.py", "repro/utils/intervals.py")
+    exclude = ("repro/linksched/causality.py",)
 
     def check(self, tree: ast.Module, ctx: LintContext) -> None:
         for scope in scopes(tree):

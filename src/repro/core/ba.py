@@ -12,8 +12,9 @@ figures were measured against:
     the earliest task finish "while ignoring the effect of edge
     communication": ``min_P max(latest pred finish, t_f(P)) + w/s(P)``.
   * ``"tentative"`` — Sinnen-faithful: every processor is probed by
-    tentatively booking all in-edges under a link transaction and rolled
-    back; the earliest *actual* finish wins.  Much stronger and slower.
+    booking all in-edges inside ``LinkScheduleState.tentative()``, which
+    undoes them on exit; the earliest *actual* finish wins.  Much stronger
+    and slower.
 
 - ``shared_ready_time``:
   * ``True`` (default) — per the paper, "the start time of the communication
@@ -89,7 +90,7 @@ class BAScheduler(ContentionScheduler):
         if self.processor_choice == "blind-eft":
             weight = graph.task(tid).weight
             return self._earliest_finish(procs, pstate, weight, self._latest, {})
-        # Tentative probing books and rolls back real link slots; keep the
+        # Tentative probing books and undoes real link slots; keep the
         # decision log to committed work only (counters still accumulate).
         with OBS.bus.quiet():
             return super()._select_processor(graph, net, tid, procs, pstate)
@@ -105,14 +106,11 @@ class BAScheduler(ContentionScheduler):
     ) -> float:
         if arrivals is not None:
             return super()._book_in_edges(graph, net, tid, proc, pstate, arrivals)
-        # A tentative probe books real slots: roll them back.
+        # A tentative probe books real slots, undone when the block exits.
         if OBS.on:
             OBS.metrics.counter("scheduler.processors_probed").inc()
-        self._lstate.begin()
-        try:
+        with self._lstate.tentative():
             return super()._book_in_edges(graph, net, tid, proc, pstate, None)
-        finally:
-            self._lstate.rollback()
 
     def _edge_order(self, graph: TaskGraph, tid: TaskId) -> list[CommEdge]:
         return sorted(graph.in_edges(tid), key=lambda e: e.src)

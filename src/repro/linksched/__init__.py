@@ -3,8 +3,8 @@
 This package is the substrate the paper's contribution runs on:
 
 - :mod:`repro.linksched.slots` — immutable time slots and gap search,
-- :mod:`repro.linksched.state` — per-link indexed queues with undo-log
-  transactions (cheap tentative scheduling / rollback),
+- :mod:`repro.linksched.state` — per-link indexed queues with undo-logged
+  tentative booking (cheap "what if" probes, undone on exit),
 - :mod:`repro.linksched.insertion` — BA's basic insertion,
 - :mod:`repro.linksched.optimal_insertion` — OIHSA's deferral-based optimal
   insertion (Section 4.4 of the paper),
@@ -28,7 +28,6 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     "LinkScheduleState": "state",
     "probe_basic": "insertion",
     "schedule_edge_basic": "insertion",
-    "probe_route_basic": "insertion",
     "deferrable_time": "optimal_insertion",
     "schedule_edge_optimal": "optimal_insertion",
     "Cumulative": "bandwidth",

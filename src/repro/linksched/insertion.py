@@ -87,28 +87,3 @@ def schedule_edge_basic(
         )
     return finish
 
-
-def probe_route_basic(
-    state: LinkScheduleState,
-    route: Route,
-    cost: float,
-    ready_time: float,
-    comm: CommModel = CUT_THROUGH,
-) -> float:
-    """Arrival time the edge *would* get on ``route`` — single-edge, no commit.
-
-    Exact only when nothing else is scheduled in between; BA's processor
-    probe instead replays :func:`schedule_edge_basic` under a transaction
-    because sibling edges interact on shared links.
-    """
-    if cost < 0:
-        raise SchedulingError(f"negative communication cost {cost}")
-    if not route or cost <= 0:
-        return ready_time
-    est = ready_time
-    min_finish = 0.0
-    finish = ready_time
-    for link in route:
-        _, start, finish = probe_basic(state, link, cost, est, min_finish)
-        est, min_finish = comm.next_constraints(start, finish)
-    return finish

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.exceptions import SchedulingError
+from repro.linksched.slots import find_gap_indexed
 from repro.network.topology import Route
 from repro.types import EdgeKey, LinkId
 
@@ -48,25 +49,20 @@ class PacketSlot:
         return self.finish - self.start
 
 
-def _find_packet_gap(
-    slots: list[PacketSlot], duration: float, est: float
-) -> tuple[int, float, float]:
-    """Earliest idle gap of ``duration`` starting at or after ``est``."""
-    prev_finish = 0.0
-    for i, slot in enumerate(slots):
-        start = max(prev_finish, est)
-        if start + duration <= slot.start:
-            return i, start, start + duration
-        prev_finish = slot.finish
-    start = max(prev_finish, est)
-    return len(slots), start, start + duration
-
-
 @dataclass
 class PacketLinkState:
-    """Per-link packet queues plus per-edge route bookkeeping."""
+    """Per-link packet queues plus per-edge route bookkeeping.
+
+    Each queue is sorted by start and keeps its slots' starts and finishes
+    in parallel lists, as :class:`repro.linksched.state.LinkScheduleState`
+    does, for the bisecting gap search
+    :func:`repro.linksched.slots.find_gap_indexed`.
+    """
 
     _queues: dict[LinkId, list[PacketSlot]] = field(default_factory=dict)
+    #: derived from ``_queues`` (``_starts[lid][i] == _queues[lid][i].start``)
+    _starts: dict[LinkId, list[float]] = field(default_factory=dict, init=False)
+    _finishes: dict[LinkId, list[float]] = field(default_factory=dict, init=False)
     _routes: dict[EdgeKey, tuple[LinkId, ...]] = field(default_factory=dict)
     _packets: dict[EdgeKey, int] = field(default_factory=dict)
 
@@ -100,6 +96,8 @@ class PacketLinkState:
     def restore_slots(self, lid: LinkId, slots: list[PacketSlot]) -> None:
         """Install a deserialized per-link packet queue verbatim (in order)."""
         self._queues[lid] = list(slots)
+        self._starts[lid] = [s.start for s in slots]
+        self._finishes[lid] = [s.finish for s in slots]
 
     def slots_of(self, edge: EdgeKey, lid: LinkId) -> list[PacketSlot]:
         """This edge's packet slots on one link, in packet order."""
@@ -137,18 +135,30 @@ class PacketLinkState:
         self._routes[edge] = tuple(l.lid for l in route)
         self._packets[edge] = n_packets
         packet_cost = cost / n_packets
+        lanes = []  # (queue, starts, finishes, packet duration) per route link
+        for link in route:
+            lid = link.lid
+            if lid not in self._queues:
+                self._queues[lid], self._starts[lid], self._finishes[lid] = [], [], []
+            lanes.append((
+                self._queues[lid],
+                self._starts[lid],
+                self._finishes[lid],
+                packet_cost / link.speed,
+            ))
         # prev_on_link[m] = finish of the previous packet on route link m.
         prev_on_link = [0.0] * len(route)
         arrival = ready_time
         for p in range(n_packets):
             upstream = ready_time  # packet fully available at the source
-            for m, link in enumerate(route):
-                queue = self._queues.setdefault(link.lid, [])
+            for m, (queue, starts, finishes, duration) in enumerate(lanes):
                 est = max(upstream, prev_on_link[m])
-                index, start, finish = _find_packet_gap(
-                    queue, packet_cost / link.speed, est
+                index, start, finish = find_gap_indexed(
+                    starts, finishes, duration, est
                 )
                 queue.insert(index, PacketSlot(edge, p, start, finish))
+                starts.insert(index, start)
+                finishes.insert(index, finish)
                 prev_on_link[m] = finish
                 upstream = finish + hop_delay  # store-and-forward per packet
             arrival = prev_on_link[-1]

@@ -2,8 +2,8 @@
 
 A link queue is a list of :class:`TimeSlot` sorted by start time, pairwise
 non-overlapping (link non-preemption).  Slots are immutable; "moving" a slot
-(OIHSA's deferral) replaces it, which is what makes the undo-log transactions
-in :mod:`repro.linksched.state` safe.
+(OIHSA's deferral) replaces it, which is what makes the undo log of
+:meth:`repro.linksched.state.LinkScheduleState.tentative` safe.
 
 Two gap searches produce bit-identical results:
 

@@ -1,12 +1,14 @@
-"""Per-link schedule state with undo-log transactions and indexed queues.
+"""Per-link schedule state with undo-logged tentative booking and indexed queues.
 
 Schedulers repeatedly ask "what if I scheduled this task's communications
-toward processor P?" (BA probes every processor).  Rather than copying every
-touched queue on first write (the original copy-on-write scheme, retained as
-the differential-test reference in ``tests/naive_reference.py``), each write
-appends its exact inverse to an **undo log**: rollback replays the log in
-reverse, so its cost is O(writes made in the transaction) — independent of
-how many slots sit on the touched links — and commit simply drops the log.
+toward processor P?" (BA's Sinnen-faithful probe books every processor's
+in-edges).  They ask it inside :meth:`LinkScheduleState.tentative`: rather
+than copying every touched queue on first write (the original copy-on-write
+scheme, retained as the differential-test reference in
+``tests/naive_reference.py``), each write made in the block appends its
+exact inverse to an **undo log**, and leaving the block — normally or by an
+exception — replays the log in reverse, so its cost is O(writes made in the
+block), independent of how many slots sit on the touched links.
 
 Each :class:`_LinkQueue` also keeps parallel ``starts``/``finishes`` arrays
 for the bisecting gap search in :func:`repro.linksched.slots.find_gap_indexed`.
@@ -14,7 +16,9 @@ for the bisecting gap search in :func:`repro.linksched.slots.find_gap_indexed`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.exceptions import SchedulingError
 from repro.linksched.slots import TimeSlot, find_gap_indexed, insert_slot
@@ -33,14 +37,6 @@ class _LinkQueue:
     by_edge: dict[EdgeKey, TimeSlot] = field(default_factory=dict)
     starts: list[float] = field(default_factory=list)
     finishes: list[float] = field(default_factory=list)
-
-    def copy(self) -> "_LinkQueue":
-        return _LinkQueue(
-            list(self.slots),
-            dict(self.by_edge),
-            list(self.starts),
-            list(self.finishes),
-        )
 
 
 #: shared empty view for links that were never booked
@@ -63,32 +59,25 @@ class LinkScheduleState:
         self._next_link: dict[tuple[EdgeKey, LinkId], LinkId | None] = {}
         self._undo: list[tuple] | None = None
 
-    # -- transactions --------------------------------------------------------
+    # -- tentative booking ---------------------------------------------------
 
-    @property
-    def in_transaction(self) -> bool:
-        return self._undo is not None
+    @contextmanager
+    def tentative(self) -> Iterator[None]:
+        """Book tentatively: every write made in the ``with`` block is undone
+        when the block exits, by an exception too (O(writes made)).
 
-    def begin(self) -> None:
-        """Start a tentative-scheduling transaction (no nesting)."""
+        Reads inside the block see the tentative writes.  Blocks do not nest.
+        """
         if self._undo is not None:
-            raise SchedulingError("link-schedule transaction already open")
-        self._undo = []
-
-    def commit(self) -> None:
-        """Keep all changes made since :meth:`begin`."""
-        if self._undo is None:
-            raise SchedulingError("no open link-schedule transaction")
-        self._undo = None
-
-    def rollback(self) -> None:
-        """Discard all changes made since :meth:`begin` (O(writes made))."""
-        undo = self._undo
-        if undo is None:
-            raise SchedulingError("no open link-schedule transaction")
-        for entry in reversed(undo):
-            self._replay_inverse(entry)
-        self._undo = None
+            raise SchedulingError("tentative link booking already open")
+        undo: list[tuple] = []
+        self._undo = undo
+        try:
+            yield
+        finally:
+            for entry in reversed(undo):
+                self._replay_inverse(entry)
+            self._undo = None
 
     def _replay_inverse(self, entry: tuple) -> None:
         """Undo one logged write."""
@@ -120,8 +109,8 @@ class LinkScheduleState:
     def _queue(self, lid: LinkId) -> _LinkQueue:
         queue = self._queues.get(lid)
         if queue is None:
-            # A queue created inside a transaction is simply left empty on
-            # rollback (indistinguishable from an absent one).
+            # A queue created inside a tentative block is simply left empty
+            # when the block exits (indistinguishable from an absent one).
             queue = _LinkQueue()
             self._queues[lid] = queue
         return queue

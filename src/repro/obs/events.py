@@ -156,7 +156,7 @@ def _read_jsonl_lines(lines: IO[str], name: str, strict: bool) -> list[Event]:
 class _Quiet:
     """Context manager suppressing event emission (counters still count).
 
-    Used around tentative work that is rolled back (BA's processor probing)
+    Used around tentative work that is undone (BA's processor probing)
     so the decision log only records *committed* decisions.
     """
 

@@ -9,9 +9,6 @@ from repro import _lazy
 __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     "as_rng": "rng",
     "spawn_rng": "rng",
-    "Interval": "intervals",
-    "merge_intervals": "intervals",
-    "total_length": "intervals",
     "format_table": "tables",
     "format_series": "tables",
 })

@@ -4,7 +4,7 @@ The scheduler hot paths replaced four substrate pieces with faster
 equivalents that must be *bit-identical* in behavior:
 
 - the linear ``find_gap`` scan      -> bisecting ``find_gap_indexed``,
-- copy-on-write transactions        -> undo-log transactions,
+- copy-on-write tentative booking   -> undo-logged tentative booking,
 - dict-labeled BFS/Dijkstra search  -> flat-array search with lower-bound
   pruning, dead-end skips, forced routes and inlined probes,
 - the full tail -> head optimal-insertion scan -> the scan that stops at
@@ -45,8 +45,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.core.mapping import simulate_mapping
 from repro.core.schedule import Schedule
@@ -384,7 +385,7 @@ def naive_schedule_edge_optimal(
 
 
 # ---------------------------------------------------------------------------
-# Link-schedule state: the seed's copy-on-write transaction scheme.
+# Link-schedule state: the seed's copy-on-write tentative booking.
 # ---------------------------------------------------------------------------
 
 
@@ -415,10 +416,10 @@ _EMPTY_ARRAYS: tuple[list[TimeSlot], list[float], list[float]] = ([], [], [])
 
 
 class NaiveLinkScheduleState:
-    """Seed-style state: first write inside a transaction copies the queue.
+    """Seed-style state: first write inside a tentative block copies the queue.
 
-    Rollback restores the stashed originals — O(links touched) with a full
-    queue copy per touched link, which is what the undo log replaced.
+    Leaving the block restores the stashed originals — O(links touched) with
+    a full queue copy per touched link, which is what the undo log replaced.
     """
 
     def __init__(self) -> None:
@@ -431,33 +432,25 @@ class NaiveLinkScheduleState:
         self._txn_queues: dict[LinkId, _NaiveQueue] | None = None
         self._txn_routes: list[EdgeKey] | None = None
 
-    # -- transactions --------------------------------------------------------
+    # -- tentative booking ---------------------------------------------------
 
-    @property
-    def in_transaction(self) -> bool:
-        return self._txn_queues is not None
-
-    def begin(self) -> None:
+    @contextmanager
+    def tentative(self) -> Iterator[None]:
         if self._txn_queues is not None:
-            raise SchedulingError("link-schedule transaction already open")
-        self._txn_queues = {}
-        self._txn_routes = []
-
-    def commit(self) -> None:
-        if self._txn_queues is None:
-            raise SchedulingError("no open link-schedule transaction")
-        self._txn_queues = None
-        self._txn_routes = None
-
-    def rollback(self) -> None:
-        if self._txn_queues is None or self._txn_routes is None:
-            raise SchedulingError("no open link-schedule transaction")
-        for lid, original in self._txn_queues.items():
-            self._queues[lid] = original
-        for edge in self._txn_routes:
-            del self._routes[edge]
-        self._txn_queues = None
-        self._txn_routes = None
+            raise SchedulingError("tentative link booking already open")
+        txn_queues: dict[LinkId, _NaiveQueue] = {}
+        txn_routes: list[EdgeKey] = []
+        self._txn_queues = txn_queues
+        self._txn_routes = txn_routes
+        try:
+            yield
+        finally:
+            for lid, original in txn_queues.items():
+                self._queues[lid] = original
+            for edge in txn_routes:
+                del self._routes[edge]
+            self._txn_queues = None
+            self._txn_routes = None
 
     def _writable(self, lid: LinkId) -> _NaiveQueue:
         queue = self._queues.get(lid)
@@ -465,7 +458,7 @@ class NaiveLinkScheduleState:
             queue = _NaiveQueue()
             self._queues[lid] = queue
             if self._txn_queues is not None and lid not in self._txn_queues:
-                # Remember the link was empty before the transaction.
+                # Remember the link was empty before the tentative block.
                 self._txn_queues[lid] = _NaiveQueue()
             return queue
         if self._txn_queues is not None and lid not in self._txn_queues:

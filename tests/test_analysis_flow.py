@@ -1,11 +1,11 @@
-"""CFG construction, dataflow fixpoints, and the module-local call graph.
+"""CFG construction, dominators, and the module-local call graph.
 
-The flow rules (TXN1xx/PUR, dominance OBS001) are only as good as the
-graphs they query, so the framework is tested directly: edge shapes for the
-control constructs the scheduling code actually uses (try/finally probe
-idiom, nested loops with break, early returns), fixpoint convergence on
-loops, and call-graph name resolution (lexical function chain, class scopes
-skipped, ``self.m()`` over-approximation).
+The flow rules (PUR, dominance OBS001) are only as good as the graphs they
+query, so the framework is tested directly: edge shapes for the control
+constructs the scheduling code actually uses (try/finally, nested loops
+with break, early returns), dominator convergence on loops, and call-graph
+name resolution (lexical function chain, class scopes skipped, ``self.m()``
+over-approximation).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import textwrap
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.cfg import CFG, build_cfg
-from repro.analysis.dataflow import all_paths_reach, dominators, reachable
+from repro.analysis.dataflow import dominators, reachable
 from repro.analysis.engine import dotted
 
 
@@ -56,8 +56,8 @@ class TestCFGConstruction:
         while index != cfg.exit:
             node = cfg.nodes[index]
             kinds.append(node.kind)
-            assert len(node.normal_succ) == 1
-            index = node.normal_succ[0]
+            assert len(node.succ) == 1
+            index = node.succ[0]
         assert kinds == ["entry", "stmt", "stmt", "stmt"]
 
     def test_if_produces_arm_nodes(self):
@@ -83,16 +83,16 @@ class TestCFGConstruction:
         cfg = cfg_of(
             """
             def f(s):
-                s.begin()
+                s.open()
                 return 1
-                s.rollback()
+                s.close()
             """
         )
-        assert node_calling(cfg, "s.begin") is not None
+        assert node_calling(cfg, "s.open") is not None
         labels = [
             dotted(c.func) for n in cfg.nodes for c in cfg.calls_at(n.index)
         ]
-        assert "s.rollback" not in labels
+        assert "s.close" not in labels
 
     def test_loop_back_edge_and_break_arm(self):
         cfg = cfg_of(
@@ -122,7 +122,7 @@ class TestCFGConstruction:
         assert break_arm.index in break_stmt.succ
         # The loop body's tail edges back to the header.
         tail = node_calling(cfg, "use")
-        assert header.index in tail.normal_succ
+        assert header.index in tail.succ
 
     def test_nested_loops_break_targets_innermost(self):
         cfg = cfg_of(
@@ -161,18 +161,17 @@ class TestCFGConstruction:
         )
         work = node_calling(cfg, "s.work")
         handler = next(n for n in cfg.nodes if n.kind == "except")
-        assert handler.index in work.exc
-        assert handler.index not in work.normal_succ
+        assert handler.index in work.succ
 
     def test_return_routes_through_finally(self):
         cfg = cfg_of(
             """
             def f(s):
-                s.begin()
+                s.open()
                 try:
                     return s.score()
                 finally:
-                    s.rollback()
+                    s.close()
             """
         )
         ret = next(
@@ -183,8 +182,8 @@ class TestCFGConstruction:
         fin_entry = next(n for n in cfg.nodes if n.kind == "finally")
         finexit = next(n for n in cfg.nodes if n.kind == "finexit")
         # The return does not jump straight to exit: the finally body runs.
-        assert cfg.exit not in ret.normal_succ
-        assert fin_entry.index in ret.normal_succ
+        assert cfg.exit not in ret.succ
+        assert fin_entry.index in ret.succ
         assert cfg.exit in cfg.nodes[finexit.index].succ
 
     def test_with_enter_may_raise(self):
@@ -196,8 +195,7 @@ class TestCFGConstruction:
             """
         )
         item = next(n for n in cfg.nodes if n.kind == "with")
-        assert item.exc  # __enter__ can raise
-        assert cfg.exit in item.exc
+        assert cfg.exit in item.succ  # __enter__ can raise
 
 
 class TestDataflow:
@@ -258,39 +256,6 @@ class TestDataflow:
         assert header.index in doms[ret.index]
         # The body does not dominate the exit path (zero-iteration case).
         assert body.index not in doms[ret.index]
-
-    def test_all_paths_reach_diamond(self):
-        cfg = cfg_of(
-            """
-            def f(x):
-                if x:
-                    hit()
-                else:
-                    miss()
-                return 0
-            """
-        )
-        hit = node_calling(cfg, "hit")
-        ok = all_paths_reach(cfg, {hit.index})
-        # From entry, only the true branch passes through hit().
-        assert not ok[cfg.entry]
-        assert ok[hit.index]  # a target satisfies itself
-
-    def test_all_paths_reach_both_branches(self):
-        cfg = cfg_of(
-            """
-            def f(x):
-                if x:
-                    close_a()
-                else:
-                    close_b()
-                return 0
-            """
-        )
-        a = node_calling(cfg, "close_a")
-        b = node_calling(cfg, "close_b")
-        ok = all_paths_reach(cfg, {a.index, b.index})
-        assert ok[cfg.entry]
 
 
 CG_SOURCE = """

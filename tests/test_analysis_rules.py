@@ -467,162 +467,6 @@ class TestStateInternals:
         assert len(found) == 1
 
 
-class TestTransactionBalance:
-    """TXN101: begin() must reach a closer on every path."""
-
-    def test_exception_edge_leak_fires(self):
-        # No try/finally: if find_gap raises, the transaction leaks.
-        found = run_rule(
-            "TXN101",
-            """
-            def probe(state) -> float:
-                state.begin()
-                best = state.find_gap(0, 1.0, 0.0, 0.0)[1]
-                state.rollback()
-                return best
-            """,
-        )
-        assert len(found) == 1
-        assert "exception edges count" in found[0].message
-
-    def test_early_return_leak_fires(self):
-        found = run_rule(
-            "TXN101",
-            """
-            def probe(state, skip) -> float:
-                state.begin()
-                if skip:
-                    return 0.0
-                state.rollback()
-                return 1.0
-            """,
-        )
-        assert len(found) == 1
-
-    def test_break_leak_fires(self):
-        found = run_rule(
-            "TXN101",
-            """
-            def scan(state, slots) -> None:
-                for slot in slots:
-                    state.begin()
-                    if slot.bad:
-                        break
-                    state.rollback()
-            """,
-        )
-        assert len(found) == 1
-
-    def test_finally_rollback_is_clean(self):
-        assert not run_rule(
-            "TXN101",
-            """
-            def probe(state) -> float:
-                state.begin()
-                try:
-                    return state.find_gap(0, 1.0, 0.0, 0.0)[1]
-                finally:
-                    state.rollback()
-            """,
-        )
-
-    def test_probe_loop_idiom_is_clean(self):
-        # The ba.py shape: begin/try/finally-rollback per loop iteration.
-        assert not run_rule(
-            "TXN101",
-            """
-            def best_probe(state, slots) -> float:
-                best = 0.0
-                for slot in slots:
-                    state.begin()
-                    try:
-                        span = state.probe(slot)
-                        if span > best:
-                            best = span
-                    finally:
-                        state.rollback()
-                return best
-            """,
-        )
-
-    def test_straight_line_commit_is_clean(self):
-        # Nothing between begin and commit can raise — no leak path.
-        assert not run_rule(
-            "TXN101",
-            """
-            def book(state) -> None:
-                state.begin()
-                state.commit()
-            """,
-        )
-
-    def test_other_receivers_closer_does_not_count(self):
-        found = run_rule(
-            "TXN101",
-            """
-            def probe(a, b) -> None:
-                a.begin()
-                b.commit()
-            """,
-        )
-        assert len(found) == 1
-
-
-class TestCloserWithoutBegin:
-    """TXN103: a closer must be dominated by a begin() on its receiver."""
-
-    def test_branch_only_begin_fires(self):
-        found = run_rule(
-            "TXN103",
-            """
-            def finish(state, fresh) -> None:
-                if fresh:
-                    state.begin()
-                state.commit()
-            """,
-        )
-        assert len(found) == 1
-        assert "no `state.begin()` ran" in found[0].message
-
-    def test_closer_with_no_begin_fires(self):
-        found = run_rule(
-            "TXN103",
-            """
-            def cleanup(state) -> None:
-                state.rollback()
-            """,
-        )
-        assert len(found) == 1
-        assert "never opens" in found[0].message
-
-    def test_dominating_begin_is_clean(self):
-        assert not run_rule(
-            "TXN103",
-            """
-            def book(state, ok) -> None:
-                state.begin()
-                if ok:
-                    state.commit()
-                else:
-                    state.rollback()
-            """,
-        )
-
-    def test_probe_loop_idiom_is_clean(self):
-        assert not run_rule(
-            "TXN103",
-            """
-            def best_probe(state, slots) -> None:
-                for slot in slots:
-                    state.begin()
-                    try:
-                        state.probe(slot)
-                    finally:
-                        state.rollback()
-            """,
-        )
-
-
 EXPERIMENTS_SAMPLE = "src/repro/experiments/sample.py"
 
 

@@ -71,14 +71,6 @@ class TestRoutingFailures:
             bfs_route(net, procs[0], procs[2])
 
 
-class TestStateMisuse:
-    def test_rollback_without_begin(self):
-        from repro.linksched.state import LinkScheduleState
-
-        with pytest.raises(SchedulingError):
-            LinkScheduleState().rollback()
-
-
 class TestDegenerateWorkloads:
     def test_zero_weight_tasks_schedule(self, net2):
         g = TaskGraph()

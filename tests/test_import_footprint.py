@@ -292,10 +292,10 @@ def test_every_public_name_resolves_to_its_definition(child_env):
         "repro.core": 35,
         "repro.network": 27,
         "repro.taskgraph": 18,
-        "repro.linksched": 17,
+        "repro.linksched": 16,
         "repro.experiments": 31,
         "repro.procsched": 4,
-        "repro.utils": 7,
+        "repro.utils": 4,
     }
 
 

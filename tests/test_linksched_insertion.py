@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import SchedulingError
 from repro.linksched.causality import check_route_causality
-from repro.linksched.insertion import probe_basic, probe_route_basic, schedule_edge_basic
+from repro.linksched.insertion import probe_basic, schedule_edge_basic
 from repro.linksched.slots import TimeSlot
 from repro.linksched.state import LinkScheduleState
 from repro.network.builders import linear_array
@@ -110,13 +110,3 @@ class TestScheduleEdgeBasic:
         net, route = two_hop()
         with pytest.raises(SchedulingError):
             schedule_edge_basic(LinkScheduleState(), (0, 1), route, 1.0, -1.0)
-
-    def test_probe_route_matches_commit_for_single_edge(self):
-        net, route = two_hop()
-        state = LinkScheduleState()
-        probe = probe_route_basic(state, route, 10.0, 1.0)
-        commit = schedule_edge_basic(state, (0, 1), route, 10.0, 1.0)
-        assert probe == commit
-
-    def test_probe_route_local(self):
-        assert probe_route_basic(LinkScheduleState(), [], 5.0, 3.0) == 3.0

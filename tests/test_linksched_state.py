@@ -1,4 +1,4 @@
-"""Unit tests for repro.linksched.state (queues and undo-log transactions)."""
+"""Unit tests for repro.linksched.state (queues and undo-logged tentative booking)."""
 
 import pytest
 
@@ -54,67 +54,64 @@ class TestBasics:
         assert sorted(make_state().used_links()) == [0, 1]
 
 
-class TestTransactions:
-    def test_rollback_restores_slots(self):
+class TestTentative:
+    def test_exit_restores_slots(self):
         state = make_state()
-        state.begin()
-        state.insert(0, 1, TimeSlot((2, 3), 5.0, 6.0))
-        state.record_route((2, 3), (0,))
-        state.rollback()
+        with state.tentative():
+            state.insert(0, 1, TimeSlot((2, 3), 5.0, 6.0))
+            state.record_route((2, 3), (0,))
         assert len(state.slots(0)) == 1
         assert not state.has_route((2, 3))
 
-    def test_commit_keeps_changes(self):
+    def test_exit_by_exception_restores_slots(self):
         state = make_state()
-        state.begin()
-        state.insert(0, 1, TimeSlot((2, 3), 5.0, 6.0))
-        state.record_route((2, 3), (0,))
-        state.commit()
-        assert len(state.slots(0)) == 2
-        assert state.has_route((2, 3))
+        with pytest.raises(RuntimeError, match="mid-probe"):
+            with state.tentative():
+                state.insert(0, 1, TimeSlot((2, 3), 5.0, 6.0))
+                state.record_route((2, 3), (0,))
+                raise RuntimeError("mid-probe")
+        assert len(state.slots(0)) == 1
+        assert not state.has_route((2, 3))
+        with state.tentative():  # the block closed: a new one opens
+            pass
 
-    def test_rollback_restores_fresh_link(self):
+    def test_exit_restores_fresh_link(self):
         state = make_state()
-        state.begin()
-        state.insert(9, 0, TimeSlot((2, 3), 0.0, 1.0))
-        state.rollback()
+        with state.tentative():
+            state.insert(9, 0, TimeSlot((2, 3), 0.0, 1.0))
         assert state.slots(9) == []
 
-    def test_rollback_of_replace_suffix(self):
+    def test_exit_undoes_replace_suffix(self):
         state = make_state()
         before = list(state.slots(0))
-        state.begin()
-        state.replace_suffix(0, 0, [TimeSlot((2, 3), 0.0, 1.0), TimeSlot((0, 1), 1.0, 3.0)])
-        state.rollback()
+        with state.tentative():
+            state.replace_suffix(
+                0, 0, [TimeSlot((2, 3), 0.0, 1.0), TimeSlot((0, 1), 1.0, 3.0)]
+            )
         assert state.slots(0) == before
         assert state.slot_of((0, 1), 0).start == 0.0
 
-    def test_no_nested_transactions(self):
+    def test_no_nesting(self):
         state = make_state()
-        state.begin()
-        with pytest.raises(SchedulingError):
-            state.begin()
-        state.rollback()
+        with state.tentative():
+            state.insert(0, 1, TimeSlot((2, 3), 5.0, 6.0))
+            with pytest.raises(SchedulingError):
+                with state.tentative():
+                    pass
+        assert len(state.slots(0)) == 1
 
-    def test_commit_without_begin_rejected(self):
-        with pytest.raises(SchedulingError):
-            LinkScheduleState().commit()
-        with pytest.raises(SchedulingError):
-            LinkScheduleState().rollback()
-
-    def test_reads_inside_transaction_see_changes(self):
+    def test_reads_inside_block_see_changes(self):
         state = make_state()
-        state.begin()
-        state.insert(0, 1, TimeSlot((2, 3), 5.0, 6.0))
-        assert len(state.slots(0)) == 2
-        state.rollback()
+        with state.tentative():
+            state.insert(0, 1, TimeSlot((2, 3), 5.0, 6.0))
+            assert len(state.slots(0)) == 2
+            assert state.slot_of((2, 3), 0).start == 5.0
 
-    def test_sequential_transactions(self):
+    def test_sequential_blocks(self):
         state = make_state()
         for i in range(3):
-            state.begin()
-            state.insert(0, 1, TimeSlot((2, 3 + i), 5.0 + i, 6.0 + i))
-            state.rollback()
+            with state.tentative():
+                state.insert(0, 1, TimeSlot((2, 3 + i), 5.0 + i, 6.0 + i))
         assert len(state.slots(0)) == 1
 
 

@@ -73,7 +73,7 @@ class TestEnabledRun:
         schedule = BAScheduler(processor_choice="tentative").schedule(graph, net)
         obs.disable()
         stats = schedule.stats
-        # Probing books and rolls back edges on every candidate processor;
+        # Probing books and undoes edges on every candidate processor;
         # only the committed bookings may appear in the decision log.
         committed = stats.counter("insertion.edges_scheduled")
         probed = stats.counter("scheduler.processors_probed")

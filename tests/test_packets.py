@@ -9,6 +9,7 @@ from repro.exceptions import SchedulingError
 from repro.linksched.commmodel import STORE_AND_FORWARD
 from repro.linksched.insertion import schedule_edge_basic
 from repro.linksched.packets import PacketLinkState
+from repro.linksched.slots import find_gap
 from repro.linksched.state import LinkScheduleState
 from repro.network.builders import linear_array, random_wan
 from repro.network.routing import bfs_route
@@ -74,6 +75,28 @@ class TestPacketEngine:
         state.schedule_edge((0, 1), route, 12.0, 0.0, n_packets=3)
         a = state.schedule_edge((2, 3), [route[1]], 2.0, 0.0, n_packets=1)
         assert a <= 6.0  # fits into the first idle window on link 2
+
+    def test_later_packets_fill_earlier_gaps_like_find_gap(self):
+        net, route = route3()
+        link = route[0]
+        state = PacketLinkState()
+        # Earlier bookings leave idle windows [2, 5) and [7, 12) on the link.
+        for edge, ready in (((0, 1), 0.0), ((2, 3), 5.0), ((4, 5), 12.0)):
+            state.schedule_edge(edge, [link], 2.0, ready, n_packets=1)
+        queue = list(state.slots(link.lid))
+        late = (6, 7)
+        state.schedule_edge(late, [link], 6.0, 1.0, n_packets=4)
+        # The slot engine's linear scan, packet by packet on the same queue.
+        est = 1.0
+        for slot in state.slots_of(late, link.lid):
+            index, start, finish = find_gap(queue, 1.5, est)
+            assert (slot.start, slot.finish) == (start, finish)
+            queue.insert(index, slot)
+            est = finish
+        assert state.slots(link.lid) == queue
+        assert [s.edge for s in queue] == [
+            (0, 1), late, late, (2, 3), late, late, (4, 5)
+        ]
 
     def test_hop_delay(self):
         net, route = route3()

@@ -1,14 +1,15 @@
 """Differential suite: the optimized hot paths vs the retained naive reference.
 
-The hot-path overhaul (indexed queues, undo-log transactions, pruned/inlined
-routing, fused obs-off booking) claims *bit-identical* behavior.  This module
-proves it by driving both implementations — the optimized substrate and the
-seed algorithms kept in :mod:`tests.naive_reference` — through identical
-inputs and comparing results exactly:
+The hot-path overhaul (indexed queues, undo-logged tentative booking,
+pruned/inlined routing, fused obs-off booking) claims *bit-identical*
+behavior.  This module proves it by driving both implementations — the
+optimized substrate and the seed algorithms kept in
+:mod:`tests.naive_reference` — through identical inputs and comparing
+results exactly:
 
 1. ``find_gap_indexed`` vs the linear ``find_gap`` scan on random queues,
-2. undo-log vs copy-on-write transactions across random
-   begin/insert/replace_suffix/commit/rollback sequences,
+2. undo-log vs copy-on-write tentative booking across random sequences
+   of insert/replace_suffix bookings, each kept or made tentatively,
 3. whole schedulers (ba / oihsa / bbsa / packet-ba, both comm models) on
    Hypothesis-generated workloads: same makespan, per-task placements, link
    slot lists, edge arrivals, and ScheduleStats counters (modulo the
@@ -108,7 +109,7 @@ class TestFindGapDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Transactions: undo log vs copy-on-write.
+# Tentative booking: undo log vs copy-on-write.
 # ---------------------------------------------------------------------------
 
 _TXN_NETS = [fully_connected(3, rng=3), switched_cluster(4, rng=5)]
@@ -120,7 +121,7 @@ booking_ops = st.lists(
         st.integers(min_value=0, max_value=10**6),  # src/dst selector
         st.floats(min_value=0.0, max_value=30.0),  # cost
         times,  # ready time
-        st.sampled_from(["none", "commit", "rollback"]),
+        st.booleans(),  # book inside a tentative block (undone on exit)
     ),
     min_size=1,
     max_size=12,
@@ -129,7 +130,6 @@ booking_ops = st.lists(
 
 def _assert_states_equal(real: LinkScheduleState, naive: NaiveLinkScheduleState):
     assert real.routes() == naive.routes()
-    assert real.in_transaction == naive.in_transaction
     for lid in set(real._queues) | set(naive._queues):
         assert real.slots(lid) == naive.slots(lid), f"link {lid} queues differ"
         r_slots, r_starts, r_finishes = real.queue_arrays(lid)
@@ -155,7 +155,7 @@ class TestTransactionDifferential:
         n = len(procs)
         real = LinkScheduleState()
         naive = NaiveLinkScheduleState()
-        for i, (use_optimal, sel, cost, ready, txn) in enumerate(ops):
+        for i, (use_optimal, sel, cost, ready, tentative) in enumerate(ops):
             src = procs[sel % n]
             dst = procs[(sel // n) % n]
             if dst == src:
@@ -163,18 +163,16 @@ class TestTransactionDifferential:
             route = bfs_route(net, src, dst)
             edge = (i, 1000 + i)
             book = schedule_edge_optimal if use_optimal else schedule_edge_basic
-            if txn != "none":
-                real.begin()
-                naive.begin()
-            a_real = book(real, edge, route, cost, ready, comm)
-            a_naive = book(naive, edge, route, cost, ready, comm)
-            assert a_real == a_naive
-            if txn == "commit":
-                real.commit()
-                naive.commit()
-            elif txn == "rollback":
-                real.rollback()
-                naive.rollback()
+            if tentative:
+                with real.tentative(), naive.tentative():
+                    a_real = book(real, edge, route, cost, ready, comm)
+                    a_naive = book(naive, edge, route, cost, ready, comm)
+                    assert a_real == a_naive
+                    _assert_states_equal(real, naive)
+            else:
+                a_real = book(real, edge, route, cost, ready, comm)
+                a_naive = book(naive, edge, route, cost, ready, comm)
+                assert a_real == a_naive
             _assert_states_equal(real, naive)
 
 

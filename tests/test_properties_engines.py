@@ -146,9 +146,8 @@ class TestCommModeProperties:
         route = bfs_route(net, ps[0], ps[2])
         state = LinkScheduleState()
         for i, (cost, ready) in enumerate(plans):
-            state.begin()
-            a_b = schedule_edge_basic(state, (i, 100 + i), route, cost, ready, comm)
-            state.rollback()
+            with state.tentative():
+                a_b = schedule_edge_basic(state, (i, 100 + i), route, cost, ready, comm)
             a_o = schedule_edge_optimal(state, (i, 100 + i), route, cost, ready, comm)
             assert a_o <= a_b + 1e-6
             for link in route:

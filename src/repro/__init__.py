@@ -45,7 +45,6 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     "random_layered_dag": "taskgraph",
     "random_fan_dag": "taskgraph",
     "kernels": "taskgraph",
-    "workflows": "taskgraph",
     "graph_to_json": "taskgraph",
     "graph_from_json": "taskgraph",
     "graph_to_dot": "taskgraph",

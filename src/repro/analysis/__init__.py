@@ -1,10 +1,11 @@
 """Repo-specific static analysis: the ``repro lint`` engine.
 
 A small AST-based linter that turns this reproduction's correctness
-conventions — determinism (PR 2), the obs-off discipline (PR 1/3), the
-undo log's private containers, and float tolerance hygiene around
-the paper's causality condition — into machine-checked rules.  Stdlib-only
-and import-light so ``repro lint`` starts fast in editors and CI.
+conventions — determinism (PR 2), worker purity, the run ledger's one
+write path, the undo log's private containers, and float tolerance
+hygiene around the paper's causality condition — into machine-checked
+rules.  Stdlib-only and import-light so ``repro lint`` starts fast in
+editors and CI.
 
 Public API::
 

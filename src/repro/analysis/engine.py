@@ -4,7 +4,7 @@ The engine parses each file once, hands the tree to every rule whose path
 scope matches, and collects :class:`~repro.analysis.findings.Finding`
 records.  Rules are small stateless visitors (see ``repro/analysis/rules/``)
 registered with :func:`register`; everything repo-specific — which modules
-count as scheduling code, what the obs-guard idiom looks like — lives in the
+count as scheduling code, which files are the run ledger — lives in the
 rules, not here.
 
 Suppression syntax (checked against the *reported* line):
@@ -32,7 +32,6 @@ from repro.analysis.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.analysis.callgraph import CallGraph
-    from repro.analysis.cfg import CFG
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_,\s]+)"
@@ -219,7 +218,6 @@ class LintContext:
         self._line_disables: dict[int, set[str]] = {}
         self._file_disables: set[str] = set()
         self._parents: dict[int, ast.AST] | None = None
-        self._cfgs: dict[int, "CFG"] = {}
         self._callgraph: "CallGraph | None" = None
         for lineno, text in enumerate(self.lines, start=1):
             match = _SUPPRESS_RE.search(text)
@@ -239,21 +237,6 @@ class LintContext:
     def is_suppressed(self, rule_id: str, lineno: int) -> bool:
         ids = self._line_disables.get(lineno, set()) | self._file_disables
         return rule_id.upper() in ids or "ALL" in ids
-
-    def cfg(self, scope: ast.AST) -> "CFG":
-        """The (memoized) control-flow graph of a function or module scope.
-
-        Rules running flow queries share one CFG per scope per file; the
-        dominator fixpoint is cheap relative to building the graph, so it
-        is not cached here.
-        """
-        from repro.analysis.cfg import build_cfg
-
-        cached = self._cfgs.get(id(scope))
-        if cached is None:
-            cached = build_cfg(scope)  # type: ignore[arg-type]
-            self._cfgs[id(scope)] = cached
-        return cached
 
     def callgraph(self) -> "CallGraph":
         """The (memoized) module-local call graph of the file."""

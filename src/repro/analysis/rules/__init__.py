@@ -6,7 +6,9 @@ Rule families (ids are ``FAMILY###``), one module each:
   wall-clock reads where schedule bytes are decided,
 - ``FLT`` — float discipline: no exact ``==``/``!=`` on float expressions
   outside the audited tolerance helpers,
-- ``OBS`` — obs-off discipline: hot-path emissions behind ``OBS.on``,
+- ``OBS`` — observability: run-ledger files written only through
+  ``repro.obs.runlog.append`` (the ``OBS.on`` guard on emissions is
+  checked by running the code, in ``tests/test_perf_equivalence.py``),
 - ``PUR`` — worker purity: ProcessPool entry points stay deterministic
   and picklable,
 - ``TXN`` — transaction safety: only ``linksched/state.py`` touches the
@@ -21,7 +23,7 @@ from __future__ import annotations
 from repro.analysis.rules import (  # noqa: F401  (import registers the rules)
     determinism,
     floats,
-    obsguard,
+    ledger,
     purity,
     transactions,
 )
@@ -30,7 +32,7 @@ from repro.analysis.rules import (  # noqa: F401  (import registers the rules)
 FAMILIES: dict[str, str] = {
     "DET": "determinism",
     "FLT": "float discipline",
-    "OBS": "observability guards",
+    "OBS": "observability",
     "PUR": "worker purity",
     "TXN": "transaction safety",
 }

@@ -26,7 +26,6 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     "find_gap": "slots",
     "find_gap_indexed": "slots",
     "LinkScheduleState": "state",
-    "probe_basic": "insertion",
     "schedule_edge_basic": "insertion",
     "deferrable_time": "optimal_insertion",
     "schedule_edge_optimal": "optimal_insertion",

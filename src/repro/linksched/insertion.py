@@ -16,31 +16,9 @@ from repro.exceptions import SchedulingError
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.linksched.slots import TimeSlot
 from repro.linksched.state import LinkScheduleState
-from repro.network.topology import Link, Route
+from repro.network.topology import Route
 from repro.obs import OBS
 from repro.types import EdgeKey
-
-
-def probe_basic(
-    state: LinkScheduleState,
-    link: Link,
-    cost: float,
-    est: float,
-    min_finish: float = 0.0,
-) -> tuple[int, float, float]:
-    """Placement of a ``cost``-sized transfer on ``link`` without committing.
-
-    Returns ``(queue index, start, finish)``.  All argument validation
-    happens *before* the ``insertion.probes`` counter increments, so a
-    rejected probe is never counted as work done.
-    """
-    if cost < 0:
-        raise SchedulingError(f"negative communication cost {cost}")
-    if est < 0:
-        raise SchedulingError(f"negative earliest start time {est}")
-    if OBS.on:
-        OBS.metrics.counter("insertion.probes").inc()
-    return state.find_gap(link.lid, cost / link.speed, est, min_finish)
 
 
 def schedule_edge_basic(
@@ -71,10 +49,11 @@ def schedule_edge_basic(
     min_finish = 0.0
     finish = ready_time
     for link in route:
-        index, start, finish = probe_basic(state, link, cost, est, min_finish)
+        index, start, finish = state.find_gap(link.lid, cost / link.speed, est, min_finish)
         state.insert(link.lid, index, TimeSlot(edge, start, finish))
         est, min_finish = comm.next_constraints(start, finish)
     if OBS.on:
+        OBS.metrics.counter("insertion.probes").inc(len(route))
         OBS.metrics.counter("insertion.edges_scheduled").inc()
         OBS.emit(
             "edge_scheduled",

@@ -5,7 +5,7 @@ costs and whose edges carry communication costs, exactly the ``G = (V, E, w,
 c)`` of the paper's Section 2.1.
 
 Each public name is imported from its submodule on first access (see
-:mod:`repro._lazy`); ``kernels`` and ``workflows`` are submodules.
+:mod:`repro._lazy`); ``kernels`` is a submodule.
 """
 
 from repro import _lazy
@@ -24,7 +24,6 @@ __getattr__, __dir__, __all__ = _lazy.attach(__name__, {
     "random_layered_dag": "generators",
     "random_fan_dag": "generators",
     "kernels": None,
-    "workflows": None,
     "graph_to_json": "io",
     "graph_from_json": "io",
     "graph_to_dot": "io",

@@ -143,7 +143,7 @@ class TestOutput:
     def test_list_rules(self, capsys):
         assert lint("--list-rules") == 0
         out = capsys.readouterr().out
-        for rule_id in ("DET001", "FLT001", "OBS001", "TXN001"):
+        for rule_id in ("DET001", "FLT001", "OBS002", "TXN001"):
             assert rule_id in out
 
 

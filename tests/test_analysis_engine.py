@@ -121,8 +121,8 @@ class TestSelection:
 
     def test_registry_has_all_families(self):
         ids = {r.rule_id for r in all_rules()}
-        assert ids == {"DET001", "DET002", "DET003", "FLT001", "OBS001",
-                       "OBS002", "PUR001", "PUR002", "PUR003", "TXN001"}
+        assert ids == {"DET001", "DET002", "DET003", "FLT001", "OBS002",
+                       "PUR001", "PUR002", "PUR003", "TXN001"}
 
     def test_syntactic_txn_rules_are_retired(self):
         ids = {r.rule_id for r in all_rules()}

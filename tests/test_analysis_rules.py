@@ -274,87 +274,6 @@ class TestFloatEquality:
         )
 
 
-class TestObsGuard:
-    def test_unguarded_emit_fires(self):
-        found = run_rule(
-            "OBS001",
-            """
-            from repro.obs import OBS
-
-            def f() -> None:
-                OBS.emit("edge_scheduled", t=1.0)
-            """,
-        )
-        assert len(found) == 1
-        assert "unguarded" in found[0].message
-
-    def test_guarded_emit_is_clean(self):
-        assert not run_rule(
-            "OBS001",
-            """
-            from repro.obs import OBS
-
-            def f() -> None:
-                if OBS.on:
-                    OBS.emit("edge_scheduled", t=1.0)
-            """,
-        )
-
-    def test_alias_guard_is_clean(self):
-        assert not run_rule(
-            "OBS001",
-            """
-            from repro.obs import OBS
-
-            def f() -> None:
-                observing = OBS.on
-                if observing:
-                    OBS.metrics.counter("probes").inc()
-            """,
-        )
-
-    def test_early_exit_guard_is_clean(self):
-        assert not run_rule(
-            "OBS001",
-            """
-            from repro.obs import OBS
-
-            def f() -> None:
-                if not OBS.on:
-                    return
-                OBS.metrics.counter("probes").inc()
-            """,
-        )
-
-    def test_unguarded_metric_alias_fires(self):
-        found = run_rule(
-            "OBS001",
-            """
-            from repro.obs import OBS
-
-            def f() -> None:
-                gauges = OBS.metrics
-                gauges.gauge("makespan").set(1.0)
-            """,
-        )
-        assert len(found) == 1
-
-    def test_helper_with_all_call_sites_guarded_is_clean(self):
-        assert not run_rule(
-            "OBS001",
-            """
-            from repro.obs import OBS
-
-            def _attach(result) -> None:
-                OBS.metrics.gauge("makespan").set(result.makespan)
-
-            def run(result) -> None:
-                if OBS.on:
-                    _attach(result)
-            """,
-        )
-
-
 class TestLedgerWrite:
     def test_direct_open_of_ledger_path_fires(self):
         found = run_rule(

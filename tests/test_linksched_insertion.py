@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import SchedulingError
 from repro.linksched.causality import check_route_causality
-from repro.linksched.insertion import probe_basic, schedule_edge_basic
+from repro.linksched.insertion import schedule_edge_basic
 from repro.linksched.slots import TimeSlot
 from repro.linksched.state import LinkScheduleState
 from repro.network.builders import linear_array
@@ -19,20 +19,12 @@ def two_hop():
     return net, bfs_route(net, ps[0], ps[2])
 
 
-class TestProbeBasic:
-    def test_duration_scales_with_speed(self):
-        net, route = two_hop()
-        state = LinkScheduleState()
-        _, start, finish = probe_basic(state, route[0], 10.0, est=0.0)
-        assert finish - start == 10.0 / 2.0
-
+class TestScheduleEdgeBasic:
     def test_negative_cost_rejected(self):
         net, route = two_hop()
         with pytest.raises(SchedulingError):
-            probe_basic(LinkScheduleState(), route[0], -1.0, est=0.0)
+            schedule_edge_basic(LinkScheduleState(), (0, 1), route, -1.0, 0.0)
 
-
-class TestScheduleEdgeBasic:
     def test_empty_route_is_local(self):
         state = LinkScheduleState()
         assert schedule_edge_basic(state, (0, 1), [], 100.0, 7.0) == 7.0

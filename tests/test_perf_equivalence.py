@@ -15,25 +15,37 @@ results exactly:
    slot lists, edge arrivals, and ScheduleStats counters (modulo the
    pruning-introspection counters), with the naive reference monkeypatched in,
 4. observing runs the very same calls into the fused searches and the
-   optimal-insertion booking, and an unobserved run leaves the metrics
-   registry untouched.
+   optimal-insertion booking; an unobserved run of every scheduler, ablation
+   variant and comm model reaches no emission and leaves the instruments
+   untouched, and its observed twin reaches every emission site in the
+   package and emits what ``docs/observability.md`` tabulates.
 """
 
 from __future__ import annotations
+
+import ast
+import os
+import re
+import sys
+from functools import partial
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import repro
 import repro.core.ba as ba_mod
 import repro.core.base as base_mod
 import repro.core.bbsa as bbsa_mod
+import repro.core.kernelreg as kernelreg
 import repro.core.oihsa as oihsa_mod
 from repro import obs
 from repro.core import SCHEDULERS
 from repro.core.ba import BAScheduler
 from repro.core.base import ContentionScheduler
-from repro.linksched.commmodel import CUT_THROUGH, STORE_AND_FORWARD
+from repro.experiments.ablations import ABLATIONS
+from repro.linksched.commmodel import CUT_THROUGH, STORE_AND_FORWARD, CommModel
 from repro.linksched.insertion import schedule_edge_basic
 from repro.linksched.optimal_insertion import schedule_edge_optimal
 from repro.linksched.slots import TimeSlot, find_gap, find_gap_indexed
@@ -41,15 +53,18 @@ from repro.linksched.state import LinkScheduleState
 from repro.network.builders import (
     fully_connected,
     linear_array,
+    mesh2d,
     random_wan,
     switched_cluster,
 )
 from repro.network.routing import bfs_route
 from repro.network.topology import Link, Vertex
-from repro.obs import OBS
+from repro.obs import EVENT_KINDS, OBS
 from repro.procsched.state import ProcessorState
+from repro.taskgraph.ccr import scale_to_ccr
 from repro.taskgraph.generators import random_layered_dag
 from repro.taskgraph.graph import TaskGraph
+from repro.taskgraph.kernels import fork_join
 from tests.naive_reference import (
     NaiveLinkScheduleState,
     naive_bfs_route,
@@ -404,25 +419,218 @@ class TestProcessorSelectionDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Obs-off paths must not touch the instruments at all.
+# Obs-off paths must not touch the instruments at all, and the twin of the
+# same runs with observability on reaches every emission site in the package.
 # ---------------------------------------------------------------------------
 
+#: Every scheduler and variant an emission can be reached through: the
+#: registry (the mapping searches kept small), the ablation variants, and
+#: the engines' comm models.
+_OBS_MATRIX = {
+    **SCHEDULERS,
+    "annealing": lambda: SCHEDULERS["annealing"](iterations=20),
+    "genetic": lambda: SCHEDULERS["genetic"](population=4, generations=2),
+    **{v: factory for variants in ABLATIONS.values() for v, factory in variants.items()},
+    **{
+        f"{name}/{label}": partial(SCHEDULERS[name], comm=comm)
+        for name in ("ba", "oihsa", "bbsa")
+        for label, comm in (
+            ("store-and-forward", CommModel("store-and-forward")),
+            ("hop-delay", CommModel(hop_delay=0.5)),
+        )
+    },
+}
+
+def _run_obs_matrix() -> list:
+    """Every ``_OBS_MATRIX`` entry on a contended fork-join, on a topology
+    whose routes are all forced, one whose routes are searched, and a mesh."""
+    graph = scale_to_ccr(fork_join(16, rng=1), 8.0)
+    nets = (
+        switched_cluster(4),
+        random_wan(16, rng=1, procs_per_switch=(2, 4)),
+        mesh2d(2, 2),
+    )
+    return [factory().schedule(graph, net) for net in nets for factory in _OBS_MATRIX.values()]
+
+
+class _Tap:
+    """Stands in for ``OBS.bus`` or ``OBS.metrics``.
+
+    Each emission entry point hands its name and calling frame to ``hit``
+    before calling the real instrument; every other attribute is the real
+    object's.
+    """
+
+    def __init__(self, real, hit) -> None:
+        self._real = real
+        self._hit = hit
+
+    def __getattr__(self, attr):
+        return getattr(self._real, attr)
+
+    def emit(self, kind, *args, **data):
+        self._hit(kind, sys._getframe(1))
+        return self._real.emit(kind, *args, **data)
+
+    def counter(self, name):
+        self._hit(name, sys._getframe(1))
+        return self._real.counter(name)
+
+    def gauge(self, name):
+        self._hit(name, sys._getframe(1))
+        return self._real.gauge(name)
+
+    def histogram(self, name):
+        self._hit(name, sys._getframe(1))
+        return self._real.histogram(name)
+
+
+def _tap_emissions(mp: pytest.MonkeyPatch, on_event, on_metric) -> None:
+    """Route every emission entry point through ``on_event``/``on_metric``.
+
+    ``OBS.emit`` goes straight to the real bus, so one event is one hit.
+    The compiled kernel is hidden, so the ``auto`` kernel falls back to
+    Python and its fallback counter is reachable on every machine.
+    """
+    bus = OBS.bus
+
+    def emit(self, kind, t=None, **data):
+        on_event(kind, sys._getframe(1))
+        bus.emit(kind, t, **data)
+
+    mp.setattr(OBS, "bus", _Tap(bus, on_event))
+    mp.setattr(OBS, "metrics", _Tap(OBS.metrics, on_metric))
+    mp.setattr(type(OBS), "emit", emit)  # the facade has __slots__
+    mp.setattr(kernelreg, "_probed", True)
+    mp.setattr(kernelreg, "_compiled_factory", None)
+
+
+def _emission_sites() -> set[tuple[str, int, int]]:
+    """``(file, first line, last line)`` of every emission call in ``repro``.
+
+    An emission is ``OBS.emit``, ``OBS.bus.emit``, or a counter, gauge or
+    histogram taken from ``OBS.metrics`` or from a name bound to it.
+    """
+    sites = set()
+    for path in sorted(Path(repro.__file__).resolve().parent.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if "OBS" not in source:
+            continue
+        tree = ast.parse(source)
+        registries = {"OBS.metrics"} | {
+            node.targets[0].id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and ast.unparse(node.value) == "OBS.metrics"
+        }
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if not isinstance(func, ast.Attribute):
+                continue
+            if func.attr == "emit":
+                receivers = {"OBS", "OBS.bus"}
+            elif func.attr in ("counter", "gauge", "histogram"):
+                receivers = registries
+            else:
+                continue
+            if ast.unparse(func.value) in receivers:
+                sites.add((str(path), node.lineno, node.end_lineno))
+    return sites
+
+
+def _doc_table_names(doc: str, heading: str) -> set[str]:
+    """The backticked names in the first column of the table under ``heading``.
+
+    A name starting with ``.`` shares the prefix of the name before it
+    (``schedule.<alg>.makespan``, ``.links_used``).
+    """
+    section = doc.split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
+    names, prefix = set(), ""
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        for name in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            if name.startswith("."):
+                name = prefix + name[1:]
+            prefix = name.rpartition(".")[0] + "."
+            names.add(name)
+    return names
+
+
+@pytest.fixture(scope="class")
+def observed_twin():
+    """The matrix run with observability on: the ``(file, line)`` of every
+    emission call, and the metric names and event kinds emitted."""
+    calls, metrics, events = set(), set(), set()
+
+    def on_metric(name, frame):
+        calls.add((frame.f_code.co_filename, frame.f_lineno))
+        metrics.add(name)
+
+    def on_event(kind, frame):
+        calls.add((frame.f_code.co_filename, frame.f_lineno))
+        events.add(kind)
+
+    with pytest.MonkeyPatch.context() as mp:
+        _tap_emissions(mp, on_event, on_metric)
+        obs.enable(obs.NullSink())
+        try:
+            _run_obs_matrix()
+        finally:
+            obs.disable()
+            obs.reset()
+    calls = {(os.path.realpath(path), line) for path, line in calls}
+    return calls, metrics, events
+
+
 class TestObsOffIsInert:
-    def test_disabled_run_mutates_no_metrics_or_events(self, diamond4, net4):
+    def test_disabled_run_mutates_no_metrics_or_events(self, monkeypatch):
         obs.disable()
         obs.METRICS.reset()
         obs.PROFILER.reset()
         mark = OBS.bus.mark()
         empty_metrics = obs.METRICS.snapshot()
         empty_timings = obs.PROFILER.snapshot()
-        for name in ("ba", "oihsa", "bbsa", "packet-ba"):
-            result = SCHEDULERS[name]().schedule(diamond4, net4)
+        reached = []
+
+        def refuse(name, frame):
+            reached.append(f"{frame.f_code.co_filename}:{frame.f_lineno} {name}")
+            raise AssertionError(f"emission {reached[-1]} with observability off")
+
+        _tap_emissions(monkeypatch, refuse, refuse)
+        for result in _run_obs_matrix():
             assert result.stats is None
+        assert reached == []  # also if a caller swallowed the exception
         assert obs.METRICS.snapshot() == empty_metrics
         assert obs.METRICS._counters == {}  # not even zero-valued instruments
         assert obs.PROFILER.snapshot() == empty_timings
         assert OBS.bus.mark() == mark
         assert OBS.bus.since(mark) == []
+
+    def test_observed_run_reaches_every_emission_site(self, observed_twin):
+        calls, _, _ = observed_twin
+        sites = _emission_sites()
+
+        def holds(site, call):
+            return site[0] == call[0] and site[1] <= call[1] <= site[2]
+
+        # Every emission the run made is a site the scan finds, and every
+        # site the scan finds was reached: a guarded emission that no run
+        # reaches is one the unobserved twin cannot check.
+        strays = sorted(c for c in calls if not any(holds(s, c) for s in sites))
+        unreached = sorted(s for s in sites if not any(holds(s, c) for c in calls))
+        assert strays == [], "emission calls the AST scan does not find"
+        assert unreached == [], "emission sites no run of the matrix reaches"
+
+    def test_docs_list_what_the_code_emits(self, observed_twin):
+        _, metrics, events = observed_twin
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "observability.md").read_text(
+            encoding="utf-8"
+        )
+        per_run = {re.sub(r"^schedule\.[^.]+\.", "schedule.<alg>.", m) for m in metrics}
+        assert _doc_table_names(doc, "## Metrics") == per_run
+        assert _doc_table_names(doc, "## Decision events") == set(EVENT_KINDS) == events
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,23 @@ implement that constraint directly as a **fluid-flow model**:
 Greedy forwarding is exactly BBSA's policy ("fully exploit the bandwidth of
 network links to transfer communication data as soon as possible") without
 the slot-splitting bookkeeping of the paper's presentation.
+
+Committing a hop costs time in proportion to what the transfer touches, not
+to the whole profile.  The sweep reads the profile's boundaries through its
+segment pointer and stops once the volume is forwarded.  Reserving the
+usage rebuilds only the *region*, the run of segments that overlap or abut
+the usage's window ``[first live span's start, last live span's finish]``,
+as one running sum from 0.0; every segment outside the region keeps its
+stored fraction.  ``tests/naive_reference.py``'s ``naive_overlay`` is the
+oracle for that rule.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
-from collections.abc import Iterable
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -38,8 +47,13 @@ from repro.types import EdgeKey, LinkId
 #: Numerical slack for backlog/volume comparisons inside the fluid sweep.
 _FEPS = 1e-9
 
-#: bisect key: a profile segment's end
+#: bisect keys: a profile segment's start and end
+_START = itemgetter(0)
 _END = itemgetter(1)
+
+#: The least value of :func:`_sweep`'s iteration bound (one event time, no
+#: segment), so the bound itself is only computed by a sweep that outlasts it.
+_MIN_ITERS = 8 * (1 + 0 + 4) + 64
 
 
 class Cumulative:
@@ -162,7 +176,18 @@ class BandwidthProfile:
 
     ``segments`` is a sorted list of non-overlapping ``(t0, t1, used)`` with
     ``t0 < t1`` and ``0 < used``; uncovered time is fully free.  ``used`` may
-    not exceed 1.
+    not exceed 1.  The profile owns the list: :meth:`add_usage` splices it
+    in place.
+
+    Adding usage rewrites only the *region* the usage touches: the run of
+    segments that overlap or abut ``[first live span's start, last live
+    span's finish]`` (a span is live when ``finish > start`` and
+    ``fraction > 0``).  The region and the usage are re-derived together as
+    one running sum from 0.0, so a fraction inside the region can be
+    re-rounded: usage ``(1, 2, 0.1)`` abutting a stored ``(0, 1, 0.7)`` is
+    stored as ``0.09999999999999998``.  Every segment outside the region
+    keeps its stored fraction.  :func:`tests.naive_reference.naive_overlay`
+    is the oracle.
     """
 
     __slots__ = ("segments",)
@@ -182,30 +207,69 @@ class BandwidthProfile:
         return max((u for _, _, u in self.segments), default=0.0)
 
     def add_usage(self, usage: list[UsageSegment]) -> None:
-        """Overlay ``usage`` onto the profile, splitting segments as needed."""
+        """Overlay ``usage`` onto the profile, splitting segments as needed.
+
+        Only the region the usage touches is rebuilt (see the class
+        docstring); ``usage`` may be unsorted or overlapping.
+        """
         self._overlay([x for u in usage for x in (u.start, u.finish, u.fraction)])
 
-    def _overlay(self, spans: Iterable[float]) -> None:
-        """:meth:`add_usage` of usage flattened to ``start, finish, fraction, ...``."""
+    def _overlay(self, spans: Sequence[float]) -> None:
+        """:meth:`add_usage` of usage flattened to ``start, finish, fraction, ...``.
+
+        The region (the stored segments with ``end >= W.start`` and
+        ``start <= W.finish``, for ``W`` the live usage's window) is rebuilt
+        together with the usage as one running level from 0.0: the deltas
+        at each time accumulate segments first, then usage, in order; a
+        level above ``1 + 1e-6`` is an over-commit; a level is stored capped
+        at 1; and contiguous pieces whose levels agree within ``_FEPS``
+        merge.  The result replaces the region, and an end piece abutting
+        an untouched neighbour merges with it under the same rule, keeping
+        the earlier segment's fraction.  Sorted, disjoint usage (every
+        sweep's output) merges its deltas with the region's boundaries
+        directly; other usage goes through a dict and a sort.
+        """
+        live: list[tuple[float, float, float]] = []
+        ordered = True  # each live span starts at or after the previous one's finish
+        w_finish = -math.inf
         it = iter(spans)
-        usage = list(zip(it, it, it))
-        for _, _, fraction in usage:
+        for span in zip(it, it, it):
+            start, finish, fraction = span
             if fraction < -_FEPS:
                 raise SchedulingError(f"negative usage fraction {fraction}")
-        events: dict[float, float] = {}
-        for t0, t1, used in self.segments:
-            events[t0] = events.get(t0, 0.0) + used
-            events[t1] = events.get(t1, 0.0) - used
-        for start, finish, fraction in usage:
-            if finish <= start or fraction <= 0:
-                continue
-            events[start] = events.get(start, 0.0) + fraction
-            events[finish] = events.get(finish, 0.0) - fraction
+            if finish > start and fraction > 0:
+                if start < w_finish:
+                    ordered = False
+                w_finish = finish
+                live.append(span)
+        if not live:
+            return
+        if ordered:
+            w_start = live[0][0]
+        else:
+            w_start = min(u[0] for u in live)
+            w_finish = max(u[1] for u in live)
+        segments = self.segments
+        lo = bisect_left(segments, w_start, key=_END)
+        hi = bisect_right(segments, w_finish, lo, key=_START)
+        region = segments[lo:hi]
+        if ordered:
+            times, deltas = _merged_deltas(region, live)
+        else:
+            events: dict[float, float] = {}
+            for t0, t1, used in region:
+                events[t0] = events.get(t0, 0.0) + used
+                events[t1] = events.get(t1, 0.0) - used
+            for start, finish, fraction in live:
+                events[start] = events.get(start, 0.0) + fraction
+                events[finish] = events.get(finish, 0.0) - fraction
+            times = sorted(events)
+            deltas = [events[t] for t in times]
         new_segments: list[tuple[float, float, float]] = []
         level = 0.0
-        prev_t: float | None = None
-        for t in sorted(events):
-            if prev_t is not None and level > _FEPS and t > prev_t:
+        prev_t = times[0]
+        for t, delta in zip(times, deltas):
+            if level > _FEPS and t > prev_t:
                 if level > 1.0 + 1e-6:
                     raise SchedulingError(
                         f"link over-committed: used bandwidth {level:.9f} > 1 "
@@ -220,9 +284,66 @@ class BandwidthProfile:
                     new_segments[-1] = (new_segments[-1][0], t, new_segments[-1][2])
                 else:
                     new_segments.append((prev_t, t, min(level, 1.0)))
-            level += events[t]
+            level += delta
             prev_t = t
-        self.segments = new_segments
+        if new_segments:
+            if lo:
+                a0, a1, au = segments[lo - 1]
+                b0, b1, bu = new_segments[0]
+                if a1 == b0 and abs(au - bu) <= _FEPS:
+                    lo -= 1
+                    new_segments[0] = (a0, b1, au)
+            if hi < len(segments):
+                a0, a1, au = new_segments[-1]
+                b0, b1, bu = segments[hi]
+                if a1 == b0 and abs(au - bu) <= _FEPS:
+                    hi += 1
+                    new_segments[-1] = (a0, b1, au)
+        segments[lo:hi] = new_segments
+
+
+def _merged_deltas(
+    region: list[tuple[float, float, float]], usage: list[tuple[float, float, float]]
+) -> tuple[list[float], list[float]]:
+    """The region's and the usage's level deltas by time, both sorted and
+    disjoint, summed in the order a dict filled with the segments' and then
+    the usage's ``+start``/``-finish`` deltas holds them."""
+    seg_t: list[float] = []
+    seg_d: list[float] = []
+    for t0, t1, used in region:
+        if seg_t and seg_t[-1] == t0:  # abutting: the end's delta came first
+            seg_d[-1] += used
+        else:
+            seg_t.append(t0)
+            seg_d.append(used)
+        seg_t.append(t1)
+        seg_d.append(-used)
+    times: list[float] = []
+    deltas: list[float] = []
+    k = 0
+    n = len(seg_t)
+    for start, finish, fraction in usage:
+        while k < n and seg_t[k] <= start:
+            times.append(seg_t[k])
+            deltas.append(seg_d[k])
+            k += 1
+        if times and times[-1] == start:
+            deltas[-1] += fraction
+        else:
+            times.append(start)
+            deltas.append(fraction)
+        while k < n and seg_t[k] <= finish:
+            times.append(seg_t[k])
+            deltas.append(seg_d[k])
+            k += 1
+        if times[-1] == finish:
+            deltas[-1] -= fraction
+        else:
+            times.append(finish)
+            deltas.append(-fraction)
+    times += seg_t[k:]
+    deltas += seg_d[k:]
+    return times, deltas
 
 
 def forward_through_link(
@@ -261,11 +382,19 @@ def _sweep(
     The sweep visits every event time (``t0``, the arrival's breakpoints and
     the profile boundaries after ``t0``) in order, and reads the arrival rate
     and the used bandwidth through forward pointers, because ``t`` never
-    decreases.  The departure's breakpoints and the usage are built as flat
-    float lists, with no tuple or object per point.  Each ``min``/``max`` is
-    spelled as a comparison that must pick the same operand as the builtin
-    on ties (the first), so every floating-point operation matches the
-    plain formula above.
+    decreases.  The profile's boundaries are never collected or sorted: the
+    next one after ``t`` is read off the segment pointer, as in
+    :func:`probe_step_finish`, so boundaries after the transfer completes
+    are never visited.  The departure's breakpoints and the usage are built
+    as flat float lists, with no tuple or object per point.  Each
+    ``min``/``max`` is spelled as a comparison that must pick the same
+    operand as the builtin on ties (the first), so every floating-point
+    operation matches the plain formula above.
+
+    The loop is bounded by ``8 * (events + segments + 4) + 64`` iterations,
+    where ``events`` counts the distinct event times; the bound is computed
+    (:func:`_event_count`) only by a sweep that passes its least value,
+    :data:`_MIN_ITERS`.
     """
     if speed <= 0:
         raise SchedulingError(f"non-positive link speed {speed}")
@@ -276,11 +405,13 @@ def _sweep(
         return Cumulative._from_flat([t0, 0.0]), None
 
     # Decompose the arrival into jumps and constant-rate pieces, reading its
-    # breakpoints pairwise off the flat storage.  The event set is filled in
-    # the order t0, jumps, pieces, profile boundaries: of two equal times
-    # (0.0 and -0.0) the first one added stays.
+    # breakpoints pairwise off the flat storage, and collect its event times
+    # (``t0``, then each jump and each piece's ends) in the same pass.  The
+    # breakpoints are sorted, so a time equal to the last one kept repeats
+    # it, and the first copy added stays (0.0 and -0.0).
     jumps: dict[float, float] = {}
     rate_pieces: list[tuple[float, float, float]] = []  # (t0, t1, rate)
+    times = [t0]
     it = iter(pts)
     ta = next(it)
     va = next(it)
@@ -288,31 +419,25 @@ def _sweep(
         if tb == ta:
             if vb > va:
                 jumps[ta] = jumps.get(ta, 0.0) + (vb - va)
+                if ta != times[-1]:
+                    times.append(ta)
         elif vb > va:
             rate_pieces.append((ta, tb, (vb - va) / (tb - ta)))
+            if ta != times[-1]:
+                times.append(ta)
+            times.append(tb)
         ta = tb
         va = vb
-    events = {t0}
-    events.update(jumps)
-    for pa, pb, _ in rate_pieces:
-        events.add(pa)
-        events.add(pb)
+    n_ev = len(times)
+    n_pieces = len(rate_pieces)
 
-    # Segments ending at or before ``t0`` contribute no breakpoint after it
+    # Segments ending at or before ``t0`` contribute no boundary after it
     # and are never in use again, so the sweep starts at the first segment
     # ending after ``t0``.
     segments = profile.segments
     n_seg = len(segments)
     si = bisect_right(segments, t0, key=_END)
-    for k in range(si, n_seg):
-        sa, sb, _ = segments[k]
-        if sa > t0:
-            events.add(sa)
-        if sb > t0:
-            events.add(sb)
-    event_times = sorted(events)
-    n_ev = len(event_times)
-    n_pieces = len(rate_pieces)
+    si0 = si
 
     forwarded = 0.0
     arrived = 0.0
@@ -325,27 +450,47 @@ def _sweep(
     # Consume any jump exactly at t0.
     arrived += jumps.pop(t0, 0.0)
     guard = 0
-    max_iters = 8 * (len(event_times) + n_seg + 4) + 64
+    # The iteration bound starts at its least value and is computed once the
+    # loop passes that.
+    max_iters = _MIN_ITERS
+    counted = False
     while forwarded < volume - _FEPS:
         guard += 1
         if guard > max_iters:
-            raise SchedulingError(
-                "fluid sweep failed to converge (internal error): "
-                f"forwarded {forwarded} of {volume}"
-            )
-        # Next fixed event after t.
-        while ei < n_ev and event_times[ei] <= t:
-            ei += 1
-        horizon = event_times[ei] if ei < n_ev else math.inf
+            if not counted:
+                max_iters = 8 * (_event_count(times, segments, si0, t0) + n_seg + 4) + 64
+                counted = True
+            if guard > max_iters:
+                raise SchedulingError(
+                    "fluid sweep failed to converge (internal error): "
+                    f"forwarded {forwarded} of {volume}"
+                )
         # The arrival rate at ``t``: the pieces are sorted and disjoint, so
         # the one piece with ``start <= t < end`` is the first ending after t.
         while ri < n_pieces and rate_pieces[ri][1] <= t:
             ri += 1
         a = rate_pieces[ri][2] if ri < n_pieces and rate_pieces[ri][0] <= t else 0.0
-        # ``profile.used_at(t)`` by a forward pointer: ``t`` never decreases.
+        # ``profile.used_at(t)`` and the next profile boundary after ``t``
+        # by a forward pointer (``t`` never decreases): the first segment
+        # ending after ``t`` starts after it, or is in use and ends after it.
         while si < n_seg and segments[si][1] <= t:
             si += 1
-        used = segments[si][2] if si < n_seg and segments[si][0] <= t else 0.0
+        if si < n_seg:
+            sa, sb, used = segments[si]
+            if sa > t:
+                boundary = sa
+                used = 0.0
+            else:
+                boundary = sb
+        else:
+            boundary = math.inf
+            used = 0.0
+        # The next event after ``t``: the arrival's or the profile's, and
+        # the arrival's on a tie, as a set filled with the arrival's times
+        # first would hold it (of 0.0 and -0.0 the first added stays).
+        while ei < n_ev and times[ei] <= t:
+            ei += 1
+        horizon = times[ei] if ei < n_ev and times[ei] <= boundary else boundary
         free = 1.0 - used
         cap = (free if free > 0.0 else 0.0) * speed
         backlog = arrived - forwarded
@@ -396,6 +541,20 @@ def _sweep(
         dep.append(t)
         dep.append(volume)
     return Cumulative._from_flat(dep), spans
+
+
+def _event_count(
+    times: list[float], segments: list[tuple[float, float, float]], si: int, t0: float
+) -> int:
+    """How many distinct event times a sweep from ``t0`` has: the arrival's
+    ``times`` and the boundaries after ``t0`` of ``segments[si:]``."""
+    events = set(times)
+    for sa, sb, _ in segments[si:]:
+        if sa > t0:
+            events.add(sa)
+        if sb > t0:
+            events.add(sb)
+    return len(events)
 
 
 def probe_step_finish(
@@ -563,23 +722,24 @@ class BandwidthLinkState:
             return ready_time
         self._routes[edge] = tuple(l.lid for l in route)
         flows: list[TransferBooking] = []
+        cut_through = comm.mode == "cut-through"
+        hop_delay = comm.hop_delay
         arrival = Cumulative.step(ready_time, cost)
         for link in route:
-            prof = self._writable_profile(link.lid)
+            lid = link.lid
+            prof = self._writable_profile(lid)
             departure, spans = _sweep(prof, arrival, link.speed)
             if spans is None:
                 spans = []
             else:
                 prof._overlay(spans)
-            flows.append(
-                TransferBooking(edge, link.lid, arrival, departure, array("d", spans))
-            )
-            if comm.mode == "cut-through":
-                arrival = departure.shifted(comm.hop_delay)
+            flows.append(TransferBooking(edge, lid, arrival, departure, array("d", spans)))
+            if cut_through:
+                # With no hop delay this is ``departure`` itself, which the
+                # validator's hop-to-hop check relies on.
+                arrival = departure.shifted(hop_delay)
             else:
-                arrival = Cumulative.step(
-                    departure.finish_time() + comm.hop_delay, cost
-                )
+                arrival = Cumulative.step(departure.finish_time() + hop_delay, cost)
         self._bookings[edge] = flows
         return flows[-1].departure.finish_time()
 

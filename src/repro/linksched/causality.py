@@ -8,6 +8,8 @@ and by property-based tests after every OIHSA deferral.
 
 from __future__ import annotations
 
+from collections.abc import Collection
+
 from repro.exceptions import ValidationError
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.linksched.state import LinkScheduleState
@@ -69,9 +71,11 @@ def check_route_connectivity(
 ) -> None:
     """Verify a link-id route actually walks from ``src_proc`` to ``dst_proc``.
 
-    Follows the adjacency of each link from the current vertex; for buses the
-    next vertex is ambiguous, so any member reachable by the *next* link (or
-    the destination, for the last hop) is accepted.
+    Follows each link from the current vertex through
+    :meth:`~repro.network.topology.NetworkTopology.link_heads`; for buses
+    the next vertex is ambiguous, so any member reachable by the *next* link
+    (or the destination, for the last hop) is accepted.  An unknown link or
+    source vertex raises :class:`~repro.exceptions.TopologyError`.
     """
     if not route:
         if src_proc != dst_proc:
@@ -79,15 +83,19 @@ def check_route_connectivity(
                 f"empty route but distinct endpoints {src_proc} -> {dst_proc}"
             )
         return
-    current = {src_proc}
+    heads = net.link_heads()
+    current: Collection[int] = (src_proc,)
     for i, lid in enumerate(route):
-        link = net.link(lid)
-        nxt: set[int] = set()
-        for u in sorted(current):
-            for l, v in net.out_links(u):
-                if l.lid == lid:
-                    nxt.add(v)
+        if len(current) == 1:
+            (u,) = current
+            nxt: Collection[int] = heads.get((u, lid), ())
+        else:  # past a bus: every member the link leaves from
+            nxt = {v for u in current for v in heads.get((u, lid), ())}
         if not nxt:
+            # An unknown link or vertex is a TopologyError, not a bad route.
+            net.link(lid)
+            for u in sorted(current):
+                net.vertex(u)
             raise ValidationError(
                 f"route of {src_proc}->{dst_proc}: link {lid} (hop {i}) does not "
                 f"leave any reachable vertex {sorted(current)}"

@@ -114,6 +114,10 @@ class NetworkTopology:
     )
     #: lazily built :class:`RouteStructure`; same lifetime as ``_sorted_adj``
     _structure: RouteStructure | None = field(default=None, repr=False)
+    #: lazily built :meth:`link_heads` table; same lifetime as ``_sorted_adj``
+    _heads: dict[tuple[VertexId, LinkId], tuple[VertexId, ...]] | None = field(
+        default=None, repr=False
+    )
     #: ``(src, dst) -> Route`` memo filled by :func:`repro.network.routing
     #: .bfs_route`; purely topological, so it shares one entry per processor
     #: pair across every engine and is invalidated by any topology mutation
@@ -136,11 +140,12 @@ class NetworkTopology:
         """Drop every route-derived cache after a topology mutation.
 
         This is the single seam all mutators go through: the sorted
-        adjacency, the route structure, the ``(src, dst)`` route table and
-        any fabric plan.
+        adjacency, the route structure, the link-heads table, the
+        ``(src, dst)`` route table and any fabric plan.
         """
         self._sorted_adj = None
         self._structure = None
+        self._heads = None
         self._route_table = None
         self.fabric_plan = None
 
@@ -282,6 +287,24 @@ class NetworkTopology:
             return cache[vid]
         except KeyError:
             raise TopologyError(f"unknown vertex id {vid}") from None
+
+    def link_heads(self) -> dict[tuple[VertexId, LinkId], tuple[VertexId, ...]]:
+        """``(vertex, link id) -> `` the sorted vertices that link leads to
+        from ``vertex``: :meth:`out_links` of every vertex, indexed by link.
+
+        A full-duplex link leads to its one head, a half-duplex cable to the
+        other end, a bus to every other member.  Built once on first use
+        and invalidated by any mutation, like :meth:`sorted_out_links`.
+        """
+        table = self._heads
+        if table is None:
+            heads: dict[tuple[VertexId, LinkId], set[VertexId]] = {}
+            for vid, choices in self._adj.items():
+                for link, v in choices:
+                    heads.setdefault((vid, link.lid), set()).add(v)
+            table = {key: tuple(sorted(vs)) for key, vs in heads.items()}
+            self._heads = table
+        return table
 
     def sole_out_neighbours(self) -> list[VertexId]:
         """Per-vertex table: the one vertex every out-link leads to, or ``-1``.

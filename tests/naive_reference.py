@@ -39,6 +39,14 @@ breakpoint, and the hop-to-hop pass never skipped.
 processor choices of OIHSA/BBSA and of BA before they bounded only the
 processors that host a predecessor: every (processor, predecessor) pair,
 and the least ``(finish, vid)`` key.
+
+``naive_overlay`` defines what :meth:`BandwidthProfile.add_usage` leaves
+in a fluid link profile.  It is not an older version of the same result:
+the seed rebuilt the whole profile as one float sum from time 0, which
+could re-round fractions the new usage never touches.  The oracle keeps
+that rebuild verbatim (``seed_rebuild``) but applies it only to the region
+of segments the usage overlaps or abuts, and keeps every other segment as
+stored.
 """
 
 from __future__ import annotations
@@ -52,7 +60,12 @@ from typing import Callable, Iterator, Mapping, Sequence
 from repro.core.mapping import simulate_mapping
 from repro.core.schedule import Schedule
 from repro.exceptions import RoutingError, SchedulingError, ValidationError
-from repro.linksched.bandwidth import BandwidthProfile, Cumulative, forward_through_link
+from repro.linksched.bandwidth import (
+    _FEPS,
+    BandwidthProfile,
+    Cumulative,
+    forward_through_link,
+)
 from repro.linksched.commmodel import CUT_THROUGH, CommModel
 from repro.linksched.optimal_insertion import (
     _abut,
@@ -81,6 +94,7 @@ __all__ = [
     "naive_dijkstra_route",
     "naive_eft_select_processor",
     "naive_mls_select_processor",
+    "naive_overlay",
     "naive_schedule_edge_optimal",
     "naive_validate_bandwidth",
 ]
@@ -728,3 +742,84 @@ def naive_validate_bandwidth(schedule: Schedule, eps: float) -> None:
                 f"edge {e.key}: recorded arrival {arrival} != final hop finish "
                 f"{bookings[-1].departure.finish_time()}"
             )
+
+
+# ---------------------------------------------------------------------------
+# Fluid link profiles: the seed's rebuild, applied to the touched region.
+# ---------------------------------------------------------------------------
+
+Segments = list[tuple[float, float, float]]
+
+
+def seed_rebuild(segments: Segments, usage: list[tuple[float, float, float]]) -> Segments:
+    """The seed's ``BandwidthProfile._overlay`` body: ``segments`` and
+    ``usage`` rebuilt as one running level from 0.0."""
+    events: dict[float, float] = {}
+    for t0, t1, used in segments:
+        events[t0] = events.get(t0, 0.0) + used
+        events[t1] = events.get(t1, 0.0) - used
+    for start, finish, fraction in usage:
+        if finish <= start or fraction <= 0:
+            continue
+        events[start] = events.get(start, 0.0) + fraction
+        events[finish] = events.get(finish, 0.0) - fraction
+    new_segments: list[tuple[float, float, float]] = []
+    level = 0.0
+    prev_t: float | None = None
+    for t in sorted(events):
+        if prev_t is not None and level > _FEPS and t > prev_t:
+            if level > 1.0 + 1e-6:
+                raise SchedulingError(
+                    f"link over-committed: used bandwidth {level:.9f} > 1 "
+                    f"over [{prev_t}, {t})"
+                )
+            # Merge with the previous segment when contiguous and equal.
+            if (
+                new_segments
+                and new_segments[-1][1] == prev_t
+                and abs(new_segments[-1][2] - level) <= _FEPS
+            ):
+                new_segments[-1] = (new_segments[-1][0], t, new_segments[-1][2])
+            else:
+                new_segments.append((prev_t, t, min(level, 1.0)))
+        level += events[t]
+        prev_t = t
+    return new_segments
+
+
+def naive_overlay(profile: BandwidthProfile, spans: Sequence[float]) -> Segments:
+    """The segments ``profile._overlay(spans)`` leaves; ``profile`` is not changed.
+
+    ``W`` runs from the earliest start to the latest finish of the live
+    spans (``finish > start`` and ``fraction > 0``); without one, nothing
+    changes.  The region is every segment with ``end >= W.start`` and
+    ``start <= W.finish``.  :func:`seed_rebuild` rebuilds it with the usage,
+    and a rebuilt end segment that abuts an untouched neighbour within
+    ``_FEPS`` of its fraction merges with it, keeping the earlier fraction.
+    """
+    it = iter(spans)
+    usage = list(zip(it, it, it))
+    for _, _, fraction in usage:
+        if fraction < -_FEPS:
+            raise SchedulingError(f"negative usage fraction {fraction}")
+    segments = list(profile.segments)
+    live = [(s, f, x) for s, f, x in usage if f > s and x > 0]
+    if not live:
+        return segments
+    w_start = min(s for s, _, _ in live)
+    w_finish = max(f for _, f, _ in live)
+    before = [seg for seg in segments if seg[1] < w_start]
+    region = [seg for seg in segments if seg[1] >= w_start and seg[0] <= w_finish]
+    after = [seg for seg in segments if seg[0] > w_finish]
+    rebuilt = seed_rebuild(region, usage)
+    if before and rebuilt:
+        a, b = before[-1], rebuilt[0]
+        if a[1] == b[0] and abs(a[2] - b[2]) <= _FEPS:
+            before.pop()
+            rebuilt[0] = (a[0], b[1], a[2])
+    if after and rebuilt:
+        a, b = rebuilt[-1], after[0]
+        if a[1] == b[0] and abs(a[2] - b[2]) <= _FEPS:
+            after.pop(0)
+            rebuilt[-1] = (a[0], b[1], a[2])
+    return before + rebuilt + after

@@ -74,6 +74,16 @@ class TestCommAndErrors:
                 assert repr(b.usage) == repr(a.usage)
                 hops += 1
         assert hops > fork8.num_edges // 2
+        # Replaying the usage in booking order rebuilds every link profile.
+        lids = {
+            b.lid
+            for e in fork8.edges()
+            for b in original.bandwidth_state.bookings_of(e.key)
+        }
+        for lid in lids:
+            assert repr(back.bandwidth_state.profile(lid).segments) == repr(
+                original.bandwidth_state.profile(lid).segments
+            )
 
     def test_invalid_json(self):
         with pytest.raises(SerializationError):

@@ -19,9 +19,11 @@ from __future__ import annotations
 import math
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.exceptions import SchedulingError
+from repro.linksched import bandwidth
 from repro.linksched.bandwidth import (
     _FEPS,
     BandwidthProfile,
@@ -316,6 +318,34 @@ class TestForwardThroughLink:
             assert departure.points == ref_departure.points
             assert usage == ref_usage
             assert profile.segments == reference.segments
+
+    @pytest.mark.parametrize("ramped", [False, True])
+    def test_long_sweep_computes_its_bound(self, monkeypatch, ramped):
+        # 60 short segments: the loop passes the iteration bound's least
+        # value, so the sweep computes the bound, which must not trip.
+        counted = []
+        count = bandwidth._event_count
+
+        def counting(*args):
+            counted.append(count(*args))
+            return counted[-1]
+
+        monkeypatch.setattr(bandwidth, "_event_count", counting)
+        segments = [(2.0 * k + 0.5, 2.0 * k + 1.5, 0.5) for k in range(60)]
+        arrival = Cumulative.step(0.0, 100.0)
+        if ramped:
+            arrival, _ = forward_through_link(BandwidthProfile([(0.25, 30.0, 0.75)]), arrival, 4.0)
+        self._assert_same(BandwidthProfile(segments), arrival, 1.0)
+        # The bound counts the distinct event times: ``t0``, the arrival's
+        # jumps and rate-piece ends, and the profile boundaries after ``t0``.
+        t0 = arrival.start_time
+        events = {t0}
+        points = arrival.points
+        for (ta, va), (tb, vb) in zip(points, points[1:]):
+            if vb > va:
+                events.update((ta, tb))
+        events.update(t for seg in segments for t in seg[:2] if t > t0)
+        assert counted == [len(events)]
 
     @staticmethod
     def _assert_same(profile, arrival, speed):

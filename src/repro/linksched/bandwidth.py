@@ -22,7 +22,9 @@ the slot-splitting bookkeeping of the paper's presentation.
 
 Committing a hop costs time in proportion to what the transfer touches, not
 to the whole profile.  The sweep reads the profile's boundaries through its
-segment pointer and stops once the volume is forwarded.  Reserving the
+segment pointer and stops once the volume is forwarded.  While the transfer
+only waits for data it steps straight to the next arrival event, so a
+departure omits the points where the transfer only waited.  Reserving the
 usage rebuilds only the *region*, the run of segments that overlap or abut
 the usage's window ``[first live span's start, last live span's finish]``,
 as one running sum from 0.0; every segment outside the region keeps its
@@ -71,6 +73,11 @@ class Cumulative:
     touching the curve; :attr:`points` and :meth:`flat` hand out fresh
     copies.  Every curve built, however it is built, passes the same checks:
     at least one point, monotone in both coordinates, no negative volume.
+
+    A departure the sweep builds omits the points where its transfer only
+    waited for data: a wait is one flat piece, however many profile
+    boundaries it spans.  A curve with extra points on a flat piece (as
+    older exports hold) is the same function and loads unchanged.
     """
 
     __slots__ = ("_flat",)
@@ -382,14 +389,21 @@ def _sweep(
     The sweep visits every event time (``t0``, the arrival's breakpoints and
     the profile boundaries after ``t0``) in order, and reads the arrival rate
     and the used bandwidth through forward pointers, because ``t`` never
-    decreases.  The profile's boundaries are never collected or sorted: the
-    next one after ``t`` is read off the segment pointer, as in
-    :func:`probe_step_finish`, so boundaries after the transfer completes
-    are never visited.  The departure's breakpoints and the usage are built
-    as flat float lists, with no tuple or object per point.  Each
-    ``min``/``max`` is spelled as a comparison that must pick the same
-    operand as the builtin on ties (the first), so every floating-point
-    operation matches the plain formula above.
+    decreases.  While the transfer *waits* (its backlog is at most
+    ``_FEPS`` and the arrival rate is 0) nothing moves until the next
+    arrival event, whatever the free capacity, so it steps straight there:
+    ``forwarded`` and ``arrived`` gain ``0.0 * dt`` and no span is emitted,
+    exactly as over the boundaries it skips, and the departure omits the
+    flat breakpoints those boundaries would have added.  Every jump time is
+    an arrival event, so every jump still lands; with no arrival event
+    left, the sweep steps boundary by boundary.  The profile's boundaries
+    are never collected or sorted: the next one after ``t`` is read off the
+    segment pointer, as in :func:`probe_step_finish`, so boundaries after
+    the transfer completes are never visited.  The departure's breakpoints
+    and the usage are built as flat float lists, with no tuple or object
+    per point.  Each ``min``/``max`` is spelled as a comparison that must
+    pick the same operand as the builtin on ties (the first), so every
+    floating-point operation matches the plain formula above.
 
     The loop is bounded by ``8 * (events + segments + 4) + 64`` iterations,
     where ``events`` counts the distinct event times; the bound is computed
@@ -470,68 +484,82 @@ def _sweep(
         while ri < n_pieces and rate_pieces[ri][1] <= t:
             ri += 1
         a = rate_pieces[ri][2] if ri < n_pieces and rate_pieces[ri][0] <= t else 0.0
-        # ``profile.used_at(t)`` and the next profile boundary after ``t``
-        # by a forward pointer (``t`` never decreases): the first segment
-        # ending after ``t`` starts after it, or is in use and ends after it.
-        while si < n_seg and segments[si][1] <= t:
-            si += 1
-        if si < n_seg:
-            sa, sb, used = segments[si]
-            if sa > t:
-                boundary = sa
-                used = 0.0
-            else:
-                boundary = sb
-        else:
-            boundary = math.inf
-            used = 0.0
-        # The next event after ``t``: the arrival's or the profile's, and
-        # the arrival's on a tie, as a set filled with the arrival's times
-        # first would hold it (of 0.0 and -0.0 the first added stays).
         while ei < n_ev and times[ei] <= t:
             ei += 1
-        horizon = times[ei] if ei < n_ev and times[ei] <= boundary else boundary
-        free = 1.0 - used
-        cap = (free if free > 0.0 else 0.0) * speed
         backlog = arrived - forwarded
-        if backlog > _FEPS:
-            rate = cap
-            t_zero = t + backlog / (cap - a) if cap > a else math.inf
-        else:
-            rate = cap if cap < a else a
-            t_zero = math.inf
-        t_done = t + (volume - forwarded) / rate if rate > 0 else math.inf
-        t_next = horizon
-        if t_zero < t_next:
-            t_next = t_zero
-        if t_done < t_next:
-            t_next = t_done
-        if math.isinf(t_next):
-            raise SchedulingError(
-                "transfer cannot complete: no arrival and no backlog "
-                f"(forwarded {forwarded} of {volume} at t={t})"
-            )
-        if t_next > t:
-            dt = t_next - t
-            sent = forwarded + rate * dt
-            forwarded = sent if sent < volume else volume
-            got = arrived + a * dt
-            arrived = got if got < volume else volume
-            if rate > 0:
-                frac = rate / speed
-                # Segments abut exactly: t is copied from the previous finish.
-                if spans and spans[-2] == t and abs(spans[-1] - frac) <= _FEPS:
-                    spans[-2] = t_next
-                else:
-                    spans.append(t)
-                    spans.append(t_next)
-                    spans.append(frac)
-            # Always record the breakpoint: a zero-rate span must appear in
-            # the departure curve or interpolation would invent volume there.
-            # ``t_next > t`` and the last breakpoint is at ``t``, so it is new.
-            dep.append(t_next)
+        if backlog <= _FEPS and a <= 0.0 and ei < n_ev:
+            # Waiting for data: with no backlog and no arrival rate nothing
+            # moves before the next arrival event, and a profile boundary on
+            # the way changes only capacity the transfer cannot use, so one
+            # step goes there.  Stepping over each boundary would add
+            # ``0.0 * dt`` to both volumes, no span and a flat breakpoint.
+            t = times[ei]
+            dep.append(t)
             dep.append(forwarded)
-            t = t_next
+        else:
+            # ``profile.used_at(t)`` and the next profile boundary after
+            # ``t`` by a forward pointer (``t`` never decreases): the first
+            # segment ending after ``t`` starts after it, or is in use and
+            # ends after it.
+            while si < n_seg and segments[si][1] <= t:
+                si += 1
+            if si < n_seg:
+                sa, sb, used = segments[si]
+                if sa > t:
+                    boundary = sa
+                    used = 0.0
+                else:
+                    boundary = sb
+            else:
+                boundary = math.inf
+                used = 0.0
+            # The next event after ``t``: the arrival's or the profile's,
+            # and the arrival's on a tie, as a set filled with the arrival's
+            # times first would hold it (of 0.0 and -0.0 the first added
+            # stays).
+            horizon = times[ei] if ei < n_ev and times[ei] <= boundary else boundary
+            free = 1.0 - used
+            cap = (free if free > 0.0 else 0.0) * speed
+            if backlog > _FEPS:
+                rate = cap
+                t_zero = t + backlog / (cap - a) if cap > a else math.inf
+            else:
+                rate = cap if cap < a else a
+                t_zero = math.inf
+            t_done = t + (volume - forwarded) / rate if rate > 0 else math.inf
+            t_next = horizon
+            if t_zero < t_next:
+                t_next = t_zero
+            if t_done < t_next:
+                t_next = t_done
+            if math.isinf(t_next):
+                raise SchedulingError(
+                    "transfer cannot complete: no arrival and no backlog "
+                    f"(forwarded {forwarded} of {volume} at t={t})"
+                )
+            if t_next > t:
+                dt = t_next - t
+                sent = forwarded + rate * dt
+                forwarded = sent if sent < volume else volume
+                got = arrived + a * dt
+                arrived = got if got < volume else volume
+                if rate > 0:
+                    frac = rate / speed
+                    # Segments abut exactly: t is copied from the previous
+                    # finish.
+                    if spans and spans[-2] == t and abs(spans[-1] - frac) <= _FEPS:
+                        spans[-2] = t_next
+                    else:
+                        spans.append(t)
+                        spans.append(t_next)
+                        spans.append(frac)
+                # Always record the breakpoint: a zero-rate span must appear
+                # in the departure curve or interpolation would invent volume
+                # there.  ``t_next > t`` and the last breakpoint is at ``t``,
+                # so it is new.
+                dep.append(t_next)
+                dep.append(forwarded)
+                t = t_next
         # Apply any jump landing exactly at the new time.
         if t in jumps:
             got = arrived + jumps.pop(t)
@@ -627,6 +655,8 @@ class TransferBooking:
 
     ``spans`` holds the link usage flat, ``start, finish, fraction`` per
     segment (no object per segment); :attr:`usage` rebuilds the segments.
+    ``departure`` omits the points where the transfer only waited for data
+    (see :func:`_sweep`).
     """
 
     edge: EdgeKey

@@ -91,8 +91,8 @@ def _cascade_fits(
     return True
 
 
-def _abut(suffix: list[TimeSlot], start: float) -> None:
-    """Clip the finish of ``suffix[-1]`` back to ``start`` if it overruns it.
+def _abut(run: list[TimeSlot], start: float) -> None:
+    """Clip the finish of ``run[-1]`` back to ``start`` if it overruns it.
 
     The commit puts each slot at its predecessor's finish, but the two times
     come out of different roundings.  A new slot's finish can overrun, by a
@@ -103,9 +103,9 @@ def _abut(suffix: list[TimeSlot], start: float) -> None:
     computes (the arrival, the next link's constraints, the cascade's
     ``prev_finish``) keeps its unclipped value, so no placement changes.
     """
-    last = suffix[-1]
+    last = run[-1]
     if last.start <= start < last.finish:
-        suffix[-1] = TimeSlot(last.edge, last.start, start)
+        run[-1] = TimeSlot(last.edge, last.start, start)
 
 
 def _rounding_slop(n: int, tail_finish: float, least_finish: float) -> float:
@@ -178,7 +178,7 @@ def schedule_edge_optimal(
     # of the loop (same arithmetic — see CommModel.next_constraints).
     hop = comm.hop_delay
     cut_through = comm.mode == "cut-through"
-    queues = state._queues  # repro-lint: disable=TXN001 (read-only scan; writes use replace_suffix)
+    queues = state._queues  # repro-lint: disable=TXN001 (read-only scan; writes use replace_run)
     next_link_map = state._next_link  # repro-lint: disable=TXN001 (read-only Lemma-2 slack lookup)
     est = ready_time
     min_finish = 0.0
@@ -262,18 +262,21 @@ def schedule_edge_optimal(
                 best_finish = fin
         scanned += n - stop
         # -- commit: insert, cascading deferrals within each slot's slack --
+        # Only the run of the new slot and the slots it pushes is rewritten;
+        # the cascade stops at ``end``, and the slots from there on stay.
         new_slot = TimeSlot(edge, best_start, best_finish)
         if best_index == n:
-            state.replace_suffix(lid, n, [new_slot])
+            state.replace_run(lid, n, n, [new_slot])
         else:
-            suffix: list[TimeSlot] = [new_slot]
+            run: list[TimeSlot] = [new_slot]
             prev_finish = best_finish
+            end = n
             for j in range(best_index, n):
                 s = slots[j]
                 if s.start + EPS >= prev_finish:
                     if s.start < prev_finish:
-                        _abut(suffix, s.start)
-                    suffix.extend(slots[j:])
+                        _abut(run, s.start)
+                    end = j
                     break
                 delta = prev_finish - s.start
                 slack = deferrable_time(state, lid, s, comm)
@@ -286,8 +289,8 @@ def schedule_edge_optimal(
                     )
                 moved = s.shifted(delta)
                 if moved.start < prev_finish:
-                    _abut(suffix, moved.start)
-                suffix.append(moved)
+                    _abut(run, moved.start)
+                run.append(moved)
                 prev_finish = moved.finish
                 if observing:
                     OBS.metrics.counter("optimal.deferrals").inc()
@@ -301,7 +304,7 @@ def schedule_edge_optimal(
                         delta=delta,
                         slack=slack,
                     )
-            state.replace_suffix(lid, best_index, suffix)
+            state.replace_run(lid, best_index, end, run)
         finish = best_finish
         if cut_through:
             est = best_start + hop

@@ -12,13 +12,19 @@ block), independent of how many slots sit on the touched links.
 
 Each :class:`_LinkQueue` also keeps parallel ``starts``/``finishes`` arrays
 for the bisecting gap search in :func:`repro.linksched.slots.find_gap_indexed`.
+
+Queues are written in *runs*.  OIHSA's commit
+(:meth:`LinkScheduleState.replace_run`) replaces only the run of slots it
+inserts and pushes, ``slots[start:stop]``; the slots behind the run did not
+move and stay as stored, the same objects.  A run's write, and its undo
+entry, cost in proportion to the run, not to the queue behind it.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.exceptions import SchedulingError
 from repro.linksched.slots import TimeSlot, find_gap_indexed, insert_slot
@@ -43,9 +49,8 @@ class _LinkQueue:
 _EMPTY_ARRAYS: tuple[list[TimeSlot], list[float], list[float]] = ([], [], [])
 
 # Undo-log entry tags (first tuple element).
-_OP_INSERT = 0  # (tag, lid, index)                 -> remove slots[index]
-_OP_SUFFIX = 1  # (tag, lid, index, old_suffix)     -> restore slots[index:]
-_OP_ROUTE = 2   # (tag, edge, route)                -> forget the route
+_OP_RUN = 0    # (tag, lid, start, stop, old_run)  -> restore slots[start:stop]
+_OP_ROUTE = 1  # (tag, edge, route)                -> forget the route
 
 
 class LinkScheduleState:
@@ -81,24 +86,9 @@ class LinkScheduleState:
 
     def _replay_inverse(self, entry: tuple) -> None:
         """Undo one logged write."""
-        tag = entry[0]
-        if tag == _OP_INSERT:
-            _, lid, index = entry
-            queue = self._queues[lid]
-            slot = queue.slots.pop(index)
-            del queue.starts[index]
-            del queue.finishes[index]
-            del queue.by_edge[slot.edge]
-        elif tag == _OP_SUFFIX:
-            _, lid, index, old_suffix = entry
-            queue = self._queues[lid]
-            for s in queue.slots[index:]:
-                del queue.by_edge[s.edge]
-            for s in old_suffix:
-                queue.by_edge[s.edge] = s
-            queue.slots[index:] = old_suffix
-            queue.starts[index:] = [s.start for s in old_suffix]
-            queue.finishes[index:] = [s.finish for s in old_suffix]
+        if entry[0] == _OP_RUN:
+            _, lid, start, stop, old_run = entry
+            _splice(self._queues[lid], start, stop, old_run)
         else:  # _OP_ROUTE
             _, edge, route = entry
             del self._routes[edge]
@@ -212,40 +202,53 @@ class LinkScheduleState:
         queue.finishes.insert(index, slot.finish)
         queue.by_edge[slot.edge] = slot
         if self._undo is not None:
-            self._undo.append((_OP_INSERT, lid, index))
+            self._undo.append((_OP_RUN, lid, index, index + 1, ()))
 
-    def replace_suffix(self, lid: LinkId, index: int, new_suffix: list[TimeSlot]) -> None:
-        """Replace ``slots[index:]`` — used by OIHSA's deferral cascade.
+    def replace_run(
+        self, lid: LinkId, start: int, stop: int, items: list[TimeSlot]
+    ) -> None:
+        """Replace the run ``slots[start:stop]`` with ``items`` — OIHSA's commit.
 
-        The new suffix may contain one new slot plus deferred (shifted) copies
-        of the old ones; the ``by_edge`` index is rebuilt for affected edges.
+        ``items`` is the new slot followed by shifted copies of the slots
+        its deferral cascade pushed, which made up the old run; the slots
+        from ``stop`` on did not move and are left as they are.  An edge in
+        ``items`` that is booked on the link outside the run, or twice in
+        ``items``, is an error.  ``replace_run(lid, n, n, [slot])`` on an
+        ``n``-slot queue appends.
         """
         queue = self._queue(lid)
-        if index == len(queue.slots) and len(new_suffix) == 1:
+        by_edge = queue.by_edge
+        if start == len(queue.slots) and len(items) == 1:
             # Plain append — by far the most common deferral-free commit.
-            s = new_suffix[0]
-            if s.edge in queue.by_edge:
+            s = items[0]
+            if s.edge in by_edge:
                 raise SchedulingError(f"edge {s.edge} booked twice on link {lid}")
-            queue.by_edge[s.edge] = s
+            by_edge[s.edge] = s
             queue.slots.append(s)
             queue.starts.append(s.start)
             queue.finishes.append(s.finish)
             if self._undo is not None:
-                self._undo.append((_OP_SUFFIX, lid, index, []))
+                self._undo.append((_OP_RUN, lid, start, start + 1, ()))
             return
-        old_suffix = queue.slots[index:]
-        removed = {s.edge for s in old_suffix}
+        old_run = queue.slots[start:stop]
+        removed = {s.edge for s in old_run}
         seen: set[EdgeKey] = set()
-        for s in new_suffix:
-            if (s.edge in queue.by_edge and s.edge not in removed) or s.edge in seen:
+        for s in items:
+            if (s.edge in by_edge and s.edge not in removed) or s.edge in seen:
                 raise SchedulingError(f"edge {s.edge} booked twice on link {lid}")
             seen.add(s.edge)
-        for s in old_suffix:
-            del queue.by_edge[s.edge]
-        for s in new_suffix:
-            queue.by_edge[s.edge] = s
-        queue.slots[index:] = new_suffix
-        queue.starts[index:] = [s.start for s in new_suffix]
-        queue.finishes[index:] = [s.finish for s in new_suffix]
+        _splice(queue, start, stop, items)
         if self._undo is not None:
-            self._undo.append((_OP_SUFFIX, lid, index, old_suffix))
+            self._undo.append((_OP_RUN, lid, start, start + len(items), old_run))
+
+
+def _splice(queue: _LinkQueue, start: int, stop: int, items: Sequence[TimeSlot]) -> None:
+    """Put ``items`` in place of ``queue.slots[start:stop]``, unchecked."""
+    by_edge = queue.by_edge
+    for s in queue.slots[start:stop]:
+        del by_edge[s.edge]
+    for s in items:
+        by_edge[s.edge] = s
+    queue.slots[start:stop] = items
+    queue.starts[start:stop] = [s.start for s in items]
+    queue.finishes[start:stop] = [s.finish for s in items]

@@ -367,7 +367,8 @@ def _naive_commit_optimal(
         _abut(suffix, moved.start)
         suffix.append(moved)
         prev_finish = moved.finish
-    state.replace_suffix(lid, index, suffix)
+    # The whole suffix, unmoved slots too, as the seed's commit rewrote it.
+    state.replace_run(lid, index, len(slots), suffix)
 
 
 def naive_schedule_edge_optimal(
@@ -554,18 +555,17 @@ class NaiveLinkScheduleState:
         queue.by_edge[slot.edge] = slot
         queue.rebuild()
 
-    def replace_suffix(
-        self, lid: LinkId, index: int, new_suffix: list[TimeSlot]
+    def replace_run(
+        self, lid: LinkId, start: int, stop: int, items: list[TimeSlot]
     ) -> None:
         queue = self._writable(lid)
-        old_suffix = queue.slots[index:]
-        for s in old_suffix:
+        for s in queue.slots[start:stop]:
             del queue.by_edge[s.edge]
-        for s in new_suffix:
+        for s in items:
             if s.edge in queue.by_edge:
                 raise SchedulingError(f"edge {s.edge} booked twice on link {lid}")
             queue.by_edge[s.edge] = s
-        queue.slots[index:] = new_suffix
+        queue.slots[start:stop] = items
         queue.rebuild()
 
 

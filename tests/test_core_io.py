@@ -85,6 +85,31 @@ class TestCommAndErrors:
                 original.bandwidth_state.profile(lid).segments
             )
 
+    @pytest.mark.parametrize(
+        "comm", [CUT_THROUGH, CommModel(hop_delay=0.5), STORE_AND_FORWARD]
+    )
+    def test_old_bbsa_export_with_waiting_points_validates(self, fork8, wan16, comm):
+        # A departure once kept a breakpoint at every link boundary its hop
+        # crossed while waiting for data: an extra point inside a flat piece,
+        # carried into the next hop's arrival.  Such an export still loads
+        # and validates, and a fresh export still round-trips as text.
+        text = schedule_to_json(BBSAScheduler(comm=comm).schedule(fork8, wan16))
+        assert schedule_to_json(schedule_from_json(text)) == text
+        doc = json.loads(text)
+        added = 0
+        for booking in doc["bandwidth_state"]["bookings"]:
+            for hop in booking["hops"]:
+                for key in ("arrival", "departure"):
+                    points = hop[key][:1]
+                    for (t0, v0), (t1, v1) in zip(hop[key], hop[key][1:]):
+                        if v1 == v0 and t1 > t0:
+                            points.append([(t0 + t1) / 2, v0])
+                            added += 1
+                        points.append([t1, v1])
+                    hop[key] = points
+        assert added
+        validate_schedule(schedule_from_json(json.dumps(doc)))
+
     def test_invalid_json(self):
         with pytest.raises(SerializationError):
             schedule_from_json("nope{")

@@ -12,6 +12,13 @@ for a ``t0`` before, inside, between and after the segments, exactly on
 segment boundaries, with segment boundaries exactly on the arrival's
 breakpoints, and along multi-hop routes under every switching mode.  The
 reference scans below are copies of those from-zero versions.
+
+While a transfer waits for data (no backlog, no arrival rate) the sweep
+steps straight to the next arrival event, and so does
+:func:`reference_forward`.  ``reference_forward(..., wait_in_one_step=False)``
+keeps the old stepping over every profile boundary on the way; against it
+the usage, the reserved profile and the finish time are equal with ``==``,
+and the departure is the same function with fewer flat breakpoints.
 """
 
 from __future__ import annotations
@@ -39,8 +46,13 @@ SWEEPS = settings(
 )
 
 
-def reference_forward(profile, arrival, speed):
-    """The sweep as it was: every breakpoint, ``used_at`` scanned from 0."""
+def reference_forward(profile, arrival, speed, *, wait_in_one_step=True):
+    """The sweep as it was: every breakpoint, ``used_at`` scanned from 0.
+
+    While the transfer waits for data, the next event is the next arrival
+    event; ``wait_in_one_step=False`` steps over every profile boundary on
+    the way instead, as the sweep once did.
+    """
     volume = arrival.final_volume
     t0 = arrival.start_time
     if volume <= _FEPS:
@@ -54,10 +66,8 @@ def reference_forward(profile, arrival, speed):
         elif vb > va:
             rate_pieces.append((ta, tb, (vb - va) / (tb - ta)))
     breakpoints = [t for seg in profile.segments for t in seg[:2]]
-    event_times = sorted(
-        {t0, *jumps, *(t for p in rate_pieces for t in (p[0], p[1])),
-         *(t for t in breakpoints if t > t0)}
-    )
+    arrival_events = {t0, *jumps, *(t for p in rate_pieces for t in (p[0], p[1]))}
+    event_times = sorted(arrival_events | {t for t in breakpoints if t > t0})
 
     def arrival_rate(t):
         for a, b, r in rate_pieces:
@@ -79,6 +89,10 @@ def reference_forward(profile, arrival, speed):
         a = arrival_rate(t)
         cap = max(0.0, 1.0 - profile.used_at(t)) * speed
         backlog = arrived - forwarded
+        if wait_in_one_step and backlog <= _FEPS and a <= 0.0:
+            later = [x for x in sorted(arrival_events) if x > t]
+            if later:
+                horizon = later[0]
         if backlog > _FEPS:
             rate = cap
             t_zero = t + backlog / (cap - a) if cap > a else math.inf
@@ -318,6 +332,59 @@ class TestForwardThroughLink:
             assert departure.points == ref_departure.points
             assert usage == ref_usage
             assert profile.segments == reference.segments
+
+    @SWEEPS
+    @given(
+        data=st.data(),
+        hops=st.lists(st.tuples(profiles(), speeds), min_size=2, max_size=4),
+        volume=volumes,
+        comm=comm_models,
+    )
+    def test_waiting_in_one_step_changes_no_result(self, data, hops, volume, comm):
+        # The route chain twice, reserving every hop: as the sweep runs now,
+        # and stepping over every boundary while the transfer waits, each
+        # chain building its next arrival from its own departure.
+        arrival = old_arrival = Cumulative.step(data.draw(start_times(hops[0][0])), volume)
+        for segments, speed in hops:
+            profile = BandwidthProfile(list(segments))
+            old_profile = BandwidthProfile(list(segments))
+            departure, usage = forward_through_link(profile, arrival, speed, reserve=True)
+            old_departure, old_usage = reference_forward(
+                old_profile, old_arrival, speed, wait_in_one_step=False
+            )
+            if old_arrival.final_volume > _FEPS:  # an empty transfer reserves nothing
+                old_profile.add_usage(old_usage)
+            assert usage == old_usage
+            assert profile.segments == old_profile.segments
+            assert departure.finish_time() == old_departure.finish_time()
+            for t, _ in departure.points + old_departure.points:
+                assert departure.value(t) == old_departure.value(t)
+            assert set(departure.points) <= set(old_departure.points)
+            if comm.mode == "cut-through":
+                arrival = departure.shifted(comm.hop_delay)
+                old_arrival = old_departure.shifted(comm.hop_delay)
+            else:
+                arrival = Cumulative.step(departure.finish_time() + comm.hop_delay, volume)
+                old_arrival = Cumulative.step(
+                    old_departure.finish_time() + comm.hop_delay, volume
+                )
+
+    def test_waiting_omits_the_boundaries_it_crosses(self):
+        # The first link is busy over [0, 1), so with a hop delay of 0.75 the
+        # second hop's arrival is flat over [0.75, 1.75); the second link's
+        # boundary at 1.0 falls inside that wait.  The departure used to
+        # keep a point there and is the same function without it.
+        busy = [(0.0, 1.0, 1.0)]
+        first, _ = forward_through_link(BandwidthProfile(busy), Cumulative.step(0.0, 1.0), 1.0)
+        arrival = first.shifted(0.75)
+        assert arrival.points == [(0.75, 0.0), (1.75, 0.0), (2.75, 1.0)]
+        departure, usage = forward_through_link(BandwidthProfile(busy), arrival, 1.0)
+        old_departure, old_usage = reference_forward(
+            BandwidthProfile(busy), arrival, 1.0, wait_in_one_step=False
+        )
+        assert departure.points == [(0.75, 0.0), (1.75, 0.0), (2.75, 1.0)]
+        assert old_departure.points == [(0.75, 0.0), (1.0, 0.0), (1.75, 0.0), (2.75, 1.0)]
+        assert usage == old_usage == [UsageSegment(1.75, 2.75, 1.0)]
 
     @pytest.mark.parametrize("ramped", [False, True])
     def test_long_sweep_computes_its_bound(self, monkeypatch, ramped):

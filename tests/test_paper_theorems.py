@@ -71,7 +71,7 @@ class TestLemma2:
         state.insert(lid1, 0, TimeSlot(edge, 5.0, 9.0))
         dt = deferrable_time(state, lid0, state.slot_of(edge, lid0))
         moved = TimeSlot(edge, 2.0 + dt, 6.0 + dt)
-        state.replace_suffix(lid0, 0, [moved])
+        state.replace_run(lid0, 0, 1, [moved])
         check_route_causality(state, net, edge, 4.0)
 
     def test_deferring_beyond_slack_breaks_causality(self):
@@ -87,7 +87,7 @@ class TestLemma2:
         state.insert(lid1, 0, TimeSlot(edge, 5.0, 9.0))
         dt = deferrable_time(state, lid0, state.slot_of(edge, lid0))
         moved = TimeSlot(edge, 2.0 + dt + 0.5, 6.0 + dt + 0.5)
-        state.replace_suffix(lid0, 0, [moved])
+        state.replace_run(lid0, 0, 1, [moved])
         with pytest.raises(ValidationError):
             check_route_causality(state, net, edge, 4.0)
 

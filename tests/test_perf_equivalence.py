@@ -9,7 +9,7 @@ results exactly:
 
 1. ``find_gap_indexed`` vs the linear ``find_gap`` scan on random queues,
 2. undo-log vs copy-on-write tentative booking across random sequences
-   of insert/replace_suffix bookings, each kept or made tentatively,
+   of insert/replace_run bookings, each kept or made tentatively,
 3. whole schedulers (ba / oihsa / bbsa / packet-ba, both comm models) on
    Hypothesis-generated workloads: same makespan, per-task placements, link
    slot lists, edge arrivals, and ScheduleStats counters (modulo the
@@ -117,7 +117,7 @@ class TestFindGapDifferential:
     def test_state_find_gap_matches_linear(self, slots, duration, est, min_finish):
         state = LinkScheduleState()
         if slots:
-            state.replace_suffix(7, 0, slots)
+            state.replace_run(7, 0, 0, slots)
         assert state.find_gap(7, duration, est, min_finish) == find_gap(
             slots, duration, est, min_finish
         )
@@ -132,7 +132,7 @@ _TXN_PROCS = [sorted(v.vid for v in net.processors()) for net in _TXN_NETS]
 
 booking_ops = st.lists(
     st.tuples(
-        st.booleans(),  # optimal insertion (replace_suffix) vs basic (insert)
+        st.booleans(),  # optimal insertion (replace_run) vs basic (insert)
         st.integers(min_value=0, max_value=10**6),  # src/dst selector
         st.floats(min_value=0.0, max_value=30.0),  # cost
         times,  # ready time
@@ -188,6 +188,49 @@ class TestTransactionDifferential:
                 a_real = book(real, edge, route, cost, ready, comm)
                 a_naive = book(naive, edge, route, cost, ready, comm)
                 assert a_real == a_naive
+            _assert_states_equal(real, naive)
+
+    @FAST
+    @given(
+        queue=slot_queues(),
+        runs=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10**6),  # run start selector
+                st.integers(min_value=0, max_value=3),  # old run length
+                st.integers(min_value=0, max_value=2),  # new slots in the run
+                durations,  # how far the run's old slots are pushed
+                st.booleans(),  # write inside a tentative block
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_runs_before_the_tail_match_copy_on_write(self, queue, runs):
+        # OIHSA's commit rewrites ``slots[start:stop]`` with ``stop`` before
+        # the tail whenever its cascade stops early; the naive state rebuilds
+        # the whole queue.  The slots behind the run keep their objects.
+        real = LinkScheduleState()
+        naive = NaiveLinkScheduleState()
+        real.replace_run(7, 0, 0, queue)
+        naive.replace_run(7, 0, 0, queue)
+        for i, (sel, length, fresh, push, tentative) in enumerate(runs):
+            slots = real.slots(7)
+            start = sel % (len(slots) + 1)
+            stop = min(len(slots), start + length)
+            tail = slots[stop:]
+            items = [TimeSlot((-1 - i, k), 0.0, 1.0) for k in range(fresh)]
+            items += [s.shifted(push) for s in slots[start:stop]]
+            if tentative:
+                with real.tentative(), naive.tentative():
+                    real.replace_run(7, start, stop, items)
+                    naive.replace_run(7, start, stop, items)
+                    _assert_states_equal(real, naive)
+            else:
+                real.replace_run(7, start, stop, items)
+                naive.replace_run(7, start, stop, items)
+                assert all(
+                    a is b for a, b in zip(real.slots(7)[start + len(items) :], tail, strict=True)
+                )
             _assert_states_equal(real, naive)
 
 
